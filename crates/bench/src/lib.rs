@@ -5,12 +5,14 @@
 //! platforms and prints the same rows/series the paper reports. The
 //! `repro` binary is the front door (`repro --list`, `repro fig06_concurrent_orin`);
 //! `repro_all` runs the lot in parallel and writes `results/*.csv` plus
-//! a summary.
+//! a summary. The `bench` binary regenerates or checks the committed
+//! `BENCH_*.json` baselines under the one rule in [`baseline`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod ablations;
+pub mod baseline;
 pub mod figures;
 
 use std::path::PathBuf;

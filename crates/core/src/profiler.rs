@@ -3,7 +3,6 @@
 use std::fmt;
 
 use jetsim_des::SimDuration;
-use jetsim_dnn::{ModelGraph, Precision};
 use jetsim_profile::{JetsonStatsReport, NsightReport};
 use jetsim_sim::{ProfilerMode, SimConfig, SimError, Simulation};
 use jetsim_trt::BuildError;
@@ -160,26 +159,6 @@ impl DualPhaseProfiler {
         Ok(self)
     }
 
-    /// Adds `processes` concurrent instances of `model` at the given
-    /// precision and batch size.
-    ///
-    /// # Errors
-    ///
-    /// Propagates engine-build failures.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `deployment(&Deployment::homogeneous(model, precision, batch, processes))`"
-    )]
-    pub fn workload(
-        self,
-        model: &ModelGraph,
-        precision: Precision,
-        batch: u32,
-        processes: u32,
-    ) -> Result<Self, ProfileError> {
-        self.deployment(&Deployment::homogeneous(model, precision, batch, processes))
-    }
-
     /// Sets the warmup interval for both phases.
     pub fn warmup(mut self, warmup: SimDuration) -> Self {
         self.warmup = warmup;
@@ -306,7 +285,7 @@ impl fmt::Display for WorkloadProfile {
 mod tests {
     use super::*;
     use crate::deployment::Tenant;
-    use jetsim_dnn::zoo;
+    use jetsim_dnn::{zoo, Precision};
 
     fn quick_profile(procs: u32) -> WorkloadProfile {
         DualPhaseProfiler::new(&Platform::orin_nano())
@@ -376,23 +355,6 @@ mod tests {
             text.contains("resnet50:int8:b1") && text.contains("yolov8n:fp16:b4"),
             "{text}"
         );
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_workload_shim_matches_deployment() {
-        // Satellite contract: `workload(...)` must stay a working shim
-        // over `Deployment::homogeneous` during the migration window.
-        let via_shim = DualPhaseProfiler::new(&Platform::orin_nano())
-            .workload(&zoo::resnet50(), Precision::Int8, 1, 2)
-            .unwrap()
-            .warmup(SimDuration::from_millis(150))
-            .measure(SimDuration::from_millis(700))
-            .run()
-            .unwrap();
-        let via_deployment = quick_profile(2);
-        assert_eq!(via_shim.soc.throughput, via_deployment.soc.throughput);
-        assert_eq!(via_shim.tenants, via_deployment.tenants);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! workspace is built on:
 //!
 //! * [`SimTime`] / [`SimDuration`] — nanosecond-resolution simulated time,
-//! * [`EventQueue`] — a deterministic future-event list,
+//! * [`CalendarQueue`] — a deterministic future-event list,
 //! * [`SimRng`] — a seeded random-number generator wrapper so that every
 //!   experiment is exactly reproducible,
 //! * [`arrivals`] — open-loop request arrival generators (Poisson,
@@ -15,9 +15,9 @@
 //! # Examples
 //!
 //! ```
-//! use jetsim_des::{EventQueue, SimDuration, SimTime};
+//! use jetsim_des::{CalendarQueue, SimDuration, SimTime};
 //!
-//! let mut queue: EventQueue<&'static str> = EventQueue::new();
+//! let mut queue: CalendarQueue<&'static str> = CalendarQueue::new();
 //! queue.schedule(SimTime::ZERO + SimDuration::from_micros(5), "launch");
 //! queue.schedule(SimTime::ZERO + SimDuration::from_micros(2), "enqueue");
 //!
@@ -31,14 +31,12 @@
 
 pub mod arrivals;
 pub mod calendar;
-pub mod queue;
 pub mod rng;
 pub mod time;
 pub mod trace;
 
 pub use arrivals::{gaps_from_times, ArrivalProcess, ArrivalStream};
 pub use calendar::CalendarQueue;
-pub use queue::EventQueue;
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};
 pub use trace::{TraceBuffer, TraceEvent};

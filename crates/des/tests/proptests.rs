@@ -2,7 +2,12 @@
 
 use proptest::prelude::*;
 
-use jetsim_des::{CalendarQueue, EventQueue, SimDuration, SimRng, SimTime, TraceBuffer};
+use jetsim_des::{CalendarQueue, SimDuration, SimRng, SimTime, TraceBuffer};
+
+#[path = "support/queue.rs"]
+mod queue;
+
+use queue::EventQueue;
 
 proptest! {
     /// The calendar queue is observationally identical to the binary
@@ -296,6 +301,71 @@ proptest! {
         if n > 0 {
             let last = buf.iter().last().unwrap().payload;
             prop_assert_eq!(last, n - 1);
+        }
+    }
+}
+
+#[test]
+fn matches_heap_on_random_workload() {
+    let mut rng = SimRng::seed_from(42);
+    let mut heap = EventQueue::new();
+    let mut cal = CalendarQueue::with_params(6, 16);
+    let mut id = 0u64;
+    // Interleave schedules and pops with a drifting time base.
+    let mut base = 0u64;
+    for round in 0..200 {
+        let burst = 1 + rng.uniform_u64(0, 7) as usize;
+        for _ in 0..burst {
+            let t = SimTime::from_nanos(base + rng.uniform_u64(0, 5_000));
+            heap.schedule(t, id);
+            cal.schedule(t, id);
+            id += 1;
+        }
+        let pops = if round % 3 == 0 { burst + 1 } else { burst / 2 };
+        for _ in 0..pops {
+            assert_eq!(heap.pop(), cal.pop());
+        }
+        base += rng.uniform_u64(0, 2_000);
+    }
+    loop {
+        let (h, c) = (heap.pop(), cal.pop());
+        assert_eq!(h, c);
+        if h.is_none() {
+            break;
+        }
+    }
+}
+
+#[test]
+// `id` is a global event label, not a counter for the round loop:
+// it advances by the (varying) burst length plus one each round.
+#[allow(clippy::explicit_counter_loop)]
+fn batch_interleaves_with_singles() {
+    let mut heap = EventQueue::new();
+    let mut cal = CalendarQueue::with_params(5, 16);
+    let mut id = 0u64;
+    for round in 0u64..50 {
+        let burst: Vec<(SimTime, u64)> = (0..round % 7)
+            .map(|k| {
+                let item = (SimTime::from_nanos(round * 100 + k * 13 % 900), id);
+                id += 1;
+                item
+            })
+            .collect();
+        heap.extend(burst.iter().copied());
+        cal.schedule_batch(burst);
+        heap.schedule(SimTime::from_nanos(round * 37), id);
+        cal.schedule(SimTime::from_nanos(round * 37), id);
+        id += 1;
+        if round % 2 == 0 {
+            assert_eq!(heap.pop(), cal.pop());
+        }
+    }
+    loop {
+        let (h, c) = (heap.pop(), cal.pop());
+        assert_eq!(h, c);
+        if h.is_none() {
+            break;
         }
     }
 }

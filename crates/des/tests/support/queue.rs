@@ -1,30 +1,17 @@
-//! A deterministic future-event list.
+//! The reference future-event list the `CalendarQueue` tests compare
+//! against.
 //!
-//! [`EventQueue`] orders events by timestamp and breaks ties by insertion
-//! order, so a simulation driven by it is fully deterministic regardless of
-//! payload type or hash seeds.
+//! [`EventQueue`] is a plain binary heap that orders events by timestamp
+//! and breaks ties by insertion order. It is too simple to get wrong,
+//! which makes it the oracle for the calendar queue's pop order.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use crate::time::SimTime;
+use jetsim_des::{SimDuration, SimTime};
 
 /// A future-event list: a min-heap of `(SimTime, E)` pairs with FIFO
 /// tie-breaking.
-///
-/// # Examples
-///
-/// ```
-/// use jetsim_des::{EventQueue, SimTime};
-///
-/// let mut q = EventQueue::new();
-/// q.schedule(SimTime::from_nanos(10), 'b');
-/// q.schedule(SimTime::from_nanos(10), 'c');
-/// q.schedule(SimTime::from_nanos(5), 'a');
-///
-/// let order: Vec<char> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-/// assert_eq!(order, vec!['a', 'b', 'c']);
-/// ```
 #[derive(Debug, Clone)]
 pub struct EventQueue<E> {
     heap: BinaryHeap<Entry<E>>,
@@ -74,24 +61,6 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Creates an empty queue with space for `capacity` events.
-    ///
-    /// Simulators that know their expected event volume (engine kernel
-    /// count × iterations) should use this to avoid heap regrowth in the
-    /// hot loop.
-    pub fn with_capacity(capacity: usize) -> Self {
-        EventQueue {
-            heap: BinaryHeap::with_capacity(capacity),
-            seq: 0,
-            now: SimTime::ZERO,
-        }
-    }
-
-    /// Reserves space for at least `additional` more events.
-    pub fn reserve(&mut self, additional: usize) {
-        self.heap.reserve(additional);
-    }
-
     /// The timestamp of the most recently popped event — the queue's notion
     /// of "now". Starts at [`SimTime::ZERO`].
     pub fn now(&self) -> SimTime {
@@ -113,20 +82,7 @@ impl<E> EventQueue<E> {
     /// This is the common case in an event handler ("finish this kernel in
     /// 42 µs") and saves the caller from threading the current timestamp
     /// through every call site.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use jetsim_des::{EventQueue, SimDuration, SimTime};
-    ///
-    /// let mut q = EventQueue::new();
-    /// q.schedule(SimTime::from_nanos(100), "first");
-    /// let (t, _) = q.pop().unwrap();
-    /// assert_eq!(q.now(), t);
-    /// q.schedule_after(SimDuration::from_nanos(50), "second");
-    /// assert_eq!(q.peek_time(), Some(SimTime::from_nanos(150)));
-    /// ```
-    pub fn schedule_after(&mut self, delay: crate::time::SimDuration, event: E) {
+    pub fn schedule_after(&mut self, delay: SimDuration, event: E) {
         self.schedule(self.now + delay, event);
     }
 
@@ -192,7 +148,6 @@ impl<E> FromIterator<(SimTime, E)> for EventQueue<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::time::SimDuration;
 
     #[test]
     fn pops_in_time_order() {

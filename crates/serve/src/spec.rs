@@ -157,12 +157,6 @@ pub struct ServeTenant {
     pub queue_cap: usize,
     /// Policy when the queue is full.
     pub admission: AdmissionPolicy,
-    /// GPU scheduling priority the tenant's servers run at (higher wins
-    /// under the `priority` GPU policy; other policies ignore it).
-    pub priority: u8,
-    /// Fractional SM share of the tenant's servers (weight under the
-    /// `mps` GPU policy; other policies ignore it).
-    pub sm_share: f64,
     /// Per-tenant autoscaler; `None` falls back to the spec-wide
     /// autoscaler (and to static serving when that is unset too).
     pub autoscale: Option<AutoscaleSpec>,
@@ -176,20 +170,16 @@ pub struct ServeTenant {
 
 impl ServeTenant {
     /// A served tenant with defaults: 5 ms batching delay, queue
-    /// capacity 64, [`AdmissionPolicy::Reject`]. Priority and SM share
-    /// are inherited from the inner [`Tenant`] (so a
+    /// capacity 64, [`AdmissionPolicy::Reject`]. GPU priority and SM
+    /// share are the inner [`Tenant`]'s (so a
     /// `model:precision:batch:count:priority` spec carries through).
     pub fn new(tenant: Tenant, arrivals: ArrivalProcess) -> Self {
-        let priority = tenant.gpu_priority();
-        let sm_share = tenant.gpu_sm_share();
         ServeTenant {
             tenant,
             arrivals,
             max_delay: SimDuration::from_millis(5),
             queue_cap: 64,
             admission: AdmissionPolicy::Reject,
-            priority,
-            sm_share,
             autoscale: None,
             ingress_offsets: None,
         }
@@ -207,19 +197,6 @@ impl ServeTenant {
         Ok(ServeTenant::new(Tenant::parse(spec)?, arrivals))
     }
 
-    /// Former name of [`ServeTenant::parse`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`DeploymentError`] from [`Tenant::parse`].
-    #[deprecated(since = "0.3.0", note = "use `ServeTenant::parse(spec, arrivals)`")]
-    pub fn parse_with_arrivals(
-        spec: &str,
-        arrivals: ArrivalProcess,
-    ) -> Result<Self, DeploymentError> {
-        Self::parse(spec, arrivals)
-    }
-
     /// Sets the batcher's flush deadline.
     pub fn max_delay(mut self, max_delay: SimDuration) -> Self {
         self.max_delay = max_delay;
@@ -235,18 +212,6 @@ impl ServeTenant {
     /// Sets the admission policy.
     pub fn admission(mut self, admission: AdmissionPolicy) -> Self {
         self.admission = admission;
-        self
-    }
-
-    /// Sets the GPU scheduling priority.
-    pub fn priority(mut self, priority: u8) -> Self {
-        self.priority = priority;
-        self
-    }
-
-    /// Sets the fractional SM share.
-    pub fn sm_share(mut self, share: f64) -> Self {
-        self.sm_share = share;
         self
     }
 
@@ -523,8 +488,8 @@ impl ServeSpec {
                 .max_delay(st.max_delay)
                 .queue_cap(st.queue_cap)
                 .admission(st.admission)
-                .priority(st.priority)
-                .sm_share(st.sm_share);
+                .priority(t.gpu_priority())
+                .sm_share(t.gpu_sm_share());
             if let Some(offsets) = &st.ingress_offsets {
                 group = group.ingress_offsets(Arc::clone(offsets));
             }
@@ -693,15 +658,5 @@ mod tests {
         assert_eq!(fixed.cold_start, SimDuration::from_millis(33));
         assert_eq!(fixed.warm_start, SimDuration::from_millis(33));
         assert_eq!(fixed.slo_target, Some(slo));
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_parse_with_arrivals_shim_matches_parse() {
-        let arrivals = ArrivalProcess::poisson(80.0);
-        let old = ServeTenant::parse_with_arrivals("resnet50:int8:1:2", arrivals.clone()).unwrap();
-        let new = ServeTenant::parse("resnet50:int8:1:2", arrivals).unwrap();
-        assert_eq!(old.tenant.label(), new.tenant.label());
-        assert_eq!(old.tenant.instances(), new.tenant.instances());
     }
 }
