@@ -445,7 +445,7 @@ fn fleet() -> Value {
     );
     json!({
         "bench": "fleet",
-        "note": "requests/served/slo_attainment/sim_events are simulated and bit-deterministic per seed (windows fixed, no JETSIM_FAST shrink); wall_s/sites_per_s/events_per_s are host-dependent and gated at 30% regression",
+        "note": "requests/served/slo_attainment/sim_events are simulated and bit-deterministic per seed (windows fixed, no JETSIM_FAST shrink); events_per_s is host-dependent and gated at 30% regression; wall_s/sites_per_s are host-dependent and never gated",
         "per_site_qps": PER_SITE_QPS,
         "warmup_ms": 150,
         "measure_ms": 1_000,

@@ -1055,42 +1055,12 @@ pub fn all() -> Vec<FigureResult> {
 /// concurrent harnesses block on one computation instead of repeating
 /// it, and every engine build is served by the process-wide engine
 /// cache, so e.g. figures 6, 8 and 11 compile each `(model, int8,
-/// batch)` engine exactly once between them.
+/// batch)` engine exactly once between them. A panicking harness
+/// re-raises its panic once the other harnesses have finished.
 pub fn all_parallel() -> Vec<FigureResult> {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    let harnesses = harnesses();
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4)
-        .min(harnesses.len());
-    let next = AtomicUsize::new(0);
-    let mut slots: Vec<Option<FigureResult>> = Vec::new();
-    slots.resize_with(harnesses.len(), || None);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut done: Vec<(usize, FigureResult)> = Vec::new();
-                    loop {
-                        let index = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(&harness) = harnesses.get(index) else {
-                            break;
-                        };
-                        done.push((index, harness()));
-                    }
-                    done
-                })
-            })
-            .collect();
-        for handle in handles {
-            for (index, result) in handle.join().expect("figure worker panicked") {
-                slots[index] = Some(result);
-            }
-        }
-    });
-    slots
+    jetsim::pool::run_isolated(harnesses(), None, |harness| harness())
         .into_iter()
-        .map(|slot| slot.expect("every harness ran"))
+        .map(|result| result.unwrap_or_else(|payload| std::panic::resume_unwind(payload)))
         .collect()
 }
 

@@ -15,31 +15,32 @@
 //! jetsim-trtexec --tenant=resnet50:int8:1:2 --tenant=yolov8n:fp16:4 \
 //!     --device=orin-nano --duration=2
 //! ```
+//!
+//! Its scenario-shaped flags overlay `--scenario=FILE` through
+//! `jetsim::scenario::ScenarioFlags`, the reader all three CLIs share.
 
 use std::process::ExitCode;
 
 use jetsim::deployment::Tenant;
 use jetsim::prelude::*;
-use jetsim::scenario::{parse_duration, FlagCursor, ScenarioSpec};
+use jetsim::scenario::{
+    cli_fault_plan, cli_main, parse_duration, FlagCursor, ScenarioFlags, ScenarioSpec,
+};
 use jetsim_profile::chrome_trace;
-use jetsim_sim::{FaultKind, FaultPlan, GpuPolicy};
+use jetsim_sim::{FaultKind, GpuPolicy};
 
 #[derive(Debug)]
 struct Args {
     model: String,
-    tenants: Vec<String>,
     precision: Precision,
     batch: u32,
     processes: u32,
     streams: u32,
-    device: String,
-    duration_secs: f64,
     nsight: bool,
     chrome_trace: Option<String>,
-    seed: u64,
-    faults: bool,
-    fault_seed: Option<u64>,
-    gpu_policy: GpuPolicy,
+    /// The scenario file (if any) under the scenario-shaped flags:
+    /// device, seed, duration, GPU policy, fault seed and tenants.
+    scenario: ScenarioSpec,
 }
 
 impl Args {
@@ -64,109 +65,36 @@ impl Args {
          \x20                  explicit flags override individual fields"
     }
 
-    /// Applies the closed-loop subset of a scenario document as base
-    /// values (flags parsed afterwards override them). Serving-only
-    /// fields — SLO, arrivals, resilience, autoscaling — have no
-    /// meaning under closed-loop load and are ignored.
-    fn apply_scenario(&mut self, sc: &ScenarioSpec) -> Result<(), String> {
-        if let Some(device) = &sc.device {
-            self.device = device.clone();
-        }
-        if let Some(seed) = sc.seed {
-            self.seed = seed;
-        }
-        if let Some(duration) = &sc.duration {
-            self.duration_secs = parse_duration(duration)?.as_secs_f64();
-        }
-        if let Some(policy) = &sc.gpu_policy {
-            self.gpu_policy = policy
-                .parse()
-                .map_err(|e| format!("scenario gpu_policy: {e}"))?;
-        }
-        if let Some(fault_seed) = sc.fault_seed {
-            self.faults = true;
-            self.fault_seed = Some(fault_seed);
-        }
-        for tenant in sc.tenants.iter().flatten() {
-            if let Some(spec) = &tenant.spec {
-                self.tenants.push(spec.clone());
-            }
-        }
-        Ok(())
-    }
-
     fn parse(argv: impl Iterator<Item = String>) -> Result<Args, String> {
-        let argv: Vec<String> = argv.collect();
         let mut args = Args {
             model: String::new(),
-            tenants: Vec::new(),
             precision: Precision::Fp32,
             batch: 1,
             processes: 1,
             streams: 1,
-            device: "orin-nano".to_string(),
-            duration_secs: 2.0,
             nsight: false,
             chrome_trace: None,
-            seed: 0x6A65_7473,
-            faults: false,
-            fault_seed: None,
-            gpu_policy: GpuPolicy::TimesliceRR,
+            scenario: ScenarioSpec::default(),
         };
-        // Pass 1: an optional scenario file supplies base values; any
-        // explicit flag (pass 2) overrides the corresponding field.
-        let mut tenants_from_scenario = false;
-        for (i, arg) in argv.iter().enumerate() {
-            let path = match arg.strip_prefix("--scenario=") {
-                Some(p) => Some(p.to_string()),
-                None if arg == "--scenario" => argv.get(i + 1).cloned(),
-                None => None,
-            };
-            if let Some(path) = path {
-                let scenario: ScenarioSpec = std::fs::read_to_string(&path)
-                    .map_err(|e| format!("cannot read scenario `{path}`: {e}"))?
-                    .parse()
-                    .map_err(|e| format!("{path}: {e}"))?;
-                args.tenants.clear();
-                args.apply_scenario(&scenario)?;
-                tenants_from_scenario = !args.tenants.is_empty();
-            }
-        }
+        let mut flags = ScenarioFlags::default();
         let mut workload_flags = false;
-        let mut argv = FlagCursor::new(argv.into_iter());
+        let mut argv = FlagCursor::new(argv);
         while let Some((key, mut value)) = argv.next_flag() {
             match key.as_str() {
+                "--scenario" | "--tenant" | "--device" | "--duration" | "--seed" => {
+                    flags.accept(&key, &mut value, &mut argv)?;
+                }
+                "--faults" => flags.faults(value)?,
+                "--gpu-policy" => flags.gpu_policy(argv.require(&mut value)?)?,
                 "--model" | "--onnx" => {
                     workload_flags = true;
                     args.model = argv.require(&mut value)?;
                 }
-                "--scenario" => {
-                    // Applied in pass 1; just validate the spelling.
-                    argv.require(&mut value)?;
-                }
-                "--tenant" => {
-                    if tenants_from_scenario {
-                        // Explicit --tenant flags redefine the workload.
-                        args.tenants.clear();
-                        tenants_from_scenario = false;
-                    }
-                    args.tenants.push(argv.require(&mut value)?)
-                }
-                "--int8" => {
+                "--int8" | "--fp16" | "--tf32" | "--fp32" => {
                     workload_flags = true;
-                    args.precision = Precision::Int8;
-                }
-                "--fp16" => {
-                    workload_flags = true;
-                    args.precision = Precision::Fp16;
-                }
-                "--tf32" => {
-                    workload_flags = true;
-                    args.precision = Precision::Tf32;
-                }
-                "--fp32" => {
-                    workload_flags = true;
-                    args.precision = Precision::Fp32;
+                    args.precision = key[2..]
+                        .parse()
+                        .expect("each precision flag names a precision");
                 }
                 "--batch" => {
                     workload_flags = true;
@@ -189,51 +117,26 @@ impl Args {
                         .parse()
                         .map_err(|e| format!("bad --streams: {e}"))?
                 }
-                "--device" => args.device = argv.require(&mut value)?,
-                "--duration" => {
-                    args.duration_secs = argv
-                        .require(&mut value)?
-                        .parse()
-                        .map_err(|e| format!("bad --duration: {e}"))?
-                }
                 "--nsight" => args.nsight = true,
-                "--faults" => {
-                    args.faults = true;
-                    if let Some(v) = value {
-                        args.fault_seed =
-                            Some(v.parse().map_err(|e| format!("bad --faults: {e}"))?);
-                    }
-                }
-                "--gpu-policy" => {
-                    args.gpu_policy = argv
-                        .require(&mut value)?
-                        .parse()
-                        .map_err(|e| format!("bad --gpu-policy: {e}"))?
-                }
                 "--chrome-trace" => args.chrome_trace = Some(argv.require(&mut value)?),
-                "--seed" => {
-                    args.seed = argv
-                        .require(&mut value)?
-                        .parse()
-                        .map_err(|e| format!("bad --seed: {e}"))?
-                }
                 "--help" | "-h" => return Err(Args::usage().to_string()),
                 other => return Err(format!("unknown flag `{other}`\n{}", Args::usage())),
             }
         }
-        if tenants_from_scenario && workload_flags {
-            // A --model invocation on top of a scenario file keeps the
-            // scenario's device/seed/duration but swaps the workload.
-            args.tenants.clear();
-        }
-        if !args.tenants.is_empty() && workload_flags {
+        if flags.has_tenant_flags() && workload_flags {
             return Err(format!(
                 "--tenant cannot be combined with --model/--batch/--processes/--streams \
                  or precision flags (each tenant spec carries its own)\n{}",
                 Args::usage()
             ));
         }
-        if args.tenants.is_empty() && args.model.is_empty() {
+        args.scenario = flags.merged()?;
+        if workload_flags {
+            // A --model invocation on top of a scenario file keeps the
+            // scenario's device/seed/duration but swaps the workload.
+            args.scenario.tenants = None;
+        }
+        if args.tenant_specs().is_empty() && args.model.is_empty() {
             return Err(format!(
                 "--model, --tenant or --scenario is required\n{}",
                 Args::usage()
@@ -242,30 +145,47 @@ impl Args {
         Ok(args)
     }
 
-    fn platform(&self) -> Result<Platform, String> {
-        Platform::by_name(&self.device).ok_or_else(|| format!("unknown device `{}`", self.device))
+    /// The tenant spec strings of the merged scenario.
+    fn tenant_specs(&self) -> Vec<&str> {
+        self.scenario
+            .tenants
+            .iter()
+            .flatten()
+            .filter_map(|t| t.spec.as_deref())
+            .collect()
     }
 }
 
 fn run(args: Args) -> Result<(), String> {
-    let platform = args.platform()?;
-    let deployment = if args.tenants.is_empty() {
+    let sc = &args.scenario;
+    let platform = sc.platform()?;
+    let specs = args.tenant_specs();
+    let deployment = if specs.is_empty() {
         None
     } else {
         let mut d = Deployment::new();
-        for spec in &args.tenants {
+        for spec in specs {
             d = d.tenant(Tenant::parse(spec).map_err(|e| e.to_string())?);
         }
         Some(d)
     };
+    let gpu_policy: GpuPolicy = match &sc.gpu_policy {
+        Some(policy) => policy
+            .parse()
+            .map_err(|e| format!("bad gpu_policy `{policy}`: {e}"))?,
+        None => GpuPolicy::TimesliceRR,
+    };
 
     let warmup = SimDuration::from_millis(500);
-    let measure = SimDuration::from_secs_f64(args.duration_secs);
+    let measure = match &sc.duration {
+        Some(duration) => parse_duration(duration)?,
+        None => SimDuration::from_secs(2),
+    };
     let mut builder = SimConfig::builder(platform.device().clone())
         .warmup(warmup)
         .measure(measure)
-        .seed(args.seed)
-        .gpu_policy(args.gpu_policy)
+        .seed(sc.seed_or_default())
+        .gpu_policy(gpu_policy)
         .profiler(if args.nsight {
             ProfilerMode::Nsight
         } else {
@@ -346,15 +266,13 @@ fn run(args: Args) -> Result<(), String> {
     }
     println!("=== Device ===");
     println!("{platform}");
-    if args.gpu_policy != GpuPolicy::TimesliceRR {
-        println!("GPU scheduling policy: {}", args.gpu_policy);
+    if gpu_policy != GpuPolicy::TimesliceRR {
+        println!("GPU scheduling policy: {gpu_policy}");
     }
 
-    if args.faults {
-        let fault_seed = args.fault_seed.unwrap_or(args.seed);
+    if let Some(fault_seed) = sc.fault_seed {
         let horizon = SimDuration::from_secs_f64(warmup.as_secs_f64() + measure.as_secs_f64());
-        let plan = FaultPlan::seeded(fault_seed, horizon, 2, 1)
-            .oom_policy(jetsim_sim::OomPolicy::KillLargest);
+        let plan = cli_fault_plan(fault_seed, horizon);
         println!("=== Fault Plan (seed {fault_seed}) ===");
         println!(
             "{} memory spike(s), {} throttle lock(s), OOM policy: kill-largest",
@@ -398,7 +316,7 @@ fn run(args: Args) -> Result<(), String> {
         }
     }
 
-    if args.faults {
+    if sc.fault_seed.is_some() {
         println!("\n=== Fault Events ===");
         if trace.fault_events.is_empty() {
             println!("(none fired inside the simulated window)");
@@ -457,17 +375,5 @@ fn run(args: Args) -> Result<(), String> {
 }
 
 fn main() -> ExitCode {
-    match Args::parse(std::env::args().skip(1)) {
-        Ok(args) => match run(args) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::FAILURE
-            }
-        },
-        Err(message) => {
-            eprintln!("{message}");
-            ExitCode::FAILURE
-        }
-    }
+    cli_main(Args::parse, run)
 }

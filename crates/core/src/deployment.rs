@@ -15,12 +15,13 @@
 //! paths.
 
 use std::fmt;
+use std::sync::Arc;
 
 use serde::Serialize;
 
 use jetsim_dnn::{zoo, ModelGraph, Precision};
-use jetsim_sim::{RunTrace, SimConfigBuilder};
-use jetsim_trt::BuildError;
+use jetsim_sim::{ArrivalModel, RunTrace, SimConfigBuilder};
+use jetsim_trt::{BuildError, Engine};
 
 use crate::platform::Platform;
 
@@ -114,6 +115,32 @@ impl Tenant {
     /// tenant's processes and to key report rows.
     pub fn label(&self) -> String {
         format!("{}:{}:b{}", self.model.name(), self.precision, self.batch)
+    }
+
+    /// Adds the tenant's processes to `builder`: one per instance, each
+    /// running `engine`, fed by `arrivals`, named `label/i` so traces
+    /// and reports carry tenant identity, and carrying the tenant's GPU
+    /// priority and SM share. Every way of running tenants — the
+    /// profiler, `jetsim-trtexec`, sweep cells and serving specs —
+    /// turns them into processes here.
+    pub fn add_processes(
+        &self,
+        mut builder: SimConfigBuilder,
+        engine: &Arc<Engine>,
+        arrivals: ArrivalModel,
+    ) -> SimConfigBuilder {
+        let label = self.label();
+        for instance in 0..self.count {
+            builder = builder
+                .add_engine_named_with_arrivals(
+                    format!("{label}/{instance}"),
+                    Arc::clone(engine),
+                    arrivals,
+                )
+                .process_priority(self.priority)
+                .process_sm_share(self.sm_share);
+        }
+        builder
     }
 
     /// Parses a `--tenant` spec in either grammar the CLIs accept:
@@ -429,9 +456,8 @@ impl Deployment {
     }
 
     /// Builds every tenant's engine on `platform` (served from the
-    /// process-wide engine cache) and adds the deployment's processes to
-    /// `builder`, named `label/i` so traces and reports carry tenant
-    /// identity.
+    /// process-wide engine cache) and adds the deployment's closed-loop
+    /// processes to `builder` ([`Tenant::add_processes`]).
     ///
     /// # Errors
     ///
@@ -448,16 +474,7 @@ impl Deployment {
                     label: tenant.label(),
                     source,
                 })?;
-            let label = tenant.label();
-            for instance in 0..tenant.instances() {
-                builder = builder
-                    .add_engine_named(
-                        format!("{label}/{instance}"),
-                        std::sync::Arc::clone(&engine),
-                    )
-                    .process_priority(tenant.gpu_priority())
-                    .process_sm_share(tenant.gpu_sm_share());
-            }
+            builder = tenant.add_processes(builder, &engine, ArrivalModel::Saturated);
         }
         Ok(builder)
     }

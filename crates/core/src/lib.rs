@@ -20,6 +20,8 @@
 //! * [`observations`] — the paper's boxed takeaways as executable checks.
 //! * [`sweep`] — batch × process-count × precision grids, with OOM cells
 //!   reported rather than crashing (the paper's over-deployment reboots).
+//! * [`pool`] — the worker pool every parallel loop runs on, with
+//!   per-input panic isolation.
 //! * [`report`] — markdown / CSV / JSON emitters for the figures.
 //!
 //! # Examples
@@ -47,6 +49,7 @@ pub mod deployment;
 pub mod observations;
 pub mod plan;
 pub mod platform;
+pub mod pool;
 pub mod profiler;
 pub mod report;
 pub mod scenario;

@@ -4,7 +4,7 @@ use std::fmt;
 
 use jetsim_des::SimDuration;
 use jetsim_profile::{JetsonStatsReport, NsightReport};
-use jetsim_sim::{ProfilerMode, SimConfig, SimError, Simulation};
+use jetsim_sim::{ProfilerMode, SimConfig, SimError, Simulation, DEFAULT_SEED};
 use jetsim_trt::BuildError;
 
 use crate::analysis::BottleneckReport;
@@ -133,7 +133,7 @@ impl DualPhaseProfiler {
             deployment: Deployment::new(),
             warmup: SimDuration::from_millis(300),
             measure: SimDuration::from_millis(1500),
-            seed: 0x6A65_7473,
+            seed: DEFAULT_SEED,
         }
     }
 

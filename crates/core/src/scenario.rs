@@ -1,15 +1,17 @@
 //! Declarative scenario files: the whole experiment config as one
 //! serde-backed document.
 //!
-//! A [`ScenarioSpec`] captures everything the `jetsim-serve` and
-//! `jetsim-trtexec` CLIs take as flags — platform, window, seed, GPU
-//! policy, faults, resilience knobs, autoscaling, and the tenant list —
-//! as a plain data value with **every field optional**. Missing fields
-//! mean "use the default", which makes a scenario simultaneously:
+//! A [`ScenarioSpec`] captures everything the `jetsim-trtexec`,
+//! `jetsim-serve` and `jetsim-fleet` CLIs take as flags — platform,
+//! window, seed, GPU policy, faults, resilience knobs, autoscaling,
+//! fleet layout, and the tenant list — as a plain data value with
+//! **every field optional**. Missing fields mean "use the default",
+//! which makes a scenario simultaneously:
 //!
 //! * a complete experiment description (`--scenario run.toml`),
 //! * an overlay (CLI flags parse into a sparse `ScenarioSpec` that is
-//!   [`ScenarioSpec::merge`]d over the file), and
+//!   [`ScenarioSpec::merge`]d over the file — all three CLIs read their
+//!   flags through the one [`ScenarioFlags`] reader), and
 //! * a reproducibility artefact (`--dump-scenario` prints the merged
 //!   document; re-running it replays the experiment byte for bit).
 //!
@@ -29,7 +31,10 @@ use std::fmt;
 use std::str::FromStr;
 
 use jetsim_des::{ArrivalProcess, SimDuration};
+use jetsim_sim::{FaultPlan, GpuPolicy, OomPolicy, DEFAULT_SEED};
 use serde::{Deserialize, Serialize, Value};
+
+use crate::platform::Platform;
 
 /// One experiment, fully described: every CLI flag as an optional field.
 ///
@@ -184,6 +189,21 @@ impl ScenarioSpec {
         )
     }
 
+    /// The scenario's platform (`orin-nano` when unset).
+    ///
+    /// # Errors
+    ///
+    /// Names an unknown device.
+    pub fn platform(&self) -> Result<Platform, String> {
+        let device = self.device.as_deref().unwrap_or("orin-nano");
+        Platform::by_name(device).ok_or_else(|| format!("unknown device `{device}`"))
+    }
+
+    /// The scenario's seed ([`DEFAULT_SEED`] when unset).
+    pub fn seed_or_default(&self) -> u64 {
+        self.seed.unwrap_or(DEFAULT_SEED)
+    }
+
     /// Renders the scenario as the TOML subset [`ScenarioSpec`] parses:
     /// unset fields are omitted, so parsing the output reproduces
     /// `self` exactly.
@@ -281,6 +301,205 @@ pub fn parse_arrival(s: &str) -> Result<ArrivalProcess, String> {
         other => Err(format!(
             "bad arrival `{s}`: unknown process `{other}`; {grammar}"
         )),
+    }
+}
+
+/// The fault plan `--faults[=SEED]` arms on every CLI: two seeded
+/// memory spikes and one throttle lock over `horizon`, with the OOM
+/// killer taking the largest process instead of failing the run.
+pub fn cli_fault_plan(seed: u64, horizon: SimDuration) -> FaultPlan {
+    FaultPlan::seeded(seed, horizon, 2, 1).oom_policy(OomPolicy::KillLargest)
+}
+
+/// The one reader of the scenario-shaped CLI flags: it owns the
+/// `--scenario` path, the sparse overlay the flags parse into, and the
+/// `--tenant`/`--arrival` bookkeeping, and [`ScenarioFlags::merged`]
+/// layers the overlay over the file the same way for every binary.
+///
+/// [`ScenarioFlags::accept`] parses the flags `jetsim-serve` and
+/// `jetsim-fleet` share; `jetsim-trtexec` routes its scenario-shaped
+/// subset to it. CLI-specific flags write their fields into
+/// [`ScenarioFlags::overlay`] directly.
+///
+/// # Examples
+///
+/// ```
+/// use jetsim::scenario::{FlagCursor, ScenarioFlags};
+///
+/// let argv = ["--tenant", "resnet50:int8:1:2", "--arrival", "poisson:200", "--seed=7"];
+/// let mut cursor = FlagCursor::new(argv.map(String::from).into_iter());
+/// let mut flags = ScenarioFlags::default();
+/// while let Some((key, mut value)) = cursor.next_flag() {
+///     assert!(flags.accept(&key, &mut value, &mut cursor).unwrap());
+/// }
+/// let scenario = flags.merged().unwrap();
+/// assert_eq!(scenario.seed, Some(7));
+/// let tenant = &scenario.tenants.unwrap()[0];
+/// assert_eq!(tenant.arrival.as_deref(), Some("poisson:200"));
+/// ```
+#[derive(Debug, Default)]
+pub struct ScenarioFlags {
+    /// Every config-shaped flag, parsed into a sparse overlay.
+    pub overlay: ScenarioSpec,
+    /// Path of the base scenario document, when given.
+    path: Option<String>,
+    /// `--dump-scenario` was given.
+    dump: bool,
+    /// `--tenant` flags, each with the `--arrival` in force.
+    tenants: Vec<TenantScenario>,
+    /// The last `--arrival`.
+    arrival: Option<String>,
+    /// `--faults` armed without a seed: resolve against the *merged*
+    /// seed after the scenario file is applied.
+    faults_default_seed: bool,
+}
+
+impl ScenarioFlags {
+    /// Parses `key` when it is one of the shared scenario flags —
+    /// `--scenario --dump-scenario --tenant --arrival --slo --duration
+    /// --warmup --device --seed` — pulling its operand from `argv`.
+    /// Returns `false`, consuming nothing, for any other flag.
+    ///
+    /// # Errors
+    ///
+    /// A missing operand or one that breaks its grammar.
+    pub fn accept<I: Iterator<Item = String>>(
+        &mut self,
+        key: &str,
+        value: &mut Option<String>,
+        argv: &mut FlagCursor<I>,
+    ) -> Result<bool, String> {
+        match key {
+            "--scenario" => self.path = Some(argv.require(value)?),
+            "--dump-scenario" => self.dump = true,
+            "--tenant" => self.tenants.push(TenantScenario {
+                spec: Some(argv.require(value)?),
+                arrival: self.arrival.clone(),
+                ..TenantScenario::default()
+            }),
+            "--arrival" => {
+                let raw = argv.require(value)?;
+                parse_arrival(&raw)?;
+                // Retroactively applies when --arrival follows the
+                // final --tenant (the natural CLI reading).
+                if let Some(t) = self.tenants.last_mut() {
+                    t.arrival = Some(raw.clone());
+                }
+                self.arrival = Some(raw);
+            }
+            "--slo" => self.overlay.slo = Some(argv.require_duration(value)?),
+            "--duration" => self.overlay.duration = Some(argv.require_duration(value)?),
+            "--warmup" => self.overlay.warmup = Some(argv.require_duration(value)?),
+            "--device" => self.overlay.device = Some(argv.require(value)?),
+            "--seed" => {
+                self.overlay.seed = Some(
+                    argv.require(value)?
+                        .parse()
+                        .map_err(|e| format!("bad --seed: {e}"))?,
+                )
+            }
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+
+    /// Parses `--faults[=SEED]`: an explicit seed goes into the
+    /// overlay; a bare flag arms faults at the merged scenario's seed.
+    ///
+    /// # Errors
+    ///
+    /// A seed that is not a `u64`.
+    pub fn faults(&mut self, value: Option<String>) -> Result<(), String> {
+        match value {
+            Some(v) => {
+                self.overlay.fault_seed =
+                    Some(v.parse().map_err(|e| format!("bad --faults seed: {e}"))?)
+            }
+            None => self.faults_default_seed = true,
+        }
+        Ok(())
+    }
+
+    /// Parses `--gpu-policy`, keeping the raw spelling in the overlay.
+    ///
+    /// # Errors
+    ///
+    /// A policy outside the `GpuPolicy` grammar.
+    pub fn gpu_policy(&mut self, raw: String) -> Result<(), String> {
+        raw.parse::<GpuPolicy>()
+            .map_err(|e| format!("bad --gpu-policy: {e}"))?;
+        self.overlay.gpu_policy = Some(raw);
+        Ok(())
+    }
+
+    /// Whether `--dump-scenario` was given.
+    pub fn dump(&self) -> bool {
+        self.dump
+    }
+
+    /// Whether any `--tenant` flag was given.
+    pub fn has_tenant_flags(&self) -> bool {
+        !self.tenants.is_empty()
+    }
+
+    /// Whether the flags name a workload to run or dump: a scenario
+    /// file, `--tenant` flags, or `--dump-scenario`.
+    pub fn names_workload(&self) -> bool {
+        self.path.is_some() || self.has_tenant_flags() || self.dump
+    }
+
+    /// Loads the scenario file (if any) and layers the flag overlay on
+    /// top: `--tenant` flags replace the file's tenants, a bare
+    /// `--arrival` (no `--tenant` flags) overrides every file tenant's
+    /// arrivals, and a seedless `--faults` takes the merged seed.
+    ///
+    /// # Errors
+    ///
+    /// An unreadable or malformed scenario file, named by path.
+    pub fn merged(self) -> Result<ScenarioSpec, String> {
+        let base = match &self.path {
+            Some(path) => std::fs::read_to_string(path)
+                .map_err(|e| format!("cannot read scenario `{path}`: {e}"))?
+                .parse::<ScenarioSpec>()
+                .map_err(|e| format!("{path}: {e}"))?,
+            None => ScenarioSpec::default(),
+        };
+        let mut overlay = self.overlay;
+        let bare_arrival = if self.tenants.is_empty() {
+            self.arrival
+        } else {
+            overlay.tenants = Some(self.tenants);
+            None
+        };
+        let mut merged = base.merge(&overlay);
+        if self.faults_default_seed && merged.fault_seed.is_none() {
+            merged.fault_seed = Some(merged.seed_or_default());
+        }
+        if let Some(arrival) = bare_arrival {
+            for tenant in merged.tenants.iter_mut().flatten() {
+                tenant.arrival = Some(arrival.clone());
+            }
+        }
+        Ok(merged)
+    }
+}
+
+/// The `main` of every jetsim CLI: parses argv (program name skipped)
+/// and runs the result. A parse error — usage text included — prints
+/// as-is, a run error prints as `error: …`, and either exits with
+/// failure.
+pub fn cli_main<A>(
+    parse: impl FnOnce(std::iter::Skip<std::env::Args>) -> Result<A, String>,
+    run: impl FnOnce(A) -> Result<(), String>,
+) -> std::process::ExitCode {
+    let outcome = parse(std::env::args().skip(1))
+        .and_then(|args| run(args).map_err(|e| format!("error: {e}")));
+    match outcome {
+        Ok(()) => std::process::ExitCode::SUCCESS,
+        Err(message) => {
+            eprintln!("{message}");
+            std::process::ExitCode::FAILURE
+        }
     }
 }
 

@@ -2,20 +2,21 @@
 //! the paper's figures 1 and 3–12.
 
 use std::fmt;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use serde::Serialize;
 
-use jetsim_des::SimDuration;
+use jetsim_des::{splitmix64, SimDuration};
 use jetsim_dnn::{ModelGraph, Precision};
 use jetsim_profile::JetsonStatsReport;
-use jetsim_sim::{FaultPlan, GpuPolicy, ProfilerMode, SimConfig, SimError, Simulation};
+use jetsim_sim::{
+    ArrivalModel, FaultPlan, GpuPolicy, ProfilerMode, SimConfig, SimError, Simulation, DEFAULT_SEED,
+};
 use jetsim_trt::{Engine, EngineBuilder};
 
 use crate::deployment::{Deployment, Tenant, TenantMetrics};
 use crate::platform::Platform;
+use crate::pool::{panic_message, run_isolated};
 
 /// Supervision policy for a sweep: what the runner does when a cell
 /// panics, runs away, hits OOM, or suffers injected faults.
@@ -148,7 +149,7 @@ impl SweepSpec {
             gpu_policies: vec![GpuPolicy::TimesliceRR],
             warmup: SimDuration::from_millis(300),
             measure: SimDuration::from_millis(1500),
-            seed: 0x6A65_7473,
+            seed: DEFAULT_SEED,
             workers: None,
         }
     }
@@ -240,11 +241,9 @@ impl SweepSpec {
     /// [`CellOutcome::OutOfMemory`] instead of aborting the sweep — the
     /// paper hit exactly such cells (§6.2.1).
     ///
-    /// Dispatch is a lock-free `fetch_add` over the flattened grid: each
-    /// worker claims the next cell index, runs it, and keeps the result
-    /// in a thread-local vector; results are merged back into grid order
-    /// after the scope joins, so no worker ever blocks on a results
-    /// mutex. The output is deterministic — identical whatever the
+    /// Cells run on the workspace worker pool ([`crate::pool`]), which
+    /// hands out the flattened grid in order and returns results in
+    /// grid order. The output is deterministic — identical whatever the
     /// worker count, and identical whether the process-wide engine
     /// cache is cold or warm.
     pub fn run(&self, platform: &Platform, model: &ModelGraph) -> Vec<SweepCell> {
@@ -282,46 +281,43 @@ impl SweepSpec {
                 }
             }
         }
-        let workers = self
-            .workers
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(4)
-            })
-            .min(params.len().max(1));
-        let next = AtomicUsize::new(0);
-        let mut slots: Vec<Option<SweepCell>> = vec![None; params.len()];
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut done: Vec<(usize, SweepCell)> = Vec::new();
-                        loop {
-                            let index = next.fetch_add(1, Ordering::Relaxed);
-                            let Some(&(precision, batch, procs, load, gpu_policy)) =
-                                params.get(index)
-                            else {
-                                break;
-                            };
-                            let cell = self.run_cell(
-                                platform, model, precision, batch, procs, load, gpu_policy, policy,
-                            );
-                            done.push((index, cell));
-                        }
-                        done
-                    })
-                })
-                .collect();
-            for handle in handles {
-                for (index, cell) in handle.join().expect("sweep worker panicked") {
-                    slots[index] = Some(cell);
-                }
-            }
-        });
-        let mut cells: Vec<SweepCell> = slots
+        // A grid cell is the one-tenant deployment — there is exactly
+        // one execution path whether the workload is homogeneous or
+        // mixed. Panic isolation: a cell that panics (chaos-injected or
+        // a real bug for one parameter combination) is reported in
+        // place while the other cells of the grid still complete.
+        let outcomes = run_isolated(
+            params.clone(),
+            self.workers,
+            |(precision, batch, procs, load, gpu_policy)| {
+                let deployment = Deployment::homogeneous(model, precision, batch, procs);
+                self.supervise_deployment(
+                    platform,
+                    &deployment,
+                    (batch, procs),
+                    load,
+                    gpu_policy,
+                    policy,
+                )
+            },
+        );
+        let mut cells: Vec<SweepCell> = params
             .into_iter()
-            .map(|slot| slot.expect("every cell dispatched exactly once"))
+            .zip(outcomes)
+            .map(
+                |((precision, batch, procs, load, gpu_policy), outcome)| SweepCell {
+                    model: model.name().to_string(),
+                    device: platform.name().to_string(),
+                    precision,
+                    batch,
+                    processes: procs,
+                    offered_load: load,
+                    gpu_policy: gpu_policy.to_string(),
+                    outcome: outcome.unwrap_or_else(|payload| CellOutcome::Panicked {
+                        message: panic_message(payload.as_ref()),
+                    }),
+                },
+            )
             .collect();
         cells.sort_by_key(|c| (c.precision, c.batch, c.processes));
         cells
@@ -376,7 +372,7 @@ impl SweepSpec {
             .max()
             .unwrap_or(1);
         let procs = deployment.total_processes();
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
+        let outcome = run_isolated(vec![deployment], Some(1), |deployment| {
             self.supervise_deployment(
                 platform,
                 deployment,
@@ -385,9 +381,11 @@ impl SweepSpec {
                 gpu_policy,
                 policy,
             )
-        }))
+        })
+        .pop()
+        .expect("one input, one result")
         .unwrap_or_else(|payload| CellOutcome::Panicked {
-            message: panic_message(payload),
+            message: panic_message(payload.as_ref()),
         });
         SweepCell {
             model: deployment.label(),
@@ -396,51 +394,6 @@ impl SweepSpec {
             batch,
             processes: procs,
             offered_load: None,
-            gpu_policy: gpu_policy.to_string(),
-            outcome,
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn run_cell(
-        &self,
-        platform: &Platform,
-        model: &ModelGraph,
-        precision: Precision,
-        batch: u32,
-        procs: u32,
-        offered_load: Option<f64>,
-        gpu_policy: GpuPolicy,
-        policy: &SupervisorPolicy,
-    ) -> SweepCell {
-        // A grid cell is the one-tenant deployment — there is exactly
-        // one execution path whether the workload is homogeneous or
-        // mixed. Panic isolation: a cell that panics (chaos-injected or
-        // a real bug in the model/simulator for one parameter
-        // combination) must not take down the sweep worker — the other
-        // cells of the grid still complete and the casualty is reported
-        // in place.
-        let deployment = Deployment::homogeneous(model, precision, batch, procs);
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            self.supervise_deployment(
-                platform,
-                &deployment,
-                (batch, procs),
-                offered_load,
-                gpu_policy,
-                policy,
-            )
-        }))
-        .unwrap_or_else(|payload| CellOutcome::Panicked {
-            message: panic_message(payload),
-        });
-        SweepCell {
-            model: model.name().to_string(),
-            device: platform.name().to_string(),
-            precision,
-            batch,
-            processes: procs,
-            offered_load,
             gpu_policy: gpu_policy.to_string(),
             outcome,
         }
@@ -566,21 +519,11 @@ impl SweepSpec {
             builder = builder.event_budget(budget);
         }
         let arrivals = match offered_load {
-            Some(fps) => jetsim_sim::ArrivalModel::Poisson { fps },
-            None => jetsim_sim::ArrivalModel::Saturated,
+            Some(fps) => ArrivalModel::Poisson { fps },
+            None => ArrivalModel::Saturated,
         };
         for (tenant, engine) in deployment.tenants().iter().zip(&engines) {
-            let label = tenant.label();
-            for instance in 0..tenant.instances() {
-                builder = builder
-                    .add_engine_named_with_arrivals(
-                        format!("{label}/{instance}"),
-                        Arc::clone(engine),
-                        arrivals,
-                    )
-                    .process_priority(tenant.gpu_priority())
-                    .process_sm_share(tenant.gpu_sm_share());
-            }
+            builder = tenant.add_processes(builder, engine, arrivals);
         }
         match builder.build() {
             Ok(config) => {
@@ -756,26 +699,6 @@ fn oom_attempt_tag(deployment: &Deployment) -> String {
         [t] => format!("b{}p{}: OOM", t.batch(), t.instances()),
         _ => format!("{}: OOM", deployment.label()),
     }
-}
-
-/// Extracts a human-readable message from a panic payload.
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    match payload.downcast::<String>() {
-        Ok(s) => *s,
-        Err(payload) => match payload.downcast::<&'static str>() {
-            Ok(s) => (*s).to_string(),
-            Err(_) => "panic with non-string payload".to_string(),
-        },
-    }
-}
-
-/// Sebastiano Vigna's splitmix64 finalizer: a cheap, well-mixed 64-bit
-/// hash used to decorrelate per-cell seeds.
-fn splitmix64(seed: u64) -> u64 {
-    let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 fn mean_ms(trace: &jetsim_sim::RunTrace, f: fn(&jetsim_sim::ProcessStats) -> SimDuration) -> f64 {

@@ -9,15 +9,17 @@ fn trtexec(args: &[&str]) -> std::process::Output {
         .expect("binary runs")
 }
 
+/// Runs a successful invocation and returns its stdout.
+fn trtexec_ok(args: &[&str]) -> String {
+    let out = trtexec(args);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    String::from_utf8_lossy(&out.stdout).into_owned()
+}
+
 #[test]
 fn happy_path_prints_summary() {
-    let out = trtexec(&["--model=resnet50", "--int8", "--batch=2", "--duration=0.5"]);
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stdout = trtexec_ok(&["--model=resnet50", "--int8", "--batch=2", "--duration=0.5"]);
     assert!(stdout.contains("Performance Summary"), "{stdout}");
     assert!(stdout.contains("Throughput:"));
     assert!(stdout.contains("jetson-stats"));
@@ -104,29 +106,17 @@ fn model_file_loads() {
     let path = std::env::temp_dir().join(format!("jetsim_cli_model_{}.json", std::process::id()));
     jetsim::plan::save_model(&path, &jetsim_dnn::zoo::resnet18()).unwrap();
     let arg = format!("--model={}", path.display());
-    let out = trtexec(&[&arg, "--fp16", "--duration=0.5"]);
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    assert!(String::from_utf8_lossy(&out.stdout).contains("resnet18"));
+    assert!(trtexec_ok(&[&arg, "--fp16", "--duration=0.5"]).contains("resnet18"));
     std::fs::remove_file(&path).ok();
 }
 
 #[test]
 fn tenant_flags_run_a_heterogeneous_deployment() {
-    let out = trtexec(&[
+    let stdout = trtexec_ok(&[
         "--tenant=resnet50:int8:1:2",
         "--tenant=yolov8n:fp16:4",
         "--duration=0.5",
     ]);
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("=== Deployment ==="), "{stdout}");
     assert!(
         stdout.contains("resnet50:int8:b1x2+yolov8n:fp16:b4"),
@@ -192,4 +182,83 @@ fn streams_flag_creates_stream_contexts() {
         stdout.contains("p0s0") && stdout.contains("p0s1"),
         "{stdout}"
     );
+}
+
+/// Runs `jetsim-trtexec --scenario=FILE ARGS...` over a temp file
+/// holding `toml` and returns its stdout.
+fn trtexec_scenario(name: &str, toml: &str, args: &[&str]) -> String {
+    let path = std::env::temp_dir().join(format!("jetsim_cli_{name}_{}.toml", std::process::id()));
+    std::fs::write(&path, toml).expect("scenario written");
+    let scenario = format!("--scenario={}", path.display());
+    let out = trtexec(&[&[scenario.as_str()], args].concat());
+    std::fs::remove_file(&path).ok();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    String::from_utf8_lossy(&out.stdout).into_owned()
+}
+
+/// The deployment of `scenario_matches_equivalent_flags` as a document.
+const TENANTS_TOML: &str = "\
+seed = 9
+duration = \"0.5\"
+gpu_policy = \"priority\"
+
+[[tenants]]
+spec = \"resnet50:int8:1:2\"
+
+[[tenants]]
+spec = \"yolov8n:fp16:4\"
+";
+
+#[test]
+fn scenario_matches_equivalent_flags() {
+    let flags = trtexec_ok(&[
+        "--tenant=resnet50:int8:1:2",
+        "--tenant=yolov8n:fp16:4",
+        "--seed=9",
+        "--duration=0.5",
+        "--gpu-policy=priority",
+    ]);
+    let file = trtexec_scenario("equivalent", TENANTS_TOML, &[]);
+    assert_eq!(
+        flags, file,
+        "flags and the equivalent file print the same bytes"
+    );
+}
+
+#[test]
+fn model_over_scenario_keeps_device_and_policy() {
+    let toml = format!("device = \"jetson-nano\"\n{TENANTS_TOML}");
+    let stdout = trtexec_scenario("model_over", &toml, &["--model=resnet18", "--int8"]);
+    assert!(stdout.contains("Model: resnet18"), "{stdout}");
+    assert!(!stdout.contains("=== Deployment ==="), "{stdout}");
+    assert!(stdout.contains("Jetson Nano"), "file's device: {stdout}");
+    assert!(
+        stdout.contains("GPU scheduling policy: priority"),
+        "{stdout}"
+    );
+}
+
+#[test]
+fn tenant_flags_replace_scenario_tenants() {
+    let stdout = trtexec_scenario(
+        "tenant_over",
+        TENANTS_TOML,
+        &["--tenant=mobilenet_v2:fp16:1"],
+    );
+    assert!(
+        stdout.contains("1 tenant(s), 1 process(es): mobilenet_v2:fp16:b1"),
+        "{stdout}"
+    );
+    assert!(
+        !stdout.contains("resnet50") && !stdout.contains("yolov8n"),
+        "{stdout}"
+    );
+}
+
+#[test]
+fn unseeded_faults_take_the_scenario_seed() {
+    let args = ["--model=resnet18", "--int8", "--duration=0.4", "--faults"];
+    let stdout = trtexec_scenario("faults_seed", "seed = 21\n", &args);
+    assert!(stdout.contains("=== Fault Plan (seed 21) ==="), "{stdout}");
 }

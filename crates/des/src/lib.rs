@@ -6,11 +6,10 @@
 //! * [`SimTime`] / [`SimDuration`] — nanosecond-resolution simulated time,
 //! * [`CalendarQueue`] — a deterministic future-event list,
 //! * [`SimRng`] — a seeded random-number generator wrapper so that every
-//!   experiment is exactly reproducible,
+//!   experiment is exactly reproducible, and [`splitmix64`], the hash
+//!   every layer derives decorrelated seeds with,
 //! * [`arrivals`] — open-loop request arrival generators (Poisson,
-//!   bursty MMPP, trace replay) for serving simulators,
-//! * [`trace`] — a lightweight append-only trace buffer used by the
-//!   profilers in `jetsim-profile`.
+//!   bursty MMPP, trace replay) for serving simulators.
 //!
 //! # Examples
 //!
@@ -33,10 +32,8 @@ pub mod arrivals;
 pub mod calendar;
 pub mod rng;
 pub mod time;
-pub mod trace;
 
 pub use arrivals::{gaps_from_times, ArrivalProcess, ArrivalStream};
 pub use calendar::CalendarQueue;
-pub use rng::SimRng;
+pub use rng::{splitmix64, SimRng};
 pub use time::{SimDuration, SimTime};
-pub use trace::{TraceBuffer, TraceEvent};

@@ -85,6 +85,25 @@ impl SimRng {
     }
 }
 
+/// Sebastiano Vigna's splitmix64 finalizer: a cheap, well-mixed 64-bit
+/// hash used to derive decorrelated seeds (sweep cells, fleet homes,
+/// network jitter) from a master seed.
+///
+/// # Examples
+///
+/// ```
+/// use jetsim_des::splitmix64;
+///
+/// assert_eq!(splitmix64(7), splitmix64(7));
+/// assert_ne!(splitmix64(7), splitmix64(8));
+/// ```
+pub fn splitmix64(seed: u64) -> u64 {
+    let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 
-use jetsim_des::{CalendarQueue, SimDuration, SimRng, SimTime, TraceBuffer};
+use jetsim_des::{CalendarQueue, SimDuration, SimRng, SimTime};
 
 #[path = "support/queue.rs"]
 mod queue;
@@ -286,22 +286,6 @@ proptest! {
         let hi = lo + width;
         let v = rng.uniform(lo, hi);
         prop_assert!(v >= lo && v <= hi, "v={v} not in [{lo}, {hi}]");
-    }
-
-    /// A bounded trace buffer never exceeds its capacity and keeps the
-    /// newest events.
-    #[test]
-    fn trace_buffer_bounded(cap in 1usize..50, n in 0usize..200) {
-        let mut buf = TraceBuffer::bounded(cap);
-        for i in 0..n {
-            buf.record(SimTime::from_nanos(i as u64), i);
-        }
-        prop_assert!(buf.len() <= cap);
-        prop_assert_eq!(buf.len() + buf.dropped() as usize, n);
-        if n > 0 {
-            let last = buf.iter().last().unwrap().payload;
-            prop_assert_eq!(last, n - 1);
-        }
     }
 }
 

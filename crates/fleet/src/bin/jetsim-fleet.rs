@@ -5,8 +5,9 @@
 //!     --tenant resnet50:int8:1:2 --arrival poisson:400 --slo 50ms
 //! ```
 //!
-//! Every flag is an overlay over a declarative scenario document, with
-//! the same discipline as `jetsim-serve`: with `--scenario FILE` the
+//! Every flag is an overlay over a declarative scenario document, read
+//! by the same `jetsim::scenario::ScenarioFlags` reader as
+//! `jetsim-serve` and `jetsim-trtexec`: with `--scenario FILE` the
 //! file supplies the base configuration (including its `[fleet]`
 //! table) and explicit flags override individual fields;
 //! `--dump-scenario` prints the merged document instead of running —
@@ -16,23 +17,16 @@
 
 use std::process::ExitCode;
 
-use jetsim::scenario::{parse_arrival, FlagCursor, FleetScenario};
+use jetsim::scenario::{cli_main, FlagCursor, FleetScenario, ScenarioFlags};
 use jetsim_fleet::{build_fleet_spec, network_overlay, NetworkModel, RouterPolicy};
-use jetsim_serve::{ScenarioSpec, TenantScenario};
 
 #[derive(Debug)]
 struct Args {
-    /// Path of the base scenario document, when given.
-    scenario: Option<String>,
-    /// Every config-shaped flag, parsed into a sparse overlay.
-    overlay: ScenarioSpec,
-    /// `--arrival` given with no `--tenant` flags: override the arrival
-    /// process of every tenant the scenario file supplies.
-    bare_arrival: Option<String>,
+    /// The scenario-shaped flags, read by the shared reader.
+    flags: ScenarioFlags,
     /// Worker-thread cap; wall-time only, never affects results.
     workers: Option<usize>,
     json: bool,
-    dump_scenario: bool,
 }
 
 fn usage() -> &'static str {
@@ -62,51 +56,29 @@ fn usage() -> &'static str {
 impl Args {
     fn parse(argv: impl Iterator<Item = String>) -> Result<Args, String> {
         let mut args = Args {
-            scenario: None,
-            overlay: ScenarioSpec::default(),
-            bare_arrival: None,
+            flags: ScenarioFlags::default(),
             workers: None,
             json: false,
-            dump_scenario: false,
         };
-        let mut tenants: Vec<TenantScenario> = Vec::new();
-        let mut arrival: Option<String> = None;
         let mut fleet = FleetScenario::default();
-        let mut fleet_set = false;
         let mut argv = FlagCursor::new(argv);
         while let Some((key, mut value)) = argv.next_flag() {
+            if args.flags.accept(&key, &mut value, &mut argv)? {
+                continue;
+            }
             match key.as_str() {
-                "--scenario" => args.scenario = Some(argv.require(&mut value)?),
-                "--dump-scenario" => args.dump_scenario = true,
-                "--tenant" => {
-                    tenants.push(TenantScenario {
-                        spec: Some(argv.require(&mut value)?),
-                        arrival: arrival.clone(),
-                        ..TenantScenario::default()
-                    });
-                }
-                "--arrival" => {
-                    let raw = argv.require(&mut value)?;
-                    parse_arrival(&raw)?;
-                    if let Some(t) = tenants.last_mut() {
-                        t.arrival = Some(raw.clone());
-                    }
-                    arrival = Some(raw);
-                }
                 "--sites" => {
                     fleet.sites = Some(
                         argv.require(&mut value)?
                             .parse()
                             .map_err(|e| format!("bad --sites: {e}"))?,
                     );
-                    fleet_set = true;
                 }
                 "--router" => {
                     let raw = argv.require(&mut value)?;
                     let policy: RouterPolicy = raw.parse()?;
                     // Store canonical spelling so aliases dump identically.
                     fleet.router = Some(policy.to_string());
-                    fleet_set = true;
                 }
                 "--cloud" => {
                     fleet.cloud = Some(match value.as_deref() {
@@ -116,26 +88,16 @@ impl Args {
                             return Err(format!("bad --cloud `{other}`: want true or false"))
                         }
                     });
-                    fleet_set = true;
                 }
                 "--cloud-device" => {
                     fleet.cloud_device = Some(argv.require(&mut value)?);
-                    fleet_set = true;
                 }
                 "--network" => {
                     let net: NetworkModel = argv.require(&mut value)?.parse()?;
-                    let overlay = network_overlay(&net);
-                    fleet.base_latency = overlay.base_latency;
-                    fleet.jitter = overlay.jitter;
-                    fleet.bandwidth_mbps = overlay.bandwidth_mbps;
-                    fleet.request_kb = overlay.request_kb;
-                    fleet.response_kb = overlay.response_kb;
-                    fleet.cloud_rtt = overlay.cloud_rtt;
-                    fleet_set = true;
+                    fleet = network_overlay(fleet, &net);
                 }
                 "--telemetry-every" => {
                     fleet.telemetry_every = Some(argv.require_duration(&mut value)?);
-                    fleet_set = true;
                 }
                 "--workers" => {
                     let n: usize = argv
@@ -147,59 +109,27 @@ impl Args {
                     }
                     args.workers = Some(n);
                 }
-                "--slo" => args.overlay.slo = Some(argv.require_duration(&mut value)?),
-                "--duration" => args.overlay.duration = Some(argv.require_duration(&mut value)?),
-                "--warmup" => args.overlay.warmup = Some(argv.require_duration(&mut value)?),
-                "--device" => args.overlay.device = Some(argv.require(&mut value)?),
-                "--seed" => {
-                    args.overlay.seed = Some(
-                        argv.require(&mut value)?
-                            .parse()
-                            .map_err(|e| format!("bad --seed: {e}"))?,
-                    )
-                }
                 "--json" => args.json = true,
                 "--help" | "-h" => return Err(usage().to_string()),
                 other => return Err(format!("unknown flag `{other}`\n{}", usage())),
             }
         }
-        if !tenants.is_empty() {
-            args.overlay.tenants = Some(tenants);
-        } else {
-            args.bare_arrival = arrival;
+        // Every fleet flag sets a field, so any flag makes the table
+        // non-default.
+        if fleet != FleetScenario::default() {
+            args.flags.overlay.fleet = Some(fleet);
         }
-        if fleet_set {
-            args.overlay.fleet = Some(fleet);
-        }
-        if args.scenario.is_none() && args.overlay.tenants.is_none() && !args.dump_scenario {
+        if !args.flags.names_workload() {
             return Err(format!("--tenant or --scenario is required\n{}", usage()));
         }
         Ok(args)
     }
-
-    /// Loads the scenario file (if any) and layers the flag overlay on
-    /// top.
-    fn merged_scenario(&self) -> Result<ScenarioSpec, String> {
-        let base = match &self.scenario {
-            Some(path) => std::fs::read_to_string(path)
-                .map_err(|e| format!("cannot read scenario `{path}`: {e}"))?
-                .parse::<ScenarioSpec>()
-                .map_err(|e| format!("{path}: {e}"))?,
-            None => ScenarioSpec::default(),
-        };
-        let mut merged = base.merge(&self.overlay);
-        if let Some(arrival) = &self.bare_arrival {
-            for tenant in merged.tenants.iter_mut().flatten() {
-                tenant.arrival = Some(arrival.clone());
-            }
-        }
-        Ok(merged)
-    }
 }
 
 fn run(args: Args) -> Result<(), String> {
-    let scenario = args.merged_scenario()?;
-    if args.dump_scenario {
+    let dump = args.flags.dump();
+    let scenario = args.flags.merged()?;
+    if dump {
         print!("{scenario}");
         return Ok(());
     }
@@ -214,17 +144,5 @@ fn run(args: Args) -> Result<(), String> {
 }
 
 fn main() -> ExitCode {
-    match Args::parse(std::env::args().skip(1)) {
-        Ok(args) => match run(args) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::FAILURE
-            }
-        },
-        Err(message) => {
-            eprintln!("{message}");
-            ExitCode::FAILURE
-        }
-    }
+    cli_main(Args::parse, run)
 }

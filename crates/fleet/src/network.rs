@@ -17,7 +17,7 @@ use std::fmt;
 use std::str::FromStr;
 
 use jetsim::scenario::parse_duration;
-use jetsim_des::SimDuration;
+use jetsim_des::{splitmix64, SimDuration};
 
 /// Per-link delay parameters for the fleet interconnect.
 ///
@@ -63,14 +63,6 @@ pub enum Direction {
     Uplink,
     /// Serving site back to the client's home site.
     Downlink,
-}
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 impl NetworkModel {

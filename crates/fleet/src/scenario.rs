@@ -83,24 +83,20 @@ pub fn build_network(fleet: &FleetScenario) -> Result<NetworkModel, String> {
     Ok(net)
 }
 
-/// Writes `net` back into a [`FleetScenario`] overlay (the CLI
-/// `--network` flag's scenario form). The flag defines the *complete*
-/// model — unspecified keys mean the model defaults — so the overlay
-/// pins all six network fields, overriding any `[fleet]` network
-/// settings the base scenario file carries.
-pub fn network_overlay(net: &NetworkModel) -> FleetScenario {
+/// Writes `net` into the `fleet` overlay (the CLI `--network` flag's
+/// scenario form), keeping its other fields. The flag defines the
+/// *complete* model — unspecified keys mean the model defaults — so the
+/// overlay pins all six network fields, overriding any `[fleet]`
+/// network settings the base scenario file carries.
+pub fn network_overlay(fleet: FleetScenario, net: &NetworkModel) -> FleetScenario {
     FleetScenario {
-        sites: None,
-        router: None,
-        cloud: None,
-        cloud_device: None,
         base_latency: Some(crate::network::fmt_duration(net.base_latency)),
         jitter: Some(crate::network::fmt_duration(net.jitter)),
         bandwidth_mbps: Some(net.bandwidth_mbps),
         request_kb: Some(net.request_kb),
         response_kb: Some(net.response_kb),
         cloud_rtt: Some(crate::network::fmt_duration(net.cloud_rtt)),
-        telemetry_every: None,
+        ..fleet
     }
 }
 
@@ -163,8 +159,13 @@ mod tests {
 
     #[test]
     fn network_overlay_round_trips() {
-        let overlay = network_overlay(&NetworkModel::default());
+        let sited = FleetScenario {
+            sites: Some(3),
+            ..FleetScenario::default()
+        };
+        let overlay = network_overlay(sited, &NetworkModel::default());
         assert_eq!(build_network(&overlay).unwrap(), NetworkModel::default());
+        assert_eq!(overlay.sites, Some(3), "non-network fields are kept");
         let custom = NetworkModel {
             base_latency: SimDuration::from_millis(2),
             jitter: SimDuration::from_micros(250),
@@ -173,7 +174,7 @@ mod tests {
             response_kb: 8.0,
             cloud_rtt: SimDuration::from_millis(80),
         };
-        let overlay = network_overlay(&custom);
+        let overlay = network_overlay(FleetScenario::default(), &custom);
         assert_eq!(build_network(&overlay).unwrap(), custom);
     }
 }

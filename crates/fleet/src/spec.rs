@@ -22,20 +22,26 @@
 //!    sequentially; telemetry snapshots refresh on a fixed period and
 //!    network jitter is a hash of `(seed, request, site, direction)`,
 //!    not an RNG stream.
-//! 3. **Simulation** — every site's `SimConfig` is built sequentially
-//!    (warming the engine cache in deterministic order); the site sims
-//!    are then *independent* — they see only their own arrival trace
-//!    and uplink offsets — so they run on any number of threads and the
-//!    results are reassembled in site-index order.
+//! 3. **Simulation** — the edge and cloud scenarios are each resolved
+//!    once and cloned per site; every site's `SimConfig` is built
+//!    sequentially (warming the engine cache in deterministic order);
+//!    the site sims are then *independent* — they see only their own
+//!    arrival trace and uplink offsets — so they run on the workspace
+//!    worker pool ([`jetsim::pool`]) at any worker count, with results
+//!    in site-index order. A site whose simulation panics fails the
+//!    run with an error naming the site.
 //!
 //! Same spec + seed ⇒ byte-identical [`FleetReport`] at any
 //! `--workers`.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-
+use jetsim::pool::{panic_message, run_isolated};
 use jetsim::scenario::ScenarioSpec;
-use jetsim_des::{gaps_from_times, ArrivalProcess, ArrivalStream, SimDuration, SimTime};
-use jetsim_serve::{build_serve_spec, estimate_capacity, ServeReport, ServeSpec};
+use jetsim_des::{
+    gaps_from_times, splitmix64, ArrivalProcess, ArrivalStream, SimDuration, SimTime,
+};
+use jetsim_serve::metrics::percentile_ms;
+use jetsim_serve::{build_serve_spec, estimate_capacity, ServeReport};
+use jetsim_sim::serving::group_seed;
 use jetsim_sim::{RunTrace, Simulation};
 
 use crate::network::{Direction, NetworkModel};
@@ -44,30 +50,6 @@ use crate::router::{FleetView, RouteRequest, RouterPolicy};
 
 /// Default telemetry refresh period (snapshot staleness bound).
 pub const DEFAULT_TELEMETRY_EVERY: SimDuration = SimDuration::from_millis(100);
-
-/// Per-group arrival-seed fold — must match the single-device ingress
-/// (`crates/sim/src/components/ingress.rs`) so a one-site fleet replays
-/// the standalone timeline bit for bit.
-fn class_seed(master: u64, class: usize) -> u64 {
-    master.wrapping_add((class as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15))
-}
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// Nearest-rank percentile over an already-sorted slice, in ms.
-fn percentile_ms(sorted: &[SimDuration], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1].as_millis_f64()
-}
 
 /// A fleet of device sims behind a network and a router.
 #[derive(Debug, Clone)]
@@ -182,19 +164,17 @@ impl FleetSpec {
         let total_sites = self.total_sites();
         let cloud_index = self.cloud.then_some(edge_sites);
 
-        // Resolve the per-site specs once up front. Edge sites share
-        // one scenario; the cloud tier swaps the device.
+        // Resolve the per-site specs once up front; every site clones
+        // its tier's spec. Edge sites share one scenario; the cloud tier
+        // swaps the device.
         let edge_spec = build_serve_spec(&self.scenario)?;
-        let cloud_scenario = self.cloud.then(|| {
+        let cloud_spec = if self.cloud {
             let mut sc = self.scenario.clone();
             sc.device = Some(self.cloud_device.clone());
-            sc
-        });
-        let cloud_spec = cloud_scenario
-            .as_ref()
-            .map(build_serve_spec)
-            .transpose()
-            .map_err(|e| format!("cloud tier: {e}"))?;
+            Some(build_serve_spec(&sc).map_err(|e| format!("cloud tier: {e}"))?)
+        } else {
+            None
+        };
 
         let n_classes = edge_spec.tenants().len();
         let seed = edge_spec.master_seed();
@@ -209,7 +189,7 @@ impl FleetSpec {
         let mut emissions: Vec<(SimDuration, usize, u64)> = Vec::new();
         for g in 0..n_classes {
             let process = edge_spec.tenants()[g].arrivals.clone();
-            let mut stream = ArrivalStream::new(process, class_seed(seed, g));
+            let mut stream = ArrivalStream::new(process, group_seed(seed, g));
             for (k, t) in stream.times_until(horizon).into_iter().enumerate() {
                 emissions.push((t, g, k as u64));
             }
@@ -329,16 +309,16 @@ impl FleetSpec {
             });
         }
 
-        // 3. Simulation: build every site's config sequentially (warms
-        // the engine cache in a deterministic order), then run the
-        // independent site sims on a worker pool.
+        // 3. Simulation: build every site's config sequentially from a
+        // clone of its tier's resolved spec (warms the engine cache in a
+        // deterministic order), then run the independent site sims on
+        // the worker pool.
         let mut configs = Vec::with_capacity(total_sites);
         let mut devices = Vec::with_capacity(total_sites);
         for s in 0..total_sites {
-            let mut spec: ServeSpec = if cloud_index == Some(s) {
-                build_serve_spec(cloud_scenario.as_ref().expect("cloud scenario set"))?
-            } else {
-                build_serve_spec(&self.scenario)?
+            let mut spec = match &cloud_spec {
+                Some(cloud) if cloud_index == Some(s) => cloud.clone(),
+                _ => edge_spec.clone(),
             };
             for g in 0..n_classes {
                 let gaps = gaps_from_times(&site_times[s][g]);
@@ -349,56 +329,22 @@ impl FleetSpec {
             configs.push(spec.build_config().map_err(|e| e.to_string())?);
         }
 
-        let workers = self
-            .workers
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(4)
+        let traces: Vec<RunTrace> = run_isolated(configs, self.workers, |config| {
+            Simulation::new(config)
+                .map(|sim| sim.run())
+                .map_err(|e| e.to_string())
+        })
+        .into_iter()
+        .enumerate()
+        .map(|(s, result)| {
+            result.unwrap_or_else(|payload| {
+                Err(format!(
+                    "site {s}: simulation panicked: {}",
+                    panic_message(payload.as_ref())
+                ))
             })
-            .clamp(1, total_sites.max(1));
-        let next = AtomicUsize::new(0);
-        let mut slots: Vec<Option<Result<RunTrace, String>>> = Vec::new();
-        slots.resize_with(total_sites, || None);
-        let mut configs: Vec<Option<_>> = configs.into_iter().map(Some).collect();
-        let config_slots: Vec<std::sync::Mutex<Option<_>>> = configs
-            .iter_mut()
-            .map(|c| std::sync::Mutex::new(c.take()))
-            .collect();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut done: Vec<(usize, Result<RunTrace, String>)> = Vec::new();
-                        loop {
-                            let index = next.fetch_add(1, Ordering::Relaxed);
-                            let Some(slot) = config_slots.get(index) else {
-                                break;
-                            };
-                            let config = slot
-                                .lock()
-                                .expect("config slot lock")
-                                .take()
-                                .expect("every site config taken exactly once");
-                            let trace = Simulation::new(config)
-                                .map(|sim| sim.run())
-                                .map_err(|e| e.to_string());
-                            done.push((index, trace));
-                        }
-                        done
-                    })
-                })
-                .collect();
-            for handle in handles {
-                for (index, trace) in handle.join().expect("fleet worker panicked") {
-                    slots[index] = Some(trace);
-                }
-            }
-        });
-        let traces: Vec<RunTrace> = slots
-            .into_iter()
-            .map(|slot| slot.expect("every site dispatched exactly once"))
-            .collect::<Result<_, _>>()?;
+        })
+        .collect::<Result<_, _>>()?;
 
         // 4. Aggregation: match each site's k-th root request of class
         // g with the k-th decision routed to (site, g) — arrival order

@@ -11,34 +11,26 @@
 //! `--flag=value` spellings work.
 //!
 //! Every flag is an overlay over a declarative scenario document: with
-//! `--scenario FILE` the file (TOML or JSON [`ScenarioSpec`]) supplies
+//! `--scenario FILE` the file (TOML or JSON `ScenarioSpec`) supplies
 //! the base configuration and explicit flags override individual
 //! fields; without it the overlay stands alone. `--dump-scenario`
 //! prints the merged document instead of running — feeding it back via
-//! `--scenario` reproduces the run byte for byte.
+//! `--scenario` reproduces the run byte for byte. The shared flags go
+//! through `jetsim::scenario::ScenarioFlags`, the reader all three
+//! jetsim CLIs use.
 
 use std::process::ExitCode;
 
-use jetsim::scenario::{parse_arrival, parse_duration, FlagCursor};
-use jetsim_serve::scenario::{build_serve_spec, DEFAULT_SEED};
-use jetsim_serve::{AutoscaleScenario, ScenarioSpec, TenantScenario};
-use jetsim_sim::GpuPolicy;
+use jetsim::scenario::{cli_main, parse_duration, FlagCursor, ScenarioFlags};
+use jetsim_serve::scenario::build_serve_spec;
+use jetsim_serve::AutoscaleScenario;
 
 #[derive(Debug)]
 struct Args {
-    /// Path of the base scenario document, when given.
-    scenario: Option<String>,
-    /// Every config-shaped flag, parsed into a sparse overlay.
-    overlay: ScenarioSpec,
-    /// `--faults` armed without an explicit seed: resolve against the
-    /// *merged* seed after the scenario file is applied.
-    faults_default_seed: bool,
-    /// `--arrival` given with no `--tenant` flags: override the arrival
-    /// process of every tenant the scenario file supplies.
-    bare_arrival: Option<String>,
+    /// The scenario-shaped flags, read by the shared reader.
+    flags: ScenarioFlags,
     find_max_qps: Option<f64>,
     json: bool,
-    dump_scenario: bool,
 }
 
 fn usage() -> &'static str {
@@ -87,46 +79,21 @@ fn usage() -> &'static str {
 impl Args {
     fn parse(argv: impl Iterator<Item = String>) -> Result<Args, String> {
         let mut args = Args {
-            scenario: None,
-            overlay: ScenarioSpec::default(),
-            faults_default_seed: false,
-            bare_arrival: None,
+            flags: ScenarioFlags::default(),
             find_max_qps: None,
             json: false,
-            dump_scenario: false,
         };
-        let mut tenants: Vec<TenantScenario> = Vec::new();
-        let mut arrival: Option<String> = None;
         let mut autoscale = AutoscaleScenario::default();
-        let mut autoscale_set = false;
         let mut argv = FlagCursor::new(argv);
         while let Some((key, mut value)) = argv.next_flag() {
+            if args.flags.accept(&key, &mut value, &mut argv)? {
+                continue;
+            }
+            let overlay = &mut args.flags.overlay;
             match key.as_str() {
-                "--scenario" => args.scenario = Some(argv.require(&mut value)?),
-                "--dump-scenario" => args.dump_scenario = true,
-                "--tenant" => {
-                    tenants.push(TenantScenario {
-                        spec: Some(argv.require(&mut value)?),
-                        arrival: arrival.clone(),
-                        ..TenantScenario::default()
-                    });
-                }
-                "--arrival" => {
-                    let raw = argv.require(&mut value)?;
-                    parse_arrival(&raw)?;
-                    // Retroactively applies when --arrival follows the
-                    // final --tenant (the natural CLI reading).
-                    if let Some(t) = tenants.last_mut() {
-                        t.arrival = Some(raw.clone());
-                    }
-                    arrival = Some(raw);
-                }
-                "--slo" => args.overlay.slo = Some(argv.require_duration(&mut value)?),
-                "--duration" => args.overlay.duration = Some(argv.require_duration(&mut value)?),
-                "--warmup" => args.overlay.warmup = Some(argv.require_duration(&mut value)?),
-                "--max-delay" => args.overlay.max_delay = Some(argv.require_duration(&mut value)?),
+                "--max-delay" => overlay.max_delay = Some(argv.require_duration(&mut value)?),
                 "--queue-cap" => {
-                    args.overlay.queue_cap = Some(
+                    overlay.queue_cap = Some(
                         argv.require(&mut value)?
                             .parse()
                             .map_err(|e| format!("bad --queue-cap: {e}"))?,
@@ -135,21 +102,13 @@ impl Args {
                 "--admission" => {
                     let policy = argv.require(&mut value)?;
                     match policy.as_str() {
-                        "reject" | "shed" | "degrade" => args.overlay.admission = Some(policy),
+                        "reject" | "shed" | "degrade" => overlay.admission = Some(policy),
                         other => {
                             return Err(format!(
                                 "bad --admission `{other}`: want reject, shed or degrade"
                             ))
                         }
                     }
-                }
-                "--device" => args.overlay.device = Some(argv.require(&mut value)?),
-                "--seed" => {
-                    args.overlay.seed = Some(
-                        argv.require(&mut value)?
-                            .parse()
-                            .map_err(|e| format!("bad --seed: {e}"))?,
-                    )
                 }
                 "--find-max-qps" => {
                     args.find_max_qps = Some(match value {
@@ -159,16 +118,10 @@ impl Args {
                         None => 0.95,
                     })
                 }
-                "--faults" => match value {
-                    Some(v) => {
-                        args.overlay.fault_seed =
-                            Some(v.parse().map_err(|e| format!("bad --faults seed: {e}"))?)
-                    }
-                    None => args.faults_default_seed = true,
-                },
-                "--deadline" => args.overlay.deadline = Some(argv.require_duration(&mut value)?),
+                "--faults" => args.flags.faults(value)?,
+                "--deadline" => overlay.deadline = Some(argv.require_duration(&mut value)?),
                 "--retry" => {
-                    args.overlay.retry = Some(match value {
+                    overlay.retry = Some(match value {
                         Some(v) => v
                             .parse()
                             .map_err(|e| format!("bad --retry attempts: {e}"))?,
@@ -176,7 +129,7 @@ impl Args {
                     })
                 }
                 "--hedge" => {
-                    args.overlay.hedge = Some(match value.as_deref() {
+                    overlay.hedge = Some(match value.as_deref() {
                         Some("auto") | None => "auto".to_string(),
                         Some(v) => {
                             parse_duration(v)?;
@@ -185,7 +138,7 @@ impl Args {
                     })
                 }
                 "--breaker" => {
-                    args.overlay.breaker = Some(match value.as_deref() {
+                    overlay.breaker = Some(match value.as_deref() {
                         Some("shed") | None => "shed".to_string(),
                         Some("brownout") => "brownout".to_string(),
                         Some(other) => {
@@ -194,7 +147,7 @@ impl Args {
                     })
                 }
                 "--recovery" => {
-                    args.overlay.recovery = Some(match value {
+                    overlay.recovery = Some(match value {
                         Some(v) => v
                             .parse()
                             .map_err(|e| format!("bad --recovery restarts: {e}"))?,
@@ -220,7 +173,6 @@ impl Args {
                     };
                     autoscale.min_replicas = Some(min);
                     autoscale.max_replicas = max;
-                    autoscale_set = true;
                 }
                 "--target-queue" => {
                     autoscale.target_queue = Some(
@@ -228,19 +180,15 @@ impl Args {
                             .parse()
                             .map_err(|e| format!("bad --target-queue: {e}"))?,
                     );
-                    autoscale_set = true;
                 }
                 "--keep-alive" => {
                     autoscale.keep_alive = Some(argv.require_duration(&mut value)?);
-                    autoscale_set = true;
                 }
                 "--scale-every" => {
                     autoscale.evaluate_every = Some(argv.require_duration(&mut value)?);
-                    autoscale_set = true;
                 }
                 "--scale-slo-burn" => {
                     autoscale.slo_burn = Some(true);
-                    autoscale_set = true;
                 }
                 "--scale-cost" => {
                     let cost = argv.require(&mut value)?;
@@ -248,63 +196,29 @@ impl Args {
                         parse_duration(&cost)?;
                     }
                     autoscale.start_cost = Some(cost);
-                    autoscale_set = true;
                 }
-                "--gpu-policy" => {
-                    let policy = argv.require(&mut value)?;
-                    policy
-                        .parse::<GpuPolicy>()
-                        .map_err(|e| format!("bad --gpu-policy: {e}"))?;
-                    args.overlay.gpu_policy = Some(policy);
-                }
+                "--gpu-policy" => args.flags.gpu_policy(argv.require(&mut value)?)?,
                 "--json" => args.json = true,
                 "--help" | "-h" => return Err(usage().to_string()),
                 other => return Err(format!("unknown flag `{other}`\n{}", usage())),
             }
         }
-        if !tenants.is_empty() {
-            args.overlay.tenants = Some(tenants);
-        } else {
-            // A bare --arrival with the tenant list coming from the
-            // scenario file overrides every tenant's arrivals.
-            args.bare_arrival = arrival;
+        // Every autoscale flag sets a field, so any flag makes the
+        // table non-default.
+        if autoscale != AutoscaleScenario::default() {
+            args.flags.overlay.autoscale = Some(autoscale);
         }
-        if autoscale_set {
-            args.overlay.autoscale = Some(autoscale);
-        }
-        if args.scenario.is_none() && args.overlay.tenants.is_none() && !args.dump_scenario {
+        if !args.flags.names_workload() {
             return Err(format!("--tenant or --scenario is required\n{}", usage()));
         }
         Ok(args)
     }
-
-    /// Loads the scenario file (if any), layers the flag overlay on
-    /// top, and resolves the armed-but-unseeded `--faults` default
-    /// against the merged seed.
-    fn merged_scenario(&self) -> Result<ScenarioSpec, String> {
-        let base = match &self.scenario {
-            Some(path) => std::fs::read_to_string(path)
-                .map_err(|e| format!("cannot read scenario `{path}`: {e}"))?
-                .parse::<ScenarioSpec>()
-                .map_err(|e| format!("{path}: {e}"))?,
-            None => ScenarioSpec::default(),
-        };
-        let mut merged = base.merge(&self.overlay);
-        if self.faults_default_seed && merged.fault_seed.is_none() {
-            merged.fault_seed = Some(merged.seed.unwrap_or(DEFAULT_SEED));
-        }
-        if let Some(arrival) = &self.bare_arrival {
-            for tenant in merged.tenants.iter_mut().flatten() {
-                tenant.arrival = Some(arrival.clone());
-            }
-        }
-        Ok(merged)
-    }
 }
 
 fn run(args: Args) -> Result<(), String> {
-    let scenario = args.merged_scenario()?;
-    if args.dump_scenario {
+    let dump = args.flags.dump();
+    let scenario = args.flags.merged()?;
+    if dump {
         print!("{scenario}");
         return Ok(());
     }
@@ -351,17 +265,5 @@ fn run(args: Args) -> Result<(), String> {
 }
 
 fn main() -> ExitCode {
-    match Args::parse(std::env::args().skip(1)) {
-        Ok(args) => match run(args) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::FAILURE
-            }
-        },
-        Err(message) => {
-            eprintln!("{message}");
-            ExitCode::FAILURE
-        }
-    }
+    cli_main(Args::parse, run)
 }

@@ -121,8 +121,9 @@ pub struct ServeReport {
     pub groups: Vec<GroupReport>,
 }
 
-/// Nearest-rank percentile over an already-sorted slice, in ms.
-fn percentile_ms(sorted: &[SimDuration], p: f64) -> f64 {
+/// Nearest-rank percentile `p` (0–100) over an already-sorted slice,
+/// in ms; `0.0` for an empty slice.
+pub fn percentile_ms(sorted: &[SimDuration], p: f64) -> f64 {
     if sorted.is_empty() {
         return 0.0;
     }

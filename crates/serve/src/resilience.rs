@@ -2,9 +2,9 @@
 //!
 //! [`ResiliencePolicies`] bundles the per-group knobs the DES enforces —
 //! deadlines, retries with seeded backoff jitter, hedging, circuit
-//! breaking and replica recovery — and [`chaos_sweep`] measures what
-//! they buy: each policy runs against identical traffic twice, once
-//! fault-free and once under a seeded [`FaultPlan`], and the
+//! breaking and replica recovery — and [`chaos_sweep_with_plan`]
+//! measures what they buy: each policy runs against identical traffic
+//! twice, once fault-free and once under a [`FaultPlan`], and the
 //! [`ResilienceReport`] compares goodput retained, deadline-hit rate,
 //! recovery time and retry amplification across policies.
 //!
@@ -16,7 +16,7 @@ use std::fmt;
 
 use jetsim_des::SimDuration;
 use jetsim_sim::serving::{BreakerPolicy, HedgePolicy, RecoveryPolicy, RetryPolicy};
-use jetsim_sim::{FaultPlan, OomPolicy};
+use jetsim_sim::FaultPlan;
 use jetsim_trt::{Engine, EngineCache, EngineKey};
 use serde::Serialize;
 
@@ -150,15 +150,6 @@ impl ResiliencePolicies {
         self.recovery = Some(recovery);
         self
     }
-
-    /// `true` when at least one knob is set.
-    pub fn is_any(&self) -> bool {
-        self.deadline.is_some()
-            || self.retry.is_some()
-            || self.hedge.is_some()
-            || self.breaker.is_some()
-            || self.recovery.is_some()
-    }
 }
 
 /// One chaos cell: a named policy bundle evaluated fault-free and under
@@ -242,30 +233,13 @@ impl fmt::Display for ResilienceReport {
     }
 }
 
-/// Sweeps `policies` over `base`: for each bundle, one fault-free run
-/// and one under `FaultPlan::seeded(fault_seed, …)` with the OOM killer
-/// armed, against byte-identical traffic (the base spec's seed governs
-/// arrivals in every cell).
-///
-/// # Errors
-///
-/// See [`ServeSpec::build_config`].
-pub fn chaos_sweep(
-    base: &ServeSpec,
-    policies: &[(&str, ResiliencePolicies)],
-    fault_seed: u64,
-    spikes: usize,
-    locks: usize,
-) -> Result<ResilienceReport, ServeError> {
-    let plan = FaultPlan::seeded(fault_seed, base.horizon(), spikes, locks)
-        .oom_policy(OomPolicy::KillLargest);
-    chaos_sweep_with_plan(base, policies, plan, fault_seed)
-}
-
-/// [`chaos_sweep`] with an explicit fault plan — for scenarios that need
-/// guaranteed pressure (e.g. a spike sized to the device's memory so the
-/// OOM killer demonstrably fires) on top of, or instead of, the seeded
-/// draw. `fault_seed` is recorded in the report for provenance.
+/// Sweeps `policies` over `base` under `plan`: for each bundle, one
+/// fault-free run and one under the plan, against byte-identical
+/// traffic (the base spec's seed governs arrivals in every cell). The
+/// plan may be seeded (`FaultPlan::seeded`), hand-built for guaranteed
+/// pressure (e.g. a spike sized to the device's memory so the OOM
+/// killer demonstrably fires), or both; `fault_seed` is recorded in the
+/// report for provenance.
 ///
 /// # Errors
 ///

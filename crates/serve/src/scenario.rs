@@ -10,18 +10,14 @@
 //! `--scenario run.toml` reproduces the equivalent flag invocation byte
 //! for byte.
 
-use jetsim::scenario::{parse_arrival, parse_duration, AutoscaleScenario, ScenarioSpec};
-use jetsim::Platform;
+use jetsim::scenario::{
+    cli_fault_plan, parse_arrival, parse_duration, AutoscaleScenario, ScenarioSpec,
+};
 use jetsim_des::{ArrivalProcess, SimDuration};
 
 use crate::resilience::{RecoverySpec, ResiliencePolicies, RestartCost};
 use crate::spec::{AutoscaleSpec, ServeSpec, ServeTenant};
-use crate::{
-    AdmissionPolicy, BreakerMode, BreakerPolicy, FaultPlan, HedgePolicy, OomPolicy, RetryPolicy,
-};
-
-/// Default seed shared with the `jetsim-serve` CLI (`b"jets"`).
-pub const DEFAULT_SEED: u64 = 0x6A65_7473;
+use crate::{AdmissionPolicy, BreakerMode, BreakerPolicy, HedgePolicy, RetryPolicy};
 
 fn duration_or(field: &Option<String>, default: SimDuration) -> Result<SimDuration, String> {
     match field {
@@ -75,8 +71,9 @@ pub fn build_autoscale(a: &AutoscaleScenario) -> Result<AutoscaleSpec, String> {
 /// Resolves a scenario into a runnable [`ServeSpec`], applying the
 /// `jetsim-serve` CLI defaults for every absent field (device
 /// `orin-nano`, SLO 50 ms, duration 3 s, warmup 500 ms, max-delay 5 ms,
-/// queue-cap 64, admission `reject`, seed [`DEFAULT_SEED`], arrivals
-/// `poisson:100`, GPU policy `rr`).
+/// queue-cap 64, admission `reject`, seed
+/// [`DEFAULT_SEED`](jetsim_sim::DEFAULT_SEED), arrivals `poisson:100`,
+/// GPU policy `rr`).
 ///
 /// # Errors
 ///
@@ -84,14 +81,12 @@ pub fn build_autoscale(a: &AutoscaleScenario) -> Result<AutoscaleSpec, String> {
 /// grammar in any duration/arrival/tenant string, or a scenario with no
 /// tenants.
 pub fn build_serve_spec(sc: &ScenarioSpec) -> Result<ServeSpec, String> {
-    let device = sc.device.as_deref().unwrap_or("orin-nano");
-    let platform = Platform::by_name(device).ok_or_else(|| format!("unknown device `{device}`"))?;
     let slo = duration_or(&sc.slo, SimDuration::from_millis(50))?;
-    let mut spec = ServeSpec::new(platform)
+    let mut spec = ServeSpec::new(sc.platform()?)
         .slo(slo)
         .duration(duration_or(&sc.duration, SimDuration::from_secs(3))?)
         .warmup(duration_or(&sc.warmup, SimDuration::from_millis(500))?)
-        .seed(sc.seed.unwrap_or(DEFAULT_SEED));
+        .seed(sc.seed_or_default());
     if let Some(policy) = &sc.gpu_policy {
         spec = spec.gpu_policy(
             policy
@@ -129,8 +124,7 @@ pub fn build_serve_spec(sc: &ScenarioSpec) -> Result<ServeSpec, String> {
     }
     spec = spec.resilience(resilience);
     if let Some(fault_seed) = sc.fault_seed {
-        let plan =
-            FaultPlan::seeded(fault_seed, spec.horizon(), 2, 1).oom_policy(OomPolicy::KillLargest);
+        let plan = cli_fault_plan(fault_seed, spec.horizon());
         spec = spec.faults(plan);
     }
     if let Some(autoscale) = &sc.autoscale {

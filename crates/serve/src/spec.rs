@@ -9,7 +9,9 @@ use jetsim::platform::Platform;
 use jetsim_des::{ArrivalProcess, SimDuration};
 use jetsim_dnn::Precision;
 use jetsim_sim::serving::{AdmissionPolicy, AutoscalerPolicy, BreakerMode, ServeGroup, ServePlan};
-use jetsim_sim::{FaultPlan, GpuPolicy, SimConfig, SimError, Simulation};
+use jetsim_sim::{
+    ArrivalModel, FaultPlan, GpuPolicy, SimConfig, SimError, Simulation, DEFAULT_SEED,
+};
 use jetsim_trt::{BuildError, Engine};
 
 use crate::capacity::{self, CapacityEstimate};
@@ -220,12 +222,6 @@ impl ServeTenant {
         self.autoscale = Some(autoscale);
         self
     }
-
-    /// Attaches per-request ingress delay offsets.
-    pub fn ingress_offsets(mut self, offsets: impl Into<Arc<[SimDuration]>>) -> Self {
-        self.ingress_offsets = Some(offsets.into());
-        self
-    }
 }
 
 /// Errors from building or running a serving simulation.
@@ -314,7 +310,7 @@ impl ServeSpec {
             tenants: Vec::new(),
             warmup: SimDuration::from_millis(500),
             duration: SimDuration::from_secs(3),
-            seed: 0x6A65_7473,
+            seed: DEFAULT_SEED,
             slo: SimDuration::from_millis(50),
             faults: FaultPlan::new(),
             resilience: ResiliencePolicies::none(),
@@ -439,9 +435,10 @@ impl ServeSpec {
     }
 
     /// Compiles the spec into a [`SimConfig`] with a serve plan: each
-    /// tenant becomes one serve group whose members are its instances,
-    /// and [`AdmissionPolicy::Degrade`] tenants get a pre-built fallback
-    /// engine one rung down the pressure ladder.
+    /// tenant's instances become processes ([`Tenant::add_processes`],
+    /// carrying its GPU priority and SM share) that form one serve
+    /// group, and [`AdmissionPolicy::Degrade`] tenants get a pre-built
+    /// fallback engine one rung down the pressure ladder.
     ///
     /// # Errors
     ///
@@ -478,18 +475,13 @@ impl ServeSpec {
                     source,
                 })?;
             let members: Vec<usize> = (next_pid..next_pid + t.instances() as usize).collect();
-            for instance in 0..t.instances() {
-                builder =
-                    builder.add_engine_named(format!("{label}/{instance}"), Arc::clone(&engine));
-            }
+            builder = t.add_processes(builder, &engine, ArrivalModel::Saturated);
             next_pid += t.instances() as usize;
             let mut group = ServeGroup::new(label.clone(), st.arrivals.clone())
                 .members(members)
                 .max_delay(st.max_delay)
                 .queue_cap(st.queue_cap)
-                .admission(st.admission)
-                .priority(t.gpu_priority())
-                .sm_share(t.gpu_sm_share());
+                .admission(st.admission);
             if let Some(offsets) = &st.ingress_offsets {
                 group = group.ingress_offsets(Arc::clone(offsets));
             }
@@ -619,6 +611,35 @@ mod tests {
             Some((Precision::Int8, 2))
         );
         assert_eq!(degraded_variant(Precision::Int8, 1), None);
+    }
+
+    #[test]
+    fn tenant_priority_and_share_reach_their_processes() {
+        let spec = ServeSpec::new(Platform::orin_nano())
+            .tenant(
+                ServeTenant::parse("resnet50:int8:1:2:5", ArrivalProcess::poisson(50.0)).unwrap(),
+            )
+            .tenant(
+                ServeTenant::parse(
+                    "model=yolov8n,precision=fp16,batch=1,sm_share=0.5",
+                    ArrivalProcess::poisson(50.0),
+                )
+                .unwrap(),
+            );
+        let config = spec.build_config().unwrap();
+        let gpu: Vec<(&str, u8, f64)> = config
+            .processes
+            .iter()
+            .map(|p| (p.name.as_str(), p.priority, p.sm_share))
+            .collect();
+        assert_eq!(
+            gpu,
+            vec![
+                ("resnet50:int8:b1/0", 5, 1.0),
+                ("resnet50:int8:b1/1", 5, 1.0),
+                ("yolov8n:fp16:b1/0", 0, 0.5),
+            ]
+        );
     }
 
     #[test]

@@ -1,16 +1,10 @@
 //! Telemetry hooks for fleet-scale orchestration: static capacity
-//! estimates and queue-depth snapshot timelines.
+//! estimates.
 //!
-//! A fleet router placing requests across many device sims needs two
-//! things from each site *without* running it first: a prior on how fast
-//! the site drains work ([`estimate_capacity`], derived from the same
-//! engine latency estimates the DES itself integrates), and — after a
-//! run — a load timeline to validate routing decisions against
-//! ([`queue_depth_timeline`], sampled from the serve-event log the exact
-//! way a periodic telemetry scraper would see it).
-
-use jetsim_des::{SimDuration, SimTime};
-use jetsim_sim::serving::{ServeEvent, ServeEventKind};
+//! A fleet router placing requests across many device sims needs a
+//! prior on how fast each site drains work *without* running it first:
+//! [`estimate_capacity`] derives one from the same engine latency
+//! estimates the DES itself integrates.
 
 use crate::spec::{ServeError, ServeSpec};
 
@@ -80,62 +74,6 @@ pub fn estimate_capacity(spec: &ServeSpec) -> Result<Vec<GroupCapacity>, ServeEr
         .collect()
 }
 
-/// One periodic queue-depth observation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct QueueSample {
-    /// Sample instant (a multiple of the sampling period).
-    pub at: SimTime,
-    /// Queue depth as of the latest serve event at or before `at`
-    /// (zero before the first observation).
-    pub depth: usize,
-}
-
-/// Samples group `group`'s queue depth every `every` over `horizon`,
-/// as a periodic telemetry scraper reading the serve-event log would:
-/// each sample holds the depth reported by the latest depth-bearing
-/// event (batch formation, degrade transitions) at or before the sample
-/// instant.
-///
-/// This is deliberately *stale* between events — a router consuming
-/// these snapshots sees exactly the lag a real telemetry pipeline with
-/// period `every` would introduce, which is what the fleet layer's
-/// staleness-aware policies are tested against.
-///
-/// # Panics
-///
-/// Panics when `every` is zero.
-pub fn queue_depth_timeline(
-    events: &[ServeEvent],
-    group: usize,
-    every: SimDuration,
-    horizon: SimDuration,
-) -> Vec<QueueSample> {
-    assert!(!every.is_zero(), "telemetry period must be non-zero");
-    let mut samples = Vec::new();
-    let mut cursor = 0usize;
-    let mut depth = 0usize;
-    let mut at = SimTime::ZERO + every;
-    while at <= SimTime::ZERO + horizon {
-        while let Some(ev) = events.get(cursor) {
-            if ev.time > at {
-                break;
-            }
-            if ev.group == group {
-                match ev.kind {
-                    ServeEventKind::BatchFormed { queue_depth, .. }
-                    | ServeEventKind::DegradeEnter { queue_depth }
-                    | ServeEventKind::DegradeExit { queue_depth } => depth = queue_depth,
-                    _ => {}
-                }
-            }
-            cursor += 1;
-        }
-        samples.push(QueueSample { at, depth });
-        at += every;
-    }
-    samples
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -167,31 +105,5 @@ mod tests {
     fn empty_spec_has_no_capacity() {
         let err = estimate_capacity(&ServeSpec::new(Platform::orin_nano())).unwrap_err();
         assert!(matches!(err, ServeError::NoTenants));
-    }
-
-    #[test]
-    fn queue_timeline_holds_last_observation() {
-        let ev = |ms: u64, group: usize, queue_depth: usize| ServeEvent {
-            time: SimTime::ZERO + SimDuration::from_millis(ms),
-            group,
-            kind: ServeEventKind::BatchFormed {
-                pid: 0,
-                size: 1,
-                oldest_wait: SimDuration::ZERO,
-                queue_depth,
-                degraded: false,
-            },
-        };
-        let events = [ev(3, 0, 5), ev(7, 1, 99), ev(12, 0, 2)];
-        let samples = queue_depth_timeline(
-            &events,
-            0,
-            SimDuration::from_millis(5),
-            SimDuration::from_millis(20),
-        );
-        let depths: Vec<usize> = samples.iter().map(|s| s.depth).collect();
-        // t=5: saw depth 5; t=10: other group's event ignored, still 5;
-        // t=15: depth 2; t=20: unchanged.
-        assert_eq!(depths, vec![5, 5, 2, 2]);
     }
 }

@@ -26,9 +26,9 @@ use jetsim_trt::Engine;
 
 use crate::config::SimConfig;
 use crate::serving::{
-    AdmissionPolicy, AutoscalerPolicy, BatchDecision, BatcherPolicy, BreakerMode, BreakerPolicy,
-    DropKind, DropRecord, HedgePolicy, RecoveryPolicy, ReplicaHealth, RetryPolicy, ScaleDecision,
-    ScaleSignals, ServeEventKind,
+    group_seed, AdmissionPolicy, AutoscalerPolicy, BatchDecision, BatcherPolicy, BreakerMode,
+    BreakerPolicy, DropKind, DropRecord, HedgePolicy, RecoveryPolicy, ReplicaHealth, RetryPolicy,
+    ScaleDecision, ScaleSignals, ServeEventKind, RETRY_JITTER,
 };
 use crate::soa::{RequestColumns, ServeEventColumns};
 
@@ -211,8 +211,6 @@ struct GroupRt {
     // --- autoscaling (optional; absent policies cost nothing) ----------
     /// Serverless autoscaling policy.
     autoscaler: Option<AutoscalerPolicy>,
-    /// Arrivals (retries and hedges included) since the last tick.
-    win_arrivals: u32,
     /// Completions since the last tick.
     win_completions: u32,
     /// Completions since the last tick that missed the policy's
@@ -311,17 +309,11 @@ impl Ingress {
                     group_of_pid[pid] = Some(g);
                 }
                 let lead = &config.processes[sg.members[0]];
-                // Per-group arrival seed folded from the run's master
-                // seed, so adding a group never perturbs another group's
-                // traffic (and the main dynamics RNG is untouched).
-                let seed = config
-                    .seed
-                    .wrapping_add((g as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
                 groups.push(GroupRt {
                     members: sg.members.clone(),
                     free: VecDeque::with_capacity(sg.members.len()),
                     queue: VecDeque::with_capacity(sg.queue_cap.min(1 << 16)),
-                    stream: ArrivalStream::new(sg.arrivals.clone(), seed),
+                    stream: ArrivalStream::new(sg.arrivals.clone(), group_seed(config.seed, g)),
                     policy: BatcherPolicy::new(lead.engine.batch(), sg.max_delay),
                     queue_cap: sg.queue_cap,
                     admission: sg.admission,
@@ -339,10 +331,7 @@ impl Ingress {
                     retry: sg.retry,
                     // A distinct stream per group: constructing the RNG
                     // draws nothing, so retry-free groups stay inert.
-                    retry_rng: SimRng::seed_from(
-                        (config.seed ^ RETRY_STREAM)
-                            .wrapping_add((g as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
-                    ),
+                    retry_rng: SimRng::seed_from(group_seed(config.seed ^ RETRY_STREAM, g)),
                     hedge: sg.hedge,
                     lat_ring: Vec::new(),
                     lat_pos: 0,
@@ -353,7 +342,6 @@ impl Ingress {
                     br_forced: false,
                     recovery: sg.recovery,
                     autoscaler: sg.autoscaler,
-                    win_arrivals: 0,
                     win_completions: 0,
                     win_slo_miss: 0,
                     engine_built: false,
@@ -483,9 +471,6 @@ impl Ingress {
     /// Runs one freshly recorded request through the breaker gate and
     /// the admission policy. Returns `true` when it ended up queued.
     fn admit(&mut self, g: usize, ri: usize, now: SimTime, ctx: &mut Ctx<'_>) -> bool {
-        if self.groups[g].autoscaler.is_some() {
-            self.groups[g].win_arrivals += 1;
-        }
         if !self.breaker_gate(g, ri, now) {
             self.requests.mark_dropped(
                 ri,
@@ -692,26 +677,18 @@ impl Ingress {
         };
         let up = self.up_count(g, ctx);
         let pending = self.pending_count(g, ctx);
-        let window_secs = policy.evaluate_every.as_secs_f64();
         let grp = &mut self.groups[g];
-        let arrival_rate = if window_secs > 0.0 {
-            f64::from(grp.win_arrivals) / window_secs
-        } else {
-            0.0
-        };
         let slo_burn = if grp.win_completions > 0 {
             f64::from(grp.win_slo_miss) / f64::from(grp.win_completions)
         } else {
             0.0
         };
-        grp.win_arrivals = 0;
         grp.win_completions = 0;
         grp.win_slo_miss = 0;
         let signals = ScaleSignals {
             queued: grp.queue.len(),
             up,
             pending,
-            arrival_rate,
             slo_burn,
         };
         match policy.decide(signals) {
@@ -841,7 +818,7 @@ impl Ingress {
             return;
         }
         let base = policy.base_backoff_for(next_attempt).as_secs_f64();
-        let jittered = self.groups[g].retry_rng.jitter(base, policy.jitter);
+        let jittered = self.groups[g].retry_rng.jitter(base, RETRY_JITTER);
         let backoff = jetsim_des::SimDuration::from_secs_f64(jittered);
         ctx.queue.schedule(
             now + backoff,

@@ -244,16 +244,6 @@ pub enum ArrivalModel {
     },
 }
 
-impl ArrivalModel {
-    /// Mean offered batches per second, `None` for saturated mode.
-    pub fn offered_rate(self) -> Option<f64> {
-        match self {
-            ArrivalModel::Saturated => None,
-            ArrivalModel::Periodic { fps } | ArrivalModel::Poisson { fps } => Some(fps),
-        }
-    }
-}
-
 /// One concurrent inference stream: a named `trtexec`-like instance (or
 /// one of its `--streams` contexts) running one engine in a loop.
 #[derive(Debug, Clone)]
@@ -321,6 +311,11 @@ pub struct SimConfig {
     pub serve: Option<ServePlan>,
 }
 
+/// The seed every jetsim entry point defaults to (`b"jets"`): the
+/// config builder, sweeps, the profiler, serving specs and all three
+/// CLIs.
+pub const DEFAULT_SEED: u64 = 0x6A65_7473;
+
 impl SimConfig {
     /// Starts building a configuration for `device`.
     pub fn builder(device: DeviceSpec) -> SimConfigBuilder {
@@ -329,7 +324,7 @@ impl SimConfig {
             processes: Vec::new(),
             warmup: SimDuration::from_millis(500),
             measure: SimDuration::from_secs(3),
-            seed: 0x6A65_7473,
+            seed: DEFAULT_SEED,
             profiler: ProfilerMode::Lightweight,
             sample_period: SimDuration::from_millis(200),
             gpu_sharing: GpuSharing::TimeMultiplexed,
@@ -713,23 +708,9 @@ impl SimConfigBuilder {
         if let Some(plan) = &self.serve {
             Self::validate_serve(plan, self.processes.len())?;
         }
-        let mut processes = self.processes;
-        // Serve-group ingress tags its members: every process of a group
-        // inherits the group's GPU priority and SM share, so request
-        // streams compete under the configured policy. The defaults
-        // (priority 0, share 1.0) match ProcessConfig's, leaving plans
-        // that set neither byte-identical.
-        if let Some(plan) = &self.serve {
-            for group in &plan.groups {
-                for &pid in &group.members {
-                    processes[pid].priority = group.priority;
-                    processes[pid].sm_share = group.sm_share;
-                }
-            }
-        }
         let config = SimConfig {
             device: self.device,
-            processes,
+            processes: self.processes,
             warmup: self.warmup,
             measure: self.measure,
             seed: self.seed,

@@ -53,7 +53,7 @@ pub mod trace;
 
 pub use config::{
     ArrivalModel, CpuModel, GpuPolicy, GpuSharing, ProcessConfig, ProfilerMode, SimConfig,
-    SimConfigBuilder,
+    SimConfigBuilder, DEFAULT_SEED,
 };
 pub use error::SimError;
 pub use faults::{FaultEvent, FaultKind, FaultPlan, MemorySpike, OomPolicy, ThrottleLock};

@@ -28,10 +28,10 @@ use jetsim_trt::Engine;
 /// jitter.
 ///
 /// Backoff for attempt `n` (0-based: the first *retry* is attempt 1) is
-/// `base * multiplier^(n-1)`, jittered by ±`jitter` via a per-group RNG
-/// stream derived from the run seed — so the same seed replays the same
-/// retry timeline bit for bit, and a config without a retry policy draws
-/// nothing.
+/// `base * RETRY_MULTIPLIER^(n-1)`, jittered by ±[`RETRY_JITTER`] via a
+/// per-group RNG stream derived from the run seed — so the same seed
+/// replays the same retry timeline bit for bit, and a config without a
+/// retry policy draws nothing.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetryPolicy {
     /// Total attempts allowed, including the first (clamped ≥ 1; 1 means
@@ -39,40 +39,28 @@ pub struct RetryPolicy {
     pub max_attempts: u32,
     /// Backoff before the first retry.
     pub base_backoff: SimDuration,
-    /// Multiplier applied to the backoff for each further retry.
-    pub multiplier: f64,
-    /// Relative jitter spread applied to each backoff (`0.1` = ±10%).
-    pub jitter: f64,
 }
+
+/// Multiplier applied to the retry backoff for each further retry.
+pub const RETRY_MULTIPLIER: f64 = 2.0;
+
+/// Relative jitter spread applied to each retry backoff (±10%).
+pub const RETRY_JITTER: f64 = 0.1;
 
 impl RetryPolicy {
     /// A policy allowing `max_attempts` total attempts with the given
-    /// base backoff; multiplier 2.0, jitter ±10%.
+    /// base backoff.
     pub fn new(max_attempts: u32, base_backoff: SimDuration) -> Self {
         RetryPolicy {
             max_attempts: max_attempts.max(1),
             base_backoff,
-            multiplier: 2.0,
-            jitter: 0.1,
         }
-    }
-
-    /// Sets the backoff multiplier.
-    pub fn multiplier(mut self, multiplier: f64) -> Self {
-        self.multiplier = multiplier.max(1.0);
-        self
-    }
-
-    /// Sets the relative jitter spread.
-    pub fn jitter(mut self, jitter: f64) -> Self {
-        self.jitter = jitter.clamp(0.0, 0.95);
-        self
     }
 
     /// The un-jittered backoff before attempt `attempt` (1-based retry
     /// index: `1` is the first retry).
     pub fn base_backoff_for(&self, attempt: u32) -> SimDuration {
-        let scale = self.multiplier.powi(attempt.saturating_sub(1) as i32);
+        let scale = RETRY_MULTIPLIER.powi(attempt.saturating_sub(1) as i32);
         SimDuration::from_secs_f64(self.base_backoff.as_secs_f64() * scale)
     }
 }
@@ -176,12 +164,6 @@ impl BreakerPolicy {
         self.mode = mode;
         self
     }
-
-    /// Sets the minimum window occupancy before tripping.
-    pub fn min_samples(mut self, min_samples: usize) -> Self {
-        self.min_samples = min_samples.max(1);
-        self
-    }
 }
 
 /// Replica-recovery discipline: an OOM-killed server schedules a restart
@@ -219,8 +201,6 @@ pub struct ScaleSignals {
     pub up: u32,
     /// Replicas mid cold/warm start (`Provisioning` or `Warming`).
     pub pending: u32,
-    /// Mean arrival rate over the window, in requests/s.
-    pub arrival_rate: f64,
     /// Fraction of window completions that missed the policy's
     /// `slo_target` (0.0 when no target or no completions).
     pub slo_burn: f64,
@@ -236,7 +216,7 @@ pub enum ScaleDecision {
 }
 
 /// Serverless replica autoscaling for one serve group: watches queue
-/// depth, arrival rate and SLO burn over a sliding window and provisions
+/// depth and SLO burn over a sliding window and provisions
 /// or reaps replicas between `min_replicas` and the group's member
 /// count.
 ///
@@ -262,15 +242,9 @@ pub struct AutoscalerPolicy {
     /// Scale up when queued requests per `Up` replica exceed this
     /// (clamped ≥ 1.0).
     pub target_queue_per_replica: f64,
-    /// Optional arrival-rate criterion: scale to
-    /// `ceil(rate / max_rate_per_replica)` replicas when set.
-    pub max_rate_per_replica: Option<f64>,
     /// Latency target for the SLO-burn criterion; completions over it
     /// count as burn.
     pub slo_target: Option<SimDuration>,
-    /// Burn fraction that triggers a one-replica scale-up (when
-    /// `slo_target` is set).
-    pub burn_threshold: f64,
     /// Evaluation-tick interval (clamped ≥ 1 ms).
     pub evaluate_every: SimDuration,
     /// How long a replica must sit idle before the reaper takes it.
@@ -285,19 +259,20 @@ pub struct AutoscalerPolicy {
     pub warm_start: SimDuration,
 }
 
+/// Window burn fraction (completions over the SLO target) that triggers
+/// the SLO-burn criterion's one-replica scale-up.
+pub const BURN_THRESHOLD: f64 = 0.5;
+
 impl AutoscalerPolicy {
     /// A policy scaling between `min_replicas` and `max_replicas`;
-    /// defaults: target queue 4.0 per replica, no rate criterion, no
-    /// SLO-burn criterion, 20 ms ticks, 200 ms keep-alive, 500 ms cold /
-    /// 80 ms warm start.
+    /// defaults: target queue 4.0 per replica, no SLO-burn criterion,
+    /// 20 ms ticks, 200 ms keep-alive, 500 ms cold / 80 ms warm start.
     pub fn new(min_replicas: u32, max_replicas: u32) -> Self {
         AutoscalerPolicy {
             min_replicas: min_replicas.min(max_replicas),
             max_replicas: max_replicas.max(1),
             target_queue_per_replica: 4.0,
-            max_rate_per_replica: None,
             slo_target: None,
-            burn_threshold: 0.5,
             evaluate_every: SimDuration::from_millis(20),
             keep_alive: SimDuration::from_millis(200),
             cold_start: SimDuration::from_millis(500),
@@ -316,23 +291,10 @@ impl AutoscalerPolicy {
         self
     }
 
-    /// Enables the arrival-rate criterion (requests/s one replica is
-    /// trusted with).
-    pub fn max_rate_per_replica(mut self, rate: f64) -> Self {
-        self.max_rate_per_replica = (rate.is_finite() && rate > 0.0).then_some(rate);
-        self
-    }
-
     /// Enables the SLO-burn criterion: one extra replica whenever the
-    /// window's miss fraction reaches `burn_threshold`.
+    /// window's miss fraction reaches [`BURN_THRESHOLD`].
     pub fn slo_target(mut self, target: SimDuration) -> Self {
         self.slo_target = Some(target);
-        self
-    }
-
-    /// Sets the burn fraction that triggers the SLO criterion.
-    pub fn burn_threshold(mut self, threshold: f64) -> Self {
-        self.burn_threshold = threshold.clamp(0.0, 1.0);
         self
     }
 
@@ -381,18 +343,9 @@ impl AutoscalerPolicy {
             want = want.max(by_queue.max(capacity + 1));
         }
 
-        // Arrival-rate criterion (optional): provision for the window's
-        // offered load even before the queue backs up.
-        if let Some(per_replica) = self.max_rate_per_replica {
-            if signals.arrival_rate > 0.0 {
-                let by_rate = (signals.arrival_rate / per_replica).ceil() as u32;
-                want = want.max(by_rate);
-            }
-        }
-
         // SLO-burn criterion (optional): latency is burning — add one
         // replica per tick until it stops.
-        if self.slo_target.is_some() && signals.slo_burn >= self.burn_threshold {
+        if self.slo_target.is_some() && signals.slo_burn >= BURN_THRESHOLD {
             want = want.max(capacity + 1);
         }
 
@@ -525,6 +478,16 @@ impl BatcherPolicy {
     }
 }
 
+/// Seed of serve group `group`'s streams, folded from a run's `master`
+/// seed: each group draws from its own stream, so adding a group never
+/// perturbs another group's traffic. The ingress seeds arrivals and
+/// retry jitter with it, and a fleet seeds its per-class aggregate
+/// streams with it, so a one-site fleet replays a standalone run's
+/// arrival timeline bit for bit.
+pub fn group_seed(master: u64, group: usize) -> u64 {
+    master.wrapping_add((group as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15))
+}
+
 /// One serve group: a set of server processes (typically one tenant's
 /// instances, all running the same engine) fed by one arrival stream
 /// through one queue and batcher.
@@ -568,14 +531,6 @@ pub struct ServeGroup {
     /// charged) and reaped as load moves. Absent (the default), every
     /// member is up from `t = 0` — the static path stays byte-identical.
     pub autoscaler: Option<AutoscalerPolicy>,
-    /// GPU scheduling priority stamped onto every member process at
-    /// build time (higher wins under [`crate::GpuPolicy::Priority`];
-    /// other policies ignore it). Default 0.
-    pub priority: u8,
-    /// Fractional SM share stamped onto every member process (weight
-    /// under [`crate::GpuPolicy::FractionalMps`]; other policies ignore
-    /// it). Default 1.0.
-    pub sm_share: f64,
     /// Per-request ingress delay offsets, indexed by draw order: the
     /// `i`-th arrival the stream emits is delivered at
     /// `max(emission_time + offsets[i], previous_delivery)` instead of
@@ -607,8 +562,6 @@ impl ServeGroup {
             breaker: None,
             recovery: None,
             autoscaler: None,
-            priority: 0,
-            sm_share: 1.0,
             ingress_offsets: None,
         }
     }
@@ -677,18 +630,6 @@ impl ServeGroup {
     /// Attaches a serverless autoscaling policy.
     pub fn autoscaler(mut self, autoscaler: AutoscalerPolicy) -> Self {
         self.autoscaler = Some(autoscaler);
-        self
-    }
-
-    /// Sets the GPU scheduling priority every member inherits.
-    pub fn priority(mut self, priority: u8) -> Self {
-        self.priority = priority;
-        self
-    }
-
-    /// Sets the fractional SM share every member inherits.
-    pub fn sm_share(mut self, share: f64) -> Self {
-        self.sm_share = share;
         self
     }
 
@@ -1009,7 +950,7 @@ mod tests {
 
     #[test]
     fn retry_backoff_grows_exponentially() {
-        let p = RetryPolicy::new(4, SimDuration::from_millis(2)).multiplier(2.0);
+        let p = RetryPolicy::new(4, SimDuration::from_millis(2));
         assert_eq!(p.base_backoff_for(1), SimDuration::from_millis(2));
         assert_eq!(p.base_backoff_for(2), SimDuration::from_millis(4));
         assert_eq!(p.base_backoff_for(3), SimDuration::from_millis(8));
@@ -1028,9 +969,9 @@ mod tests {
         assert_eq!(b.window, 32);
         assert_eq!(b.min_samples, 8);
         assert_eq!(b.mode, BreakerMode::Shed);
-        let b = b.mode(BreakerMode::Brownout).min_samples(0);
+        let b = b.mode(BreakerMode::Brownout);
         assert_eq!(b.mode, BreakerMode::Brownout);
-        assert_eq!(b.min_samples, 1, "clamped");
+        assert_eq!(BreakerPolicy::new(2, 0.5).min_samples, 1, "clamped");
     }
 
     #[test]
@@ -1040,7 +981,6 @@ mod tests {
             queued: 3,
             up: 1,
             pending: 0,
-            arrival_rate: 10.0,
             slo_burn: 0.0,
         };
         assert_eq!(p.decide(calm), ScaleDecision::Hold);
@@ -1059,7 +999,6 @@ mod tests {
             queued: 9,
             up: 0,
             pending: 3,
-            arrival_rate: 0.0,
             slo_burn: 0.0,
         };
         // 3 already provisioning cover the ceil(9/4) = 3 wanted.
@@ -1073,31 +1012,24 @@ mod tests {
             queued: 1,
             up: 0,
             pending: 0,
-            arrival_rate: 0.0,
             slo_burn: 0.0,
         };
         assert_eq!(p.decide(s), ScaleDecision::Up(1));
     }
 
     #[test]
-    fn autoscaler_rate_and_burn_criteria() {
-        let p = AutoscalerPolicy::new(1, 8)
-            .max_rate_per_replica(100.0)
-            .slo_target(SimDuration::from_millis(50))
-            .burn_threshold(0.5);
-        let idle_queue = ScaleSignals {
+    fn autoscaler_burn_criterion() {
+        let p = AutoscalerPolicy::new(1, 8).slo_target(SimDuration::from_millis(50));
+        let calm = ScaleSignals {
             queued: 0,
             up: 1,
             pending: 0,
-            arrival_rate: 350.0,
             slo_burn: 0.0,
         };
-        // Rate alone asks for ceil(350/100) = 4 replicas.
-        assert_eq!(p.decide(idle_queue), ScaleDecision::Up(3));
+        assert_eq!(p.decide(calm), ScaleDecision::Hold);
         let burning = ScaleSignals {
-            arrival_rate: 0.0,
             slo_burn: 0.6,
-            ..idle_queue
+            ..calm
         };
         assert_eq!(p.decide(burning), ScaleDecision::Up(1));
     }
@@ -1109,7 +1041,6 @@ mod tests {
             queued: 0,
             up: 1,
             pending: 0,
-            arrival_rate: 0.0,
             slo_burn: 0.0,
         };
         // Below the floor (a replica was ejected): refill to min.
