@@ -7,9 +7,9 @@
 //! offload and spill fractions, and cross-site traffic volume.
 //!
 //! The report derives `Serialize` all the way down and every field is
-//! computed from routing decisions plus per-site traces assembled in
-//! site-index order — which is what makes `--json` output byte-identical
-//! whatever the worker count.
+//! computed from routing decisions plus what each site's worker kept of
+//! its trace, assembled in site-index order — which is what makes
+//! `--json` output byte-identical whatever the worker count.
 
 use std::fmt;
 

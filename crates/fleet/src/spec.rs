@@ -23,13 +23,18 @@
 //!    network jitter is a hash of `(seed, request, site, direction)`,
 //!    not an RNG stream.
 //! 3. **Simulation** — the edge and cloud scenarios are each resolved
-//!    once and cloned per site; every site's `SimConfig` is built
-//!    sequentially (warming the engine cache in deterministic order);
-//!    the site sims are then *independent* — they see only their own
-//!    arrival trace and uplink offsets — so they run on the workspace
-//!    worker pool ([`jetsim::pool`]) at any worker count, with results
-//!    in site-index order. A site whose simulation panics fails the
-//!    run with an error naming the site.
+//!    once. The sites are *independent* — each sees only its own
+//!    arrival trace and uplink offsets — so each site's whole pipeline
+//!    runs on the workspace worker pool ([`jetsim::pool`]): clone the
+//!    tier's spec, set the routed arrivals and offsets, build the
+//!    `SimConfig`, simulate, and reduce the trace to the site's report
+//!    and root completion instants. Config builds may run in any order:
+//!    the only engine-cache state a config reads is the warm/cold probe
+//!    behind `RestartCost::Auto`, and the routing step's capacity
+//!    estimate has already built every tier's main engine, so that
+//!    probe reads warm at every site whatever the order. Results come
+//!    back in site-index order. A site whose simulation panics fails
+//!    the run with an error naming the site.
 //!
 //! Same spec + seed ⇒ byte-identical [`FleetReport`] at any
 //! `--workers`.
@@ -40,7 +45,7 @@ use jetsim_des::{
     gaps_from_times, splitmix64, ArrivalProcess, ArrivalStream, SimDuration, SimTime,
 };
 use jetsim_serve::metrics::percentile_ms;
-use jetsim_serve::{build_serve_spec, estimate_capacity, ServeReport};
+use jetsim_serve::{build_serve_spec, estimate_capacity, ServeReport, ServeSpec};
 use jetsim_sim::serving::group_seed;
 use jetsim_sim::{RunTrace, Simulation};
 
@@ -72,6 +77,54 @@ struct Decision {
     emitted: SimDuration,
     uplink: SimDuration,
     downlink: SimDuration,
+}
+
+/// What one site's worker keeps of its run. The site's `RunTrace` is
+/// dropped inside the worker.
+struct SiteOutcome {
+    device: String,
+    sim_events: u64,
+    report: ServeReport,
+    /// Per class, each root request's earliest chain completion, in
+    /// arrival order (`None`: never served).
+    root_completions: Vec<Vec<Option<SimTime>>>,
+}
+
+impl SiteOutcome {
+    fn reduce(spec: &ServeSpec, trace: &RunTrace) -> Self {
+        // Earliest chain completion per root, as the serve metrics
+        // compute it.
+        let n = trace.requests.len();
+        let mut root = vec![0usize; n];
+        let mut completion: Vec<Option<SimTime>> = vec![None; n];
+        for (i, r) in trace.requests.iter().enumerate() {
+            root[i] = match r.retry_of.or(r.hedge_of) {
+                Some(parent) => root[parent],
+                None => i,
+            };
+            if let Some(at) = r.completed {
+                let best = completion[root[i]];
+                completion[root[i]] = Some(best.map_or(at, |b| b.min(at)));
+            }
+        }
+        let mut root_completions = vec![Vec::new(); spec.tenants().len()];
+        for (i, r) in trace.requests.iter().enumerate() {
+            if r.retry_of.is_none() && r.hedge_of.is_none() {
+                root_completions[r.group].push(completion[i]);
+            }
+        }
+        SiteOutcome {
+            device: spec.platform().name().to_string(),
+            sim_events: trace.sim_events,
+            report: ServeReport::from_trace_with_deadline(
+                trace,
+                spec.slo_target(),
+                spec.warmup_interval(),
+                spec.resilience_policies().deadline,
+            ),
+            root_completions,
+        }
+    }
 }
 
 impl FleetSpec {
@@ -130,7 +183,9 @@ impl FleetSpec {
 
     /// Caps the site-simulation worker threads (`None` = one per
     /// available core). Has **no effect on results** — only on wall
-    /// time.
+    /// time and memory: each worker drops its site's trace before it
+    /// takes the next site, so the worker count also bounds how many
+    /// site traces are alive at once.
     pub fn workers(mut self, workers: Option<usize>) -> Self {
         self.workers = workers;
         self
@@ -182,7 +237,6 @@ impl FleetSpec {
         let horizon = edge_spec.horizon();
         let measured_secs = edge_spec.measured_duration().as_secs_f64();
         let slo = edge_spec.slo_target();
-        let deadline = edge_spec.resilience_policies().deadline;
 
         // 1. Emission: materialize each class's aggregate arrival
         // timeline, then merge into one fleet timeline.
@@ -203,21 +257,22 @@ impl FleetSpec {
             .as_ref()
             .map(|s| estimate_capacity(s).map_err(|e| format!("cloud tier: {e}")))
             .transpose()?;
-        let mut est_rate: Vec<Vec<f64>> = (0..total_sites)
-            .map(|s| {
+        // The planner's backlog model is site-major: entry
+        // `site * n_classes + class`, so the per-emission drain is one
+        // pass over contiguous memory.
+        let mut est_rate: Vec<f64> = (0..total_sites)
+            .flat_map(|s| {
                 let caps = match (cloud_index, &cloud_caps) {
                     (Some(c), Some(caps)) if s == c => caps,
                     _ => &edge_caps,
                 };
-                caps.iter().map(|c| c.est_rate).collect()
+                caps.iter().map(|c| c.est_rate)
             })
             .collect();
         // Guard degenerate estimates so drain-time math stays finite.
-        for rates in &mut est_rate {
-            for r in rates {
-                if !r.is_finite() || *r <= 0.0 {
-                    *r = 1e-6;
-                }
+        for r in &mut est_rate {
+            if !r.is_finite() || *r <= 0.0 {
+                *r = 1e-6;
             }
         }
 
@@ -243,9 +298,12 @@ impl FleetSpec {
             ),
             snapshot_at: SimDuration::ZERO,
             outstanding: vec![vec![0.0; n_classes]; total_sites],
-            est_rate: est_rate.clone(),
+            est_rate: est_rate
+                .chunks_exact(n_classes)
+                .map(<[f64]>::to_vec)
+                .collect(),
         };
-        let mut live = vec![vec![0.0; n_classes]; total_sites];
+        let mut live = vec![0.0; total_sites * n_classes];
         let mut last = SimDuration::ZERO;
         let mut next_snapshot = self.telemetry_every;
 
@@ -264,17 +322,18 @@ impl FleetSpec {
             // Drain the live backlog model up to the emission instant.
             let dt = (t - last).as_secs_f64();
             if dt > 0.0 {
-                for s in 0..total_sites {
-                    for g in 0..n_classes {
-                        live[s][g] = (live[s][g] - est_rate[s][g] * dt).max(0.0);
-                    }
+                for (l, &r) in live.iter_mut().zip(&est_rate) {
+                    *l = (*l - r * dt).max(0.0);
                 }
             }
             last = t;
             // Refresh the router's snapshot on the telemetry period;
             // between refreshes it reads stale state on purpose.
             if t >= next_snapshot {
-                view.outstanding.clone_from(&live);
+                let rows = live.chunks_exact(n_classes);
+                for (row, now) in view.outstanding.iter_mut().zip(rows) {
+                    row.copy_from_slice(now);
+                }
                 view.snapshot_at = t;
                 while next_snapshot <= t {
                     next_snapshot += self.telemetry_every;
@@ -296,7 +355,7 @@ impl FleetSpec {
             let downlink =
                 self.network
                     .one_way(seed, id, home, site, site_is_cloud, Direction::Downlink);
-            live[site][class] += 1.0;
+            live[site * n_classes + class] += 1.0;
             site_times[site][class].push(t);
             site_offsets[site][class].push(uplink);
             site_decisions[site][class].push(decisions.len());
@@ -309,42 +368,40 @@ impl FleetSpec {
             });
         }
 
-        // 3. Simulation: build every site's config sequentially from a
-        // clone of its tier's resolved spec (warms the engine cache in a
-        // deterministic order), then run the independent site sims on
-        // the worker pool.
-        let mut configs = Vec::with_capacity(total_sites);
-        let mut devices = Vec::with_capacity(total_sites);
-        for s in 0..total_sites {
-            let mut spec = match &cloud_spec {
-                Some(cloud) if cloud_index == Some(s) => cloud.clone(),
-                _ => edge_spec.clone(),
-            };
-            for g in 0..n_classes {
-                let gaps = gaps_from_times(&site_times[s][g]);
-                spec.set_arrivals(g, ArrivalProcess::trace(gaps, false));
-                spec.set_ingress_offsets(g, site_offsets[s][g].clone());
-            }
-            devices.push(spec.platform().name().to_string());
-            configs.push(spec.build_config().map_err(|e| e.to_string())?);
-        }
-
-        let traces: Vec<RunTrace> = run_isolated(configs, self.workers, |config| {
-            Simulation::new(config)
-                .map(|sim| sim.run())
-                .map_err(|e| e.to_string())
-        })
-        .into_iter()
-        .enumerate()
-        .map(|(s, result)| {
-            result.unwrap_or_else(|payload| {
-                Err(format!(
-                    "site {s}: simulation panicked: {}",
-                    panic_message(payload.as_ref())
-                ))
+        // 3. Simulation: each site's whole pipeline runs on the worker
+        // pool — clone its tier's resolved spec, set the routed arrivals
+        // and uplink offsets, build the config, simulate, and reduce the
+        // trace — so at most `workers` traces are alive at once.
+        let inputs: Vec<_> = site_times
+            .into_iter()
+            .zip(site_offsets)
+            .enumerate()
+            .collect();
+        let outcomes: Vec<SiteOutcome> =
+            run_isolated(inputs, self.workers, |(s, (times, offsets))| {
+                let mut spec = match &cloud_spec {
+                    Some(cloud) if cloud_index == Some(s) => cloud.clone(),
+                    _ => edge_spec.clone(),
+                };
+                for (g, (times, offsets)) in times.iter().zip(offsets).enumerate() {
+                    spec.set_arrivals(g, ArrivalProcess::trace(gaps_from_times(times), false));
+                    spec.set_ingress_offsets(g, offsets);
+                }
+                let config = spec.build_config().map_err(|e| e.to_string())?;
+                let trace = Simulation::new(config).map_err(|e| e.to_string())?.run();
+                Ok(SiteOutcome::reduce(&spec, &trace))
             })
-        })
-        .collect::<Result<_, _>>()?;
+            .into_iter()
+            .enumerate()
+            .map(|(s, result)| {
+                result.unwrap_or_else(|payload| {
+                    Err(format!(
+                        "site {s}: simulation panicked: {}",
+                        panic_message(payload.as_ref())
+                    ))
+                })
+            })
+            .collect::<Result<_, String>>()?;
 
         // 4. Aggregation: match each site's k-th root request of class
         // g with the k-th decision routed to (site, g) — arrival order
@@ -359,33 +416,19 @@ impl FleetSpec {
         let mut traffic_kb = 0.0_f64;
         let mut network_total = SimDuration::ZERO;
         let mut sites_out = Vec::with_capacity(total_sites);
-        for (s, trace) in traces.iter().enumerate() {
+        for (s, (outcome, site_routed)) in outcomes.into_iter().zip(&site_decisions).enumerate() {
             let site_is_cloud = cloud_index == Some(s);
-            // Earliest chain completion per root, as the serve metrics
-            // compute it.
-            let n = trace.requests.len();
-            let mut root = vec![0usize; n];
-            let mut completion: Vec<Option<SimTime>> = vec![None; n];
-            for (i, r) in trace.requests.iter().enumerate() {
-                root[i] = match r.retry_of.or(r.hedge_of) {
-                    Some(parent) => root[parent],
-                    None => i,
-                };
-                if let Some(at) = r.completed {
-                    let best = completion[root[i]];
-                    completion[root[i]] = Some(best.map_or(at, |b| b.min(at)));
-                }
-            }
-            let mut roots_by_class: Vec<Vec<usize>> = vec![Vec::new(); n_classes];
-            for (i, r) in trace.requests.iter().enumerate() {
-                if r.retry_of.is_none() && r.hedge_of.is_none() {
-                    roots_by_class[r.group].push(i);
-                }
-            }
             let mut routed = 0usize;
-            for g in 0..n_classes {
-                routed += site_decisions[s][g].len();
-                for (k, &d_index) in site_decisions[s][g].iter().enumerate() {
+            let classes = site_routed.iter().zip(&outcome.root_completions);
+            for (g, (class_routed, roots)) in classes.enumerate() {
+                debug_assert!(
+                    roots.len() <= class_routed.len(),
+                    "site {s} class {g}: {} root requests but only {} routed decisions",
+                    roots.len(),
+                    class_routed.len()
+                );
+                routed += class_routed.len();
+                for (k, &d_index) in class_routed.iter().enumerate() {
                     let d = decisions[d_index];
                     traffic_kb += self.network.traffic_kb(d.home, d.site, site_is_cloud);
                     if d.emitted < warmup {
@@ -400,7 +443,7 @@ impl FleetSpec {
                     }
                     // A root can be missing when the uplink pushed its
                     // delivery past the horizon: emitted, never served.
-                    let done = roots_by_class[g].get(k).and_then(|&i| completion[root[i]]);
+                    let done = roots.get(k).copied().flatten();
                     if let Some(at) = done {
                         let latency = (at - SimTime::ZERO) - d.emitted + d.downlink;
                         served += 1;
@@ -415,14 +458,14 @@ impl FleetSpec {
             sites_out.push(SiteReport {
                 site: s,
                 cloud: site_is_cloud,
-                device: devices[s].clone(),
+                device: outcome.device,
                 routed,
-                sim_events: trace.sim_events,
-                report: ServeReport::from_trace_with_deadline(trace, slo, warmup, deadline),
+                sim_events: outcome.sim_events,
+                report: outcome.report,
             });
         }
         e2e.sort_unstable();
-        let sim_events_total = traces.iter().map(|t| t.sim_events).sum();
+        let sim_events_total = sites_out.iter().map(|site| site.sim_events).sum();
         Ok(FleetReport {
             router: self.router.to_string(),
             edge_sites,

@@ -36,13 +36,72 @@ spec = "mobilenet_v2:fp16:1:1"
 arrival = "mmpp:40:400:80:40"
 "#;
 
+/// Every per-site path at once: an edge-first `offload` fleet with a
+/// cloud tier, a seeded fault plan with OOM recovery, `degrade`
+/// admission and a `brownout` breaker (both reach for the fallback
+/// engine), and a scale-to-zero tenant whose start costs come from the
+/// engine cache's warm/cold probe.
+const CHAOS_FLEET_TOML: &str = r#"
+seed = 4321
+fault_seed = 17
+duration = "400ms"
+warmup = "100ms"
+slo = "100ms"
+deadline = "200ms"
+retry = 2
+breaker = "brownout"
+recovery = 2
+admission = "degrade"
+
+[fleet]
+sites = 3
+router = "offload"
+cloud = true
+jitter = "2ms"
+
+[[tenants]]
+spec = "resnet50:fp16:1:2"
+arrival = "mmpp:800:3200:80:40"
+
+[[tenants]]
+spec = "mobilenet_v2:fp16:1:2"
+arrival = "poisson:80"
+
+[tenants.autoscale]
+min_replicas = 0
+max_replicas = 2
+keep_alive = "100ms"
+start_cost = "auto"
+"#;
+
+/// FNV-1a 64 over a report's JSON text.
+fn fnv1a(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Same bytes at any worker count, pinned by digest. The two scenarios
+/// route with `least_queue` and `offload`, which read the planner's
+/// backlog model; `round_robin`, the only router the fleet bench and
+/// benchmark pin, never reads it.
 #[test]
 fn fleet_report_is_byte_identical_across_worker_counts() {
-    let base = build_fleet_spec(&scenario(FLEET_TOML)).unwrap();
-    let reference = base.clone().workers(Some(1)).run().unwrap().to_json();
-    for workers in [2usize, 8] {
-        let json = base.clone().workers(Some(workers)).run().unwrap().to_json();
-        assert_eq!(json, reference, "FleetReport diverged at {workers} workers");
+    for (toml, digest) in [
+        (FLEET_TOML, 0x7a93_70b7_e5de_cab4_u64),
+        (CHAOS_FLEET_TOML, 0x3b56_3fe3_05b3_e67c_u64),
+    ] {
+        let base = build_fleet_spec(&scenario(toml)).unwrap();
+        let reference = base.clone().workers(Some(1)).run().unwrap().to_json();
+        assert_eq!(
+            format!("{:#018x}", fnv1a(&reference)),
+            format!("{digest:#018x}"),
+            "FleetReport bytes moved:\n{reference}"
+        );
+        for workers in [2usize, 8] {
+            let json = base.clone().workers(Some(workers)).run().unwrap().to_json();
+            assert_eq!(json, reference, "FleetReport diverged at {workers} workers");
+        }
     }
 }
 

@@ -440,6 +440,10 @@ impl ServeSpec {
     /// group, and [`AdmissionPolicy::Degrade`] tenants get a pre-built
     /// fallback engine one rung down the pressure ladder.
     ///
+    /// The config records no per-kernel events: no serving or fleet
+    /// report reads them, and their jitter draws from a stream of its
+    /// own, so every report is the same bytes without them.
+    ///
     /// # Errors
     ///
     /// [`ServeError::NoTenants`], [`ServeError::Build`] naming the
@@ -453,6 +457,7 @@ impl ServeSpec {
             .measure(self.duration)
             .seed(self.seed)
             .gpu_policy(self.gpu_policy)
+            .record_kernel_events(false)
             .faults(self.faults.clone());
         let mut plan = ServePlan::new();
         let mut next_pid = 0usize;

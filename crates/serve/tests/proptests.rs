@@ -11,9 +11,9 @@ use jetsim_des::{ArrivalProcess, ArrivalStream, SimDuration, SimTime};
 use jetsim_serve::{
     AutoscaleScenario, BatchDecision, BatcherPolicy, BreakerPolicy, DropKind, FaultPlan,
     FleetScenario, HedgePolicy, OomPolicy, RecoverySpec, ResiliencePolicies, ScenarioSpec,
-    ServeEventKind, ServeSpec, ServeTenant, TenantScenario,
+    ServeEventKind, ServeReport, ServeSpec, ServeTenant, TenantScenario,
 };
-use jetsim_sim::Simulation;
+use jetsim_sim::{RunTrace, Simulation};
 
 /// Collects the first `n` gaps of a stream.
 fn gaps(process: &ArrivalProcess, seed: u64, n: usize) -> Vec<SimDuration> {
@@ -421,6 +421,46 @@ proptest! {
         prop_assert_eq!(&a.serve_events, &b.serve_events);
         prop_assert_eq!(&a.fault_events, &b.fault_events);
         prop_assert_eq!(a.sim_events, b.sim_events);
+    }
+
+    /// Serving configs record no kernel events, and recording them
+    /// changes nothing a report reads: the kernel-event jitter draws
+    /// from a stream of its own.
+    #[test]
+    fn serve_reports_do_not_depend_on_kernel_recording(
+        seed in any::<u64>(),
+        fault_seed in any::<u64>(),
+        rate in 20.0f64..120.0,
+    ) {
+        let plain = ServeSpec::new(Platform::orin_nano())
+            .tenant(ServeTenant::parse("resnet50:int8:1:2", ArrivalProcess::poisson(150.0)).unwrap())
+            .tenant(ServeTenant::parse("yolov8n:int8:1:1", ArrivalProcess::poisson(50.0)).unwrap())
+            .warmup(SimDuration::from_millis(100))
+            .duration(SimDuration::from_millis(400))
+            .seed(seed);
+        for spec in [plain, resilient_spec(seed, fault_seed, rate)] {
+            let config = spec.build_config().unwrap();
+            prop_assert!(!config.record_kernel_events);
+            let mut recording = config.clone();
+            recording.record_kernel_events = true;
+            let off = Simulation::new(config).unwrap().run();
+            let on = Simulation::new(recording).unwrap().run();
+            prop_assert!(off.kernel_events.is_empty());
+            prop_assert!(!on.kernel_events.is_empty());
+            let report = |trace: &RunTrace| {
+                ServeReport::from_trace_with_deadline(
+                    trace,
+                    spec.slo_target(),
+                    spec.warmup_interval(),
+                    spec.resilience_policies().deadline,
+                )
+            };
+            prop_assert_eq!(report(&off), report(&on));
+            prop_assert_eq!(&off.requests, &on.requests);
+            prop_assert_eq!(&off.serve_events, &on.serve_events);
+            prop_assert_eq!(&off.fault_events, &on.fault_events);
+            prop_assert_eq!(off.sim_events, on.sim_events);
+        }
     }
 
     /// Hedged pairs never double-count goodput: the report counts chain
