@@ -28,6 +28,11 @@ use crate::platform::Platform;
 /// One tenant of a deployment: `count` concurrent processes running one
 /// model at one precision and batch size.
 ///
+/// The model graph sits behind an [`Arc`], so cloning a tenant (or a
+/// [`Deployment`], a serving spec or a fleet site) shares one graph and
+/// its stored fingerprint ([`ModelGraph::fingerprint`]) instead of
+/// copying every layer.
+///
 /// # Examples
 ///
 /// ```
@@ -40,7 +45,7 @@ use crate::platform::Platform;
 /// ```
 #[derive(Debug, Clone)]
 pub struct Tenant {
-    model: ModelGraph,
+    model: Arc<ModelGraph>,
     precision: Precision,
     batch: u32,
     count: u32,
@@ -49,10 +54,11 @@ pub struct Tenant {
 }
 
 impl Tenant {
-    /// One process of `model` at the given precision and batch size.
-    pub fn new(model: ModelGraph, precision: Precision, batch: u32) -> Self {
+    /// One process of `model` (a graph, or one already shared behind an
+    /// [`Arc`]) at the given precision and batch size.
+    pub fn new(model: impl Into<Arc<ModelGraph>>, precision: Precision, batch: u32) -> Self {
         Tenant {
-            model,
+            model: model.into(),
             precision,
             batch: batch.max(1),
             count: 1,
@@ -91,8 +97,8 @@ impl Tenant {
         self.sm_share
     }
 
-    /// The tenant's model graph.
-    pub fn model(&self) -> &ModelGraph {
+    /// The tenant's model graph, shared by its clones.
+    pub fn model(&self) -> &Arc<ModelGraph> {
         &self.model
     }
 

@@ -87,8 +87,11 @@ impl Platform {
     /// precision and batch, so each distinct engine is compiled exactly
     /// once per process — sweeps and figure harnesses that revisit the
     /// same `(model, precision, batch)` point pay the build cost only on
-    /// the first visit. Engine building is deterministic, so a cached
-    /// engine is indistinguishable from a fresh one.
+    /// the first visit. Each graph is fingerprinted once per process:
+    /// the value is stored on the graph and shared by its clones
+    /// ([`ModelGraph::fingerprint`]), so a revisit costs a hash-map
+    /// lookup. Engine building is deterministic, so a cached engine is
+    /// indistinguishable from a fresh one.
     ///
     /// # Errors
     ///
@@ -158,6 +161,26 @@ mod tests {
             .build(&model)
             .unwrap();
         assert_eq!(*a, fresh, "engine building is deterministic");
+    }
+
+    #[test]
+    fn tweaked_spec_misses_the_presets_cache_entry() {
+        let model = zoo::resnet34();
+        let stock = Platform::orin_nano();
+        let mut spec = presets::orin_nano();
+        spec.gpu.sm_count *= 2;
+        let tweaked = Platform::from_spec(spec);
+        let a = stock.build_engine(&model, Precision::Fp16, 2).unwrap();
+        // The graph's fingerprint is stored by now; the tweaked device
+        // must still key a distinct engine.
+        let b = tweaked.build_engine(&model, Precision::Fp16, 2).unwrap();
+        assert!(!Arc::ptr_eq(&a, &b), "tweaked spec aliased the preset");
+        let fresh = jetsim_trt::EngineBuilder::new(tweaked.device())
+            .precision(Precision::Fp16)
+            .batch(2)
+            .build(&model)
+            .unwrap();
+        assert_eq!(*b, fresh, "the tweaked platform got its own build");
     }
 
     #[test]

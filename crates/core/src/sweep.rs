@@ -1,6 +1,7 @@
 //! Parameter sweeps: the batch × process-count × precision grids behind
 //! the paper's figures 1 and 3–12.
 
+use std::borrow::Cow;
 use std::fmt;
 use std::sync::Arc;
 
@@ -283,14 +284,18 @@ impl SweepSpec {
         }
         // A grid cell is the one-tenant deployment — there is exactly
         // one execution path whether the workload is homogeneous or
-        // mixed. Panic isolation: a cell that panics (chaos-injected or
-        // a real bug for one parameter combination) is reported in
-        // place while the other cells of the grid still complete.
+        // mixed. Every cell shares one copy of the graph, so its stored
+        // fingerprint keys all of the run's engine lookups. Panic
+        // isolation: a cell that panics (chaos-injected or a real bug
+        // for one parameter combination) is reported in place while the
+        // other cells of the grid still complete.
+        let shared = Arc::new(model.clone());
         let outcomes = run_isolated(
             params.clone(),
             self.workers,
             |(precision, batch, procs, load, gpu_policy)| {
-                let deployment = Deployment::homogeneous(model, precision, batch, procs);
+                let deployment = Deployment::new()
+                    .tenant(Tenant::new(Arc::clone(&shared), precision, batch).count(procs));
                 self.supervise_deployment(
                     platform,
                     &deployment,
@@ -424,7 +429,7 @@ impl SweepSpec {
             panic!("chaos: injected panic at b{batch} p{procs}");
         }
         let mut attempts: Vec<String> = Vec::new();
-        let mut current = deployment.clone();
+        let mut current = Cow::Borrowed(deployment);
         let mut retries_left = policy.max_retries;
         loop {
             let outcome = self.try_deployment(
@@ -443,7 +448,7 @@ impl SweepSpec {
                     };
                     attempts.push(oom_attempt_tag(&current));
                     retries_left -= 1;
-                    current = degraded;
+                    current = Cow::Owned(degraded);
                 }
                 CellOutcome::Ok(metrics)
                     if deployment_coords(&current) != deployment_coords(deployment) =>
@@ -655,7 +660,7 @@ fn degrade_deployment(deployment: &Deployment) -> Option<Deployment> {
                     t.batch()
                 };
                 d.tenant(
-                    Tenant::new(t.model().clone(), t.precision(), batch)
+                    Tenant::new(Arc::clone(t.model()), t.precision(), batch)
                         .count(t.instances())
                         .priority(t.gpu_priority())
                         .sm_share(t.gpu_sm_share()),
@@ -681,7 +686,7 @@ fn degrade_deployment(deployment: &Deployment) -> Option<Deployment> {
                 d
             } else {
                 d.tenant(
-                    Tenant::new(t.model().clone(), t.precision(), t.batch())
+                    Tenant::new(Arc::clone(t.model()), t.precision(), t.batch())
                         .count(count)
                         .priority(t.gpu_priority())
                         .sm_share(t.gpu_sm_share()),

@@ -6,8 +6,9 @@
 //! * [`SimTime`] / [`SimDuration`] — nanosecond-resolution simulated time,
 //! * [`CalendarQueue`] — a deterministic future-event list,
 //! * [`SimRng`] — a seeded random-number generator wrapper so that every
-//!   experiment is exactly reproducible, and [`splitmix64`], the hash
-//!   every layer derives decorrelated seeds with,
+//!   experiment is exactly reproducible, [`splitmix64`], the hash
+//!   every layer derives decorrelated seeds with, and [`fnv1a`], the
+//!   content fingerprint every layer pins bytes with,
 //! * [`arrivals`] — open-loop request arrival generators (Poisson,
 //!   bursty MMPP, trace replay) for serving simulators.
 //!
@@ -35,5 +36,5 @@ pub mod time;
 
 pub use arrivals::{gaps_from_times, ArrivalProcess, ArrivalStream};
 pub use calendar::CalendarQueue;
-pub use rng::{splitmix64, SimRng};
+pub use rng::{fnv1a, splitmix64, Fnv1a, SimRng};
 pub use time::{SimDuration, SimTime};

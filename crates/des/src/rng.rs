@@ -104,6 +104,67 @@ pub fn splitmix64(seed: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// FNV-1a 64 over a byte string: tiny, dependency-free and stable across
+/// platforms and runs — the workspace's one content fingerprint (engine
+/// cache keys, model-graph fingerprints, pinned trace and report
+/// digests).
+///
+/// # Examples
+///
+/// ```
+/// use jetsim_des::fnv1a;
+///
+/// assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+/// assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+/// ```
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut hash = Fnv1a::new();
+    hash.write(bytes);
+    hash.finish()
+}
+
+/// Streaming [`fnv1a`]: bytes fed in pieces hash exactly as their
+/// concatenation does in one call.
+///
+/// # Examples
+///
+/// ```
+/// use jetsim_des::{fnv1a, Fnv1a};
+///
+/// let mut hash = Fnv1a::new();
+/// hash.write(b"jet");
+/// hash.write(b"sim");
+/// assert_eq!(hash.finish(), fnv1a(b"jetsim"));
+/// ```
+#[derive(Debug, Clone)]
+pub struct Fnv1a(u64);
+
+impl Fnv1a {
+    /// The empty hash (the FNV-1a 64 offset basis).
+    pub fn new() -> Self {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
+    }
+
+    /// Folds `bytes` into the hash.
+    pub fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.0 ^= u64::from(byte);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    /// The hash of everything written so far.
+    pub fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Fnv1a::new()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

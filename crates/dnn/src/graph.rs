@@ -2,6 +2,7 @@
 
 use std::collections::HashSet;
 use std::fmt;
+use std::sync::OnceLock;
 
 use serde::{Deserialize, Serialize};
 
@@ -66,7 +67,8 @@ impl std::error::Error for GraphError {}
 ///
 /// Layers are appended with [`ModelGraph::add`]; insertion order is the
 /// execution (topological) order. Shapes, parameter counts and FLOPs are
-/// inferred on demand and cached by [`ModelGraph::stats`].
+/// inferred on demand and cached by [`ModelGraph::stats`]. The content
+/// [`ModelGraph::fingerprint`] is computed once and stored.
 ///
 /// # Examples
 ///
@@ -91,6 +93,10 @@ pub struct ModelGraph {
     // Inferred eagerly in `add` and serialized alongside the layers, so
     // graphs are cheap to query and `Sync` for parallel sweeps.
     shapes: Vec<TensorShape>,
+    // `fingerprint()`'s value once computed. Not serialized, so the JSON
+    // it hashes is the graph alone; cleared by `add`, the only mutator.
+    #[serde(skip)]
+    fingerprint: OnceLock<u64>,
 }
 
 impl ModelGraph {
@@ -101,6 +107,7 @@ impl ModelGraph {
             input_shape,
             layers: Vec::new(),
             shapes: Vec::new(),
+            fingerprint: OnceLock::new(),
         }
     }
 
@@ -130,6 +137,7 @@ impl ModelGraph {
             );
         }
         let id = LayerId(self.layers.len() as u32);
+        self.fingerprint.take();
         self.layers.push(LayerSpec {
             name,
             kind,
@@ -228,6 +236,32 @@ impl ModelGraph {
             }
         }
         Ok(())
+    }
+
+    /// Content fingerprint: FNV-1a 64 over the graph's JSON, so two
+    /// graphs with the same layers share it whatever their provenance.
+    /// Computed on the first call and stored (clones carry it along);
+    /// [`ModelGraph::add`] clears it. Engine-cache keys are built from
+    /// it, so a warm cache hit costs a hash-map lookup, not a
+    /// serialisation of the whole graph.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use jetsim_dnn::{Activation, LayerKind, ModelGraph, TensorShape};
+    ///
+    /// let mut g = ModelGraph::new("tiny", TensorShape::new(3, 8, 8));
+    /// g.add("relu", LayerKind::Act(Activation::Relu), &[]);
+    /// let before = g.fingerprint();
+    /// assert_eq!(g.clone().fingerprint(), before);
+    /// g.add("relu2", LayerKind::Act(Activation::Relu), &[]);
+    /// assert_ne!(g.fingerprint(), before);
+    /// ```
+    pub fn fingerprint(&self) -> u64 {
+        *self.fingerprint.get_or_init(|| {
+            let bytes = serde_json::to_vec(self).expect("ModelGraph serialises");
+            jetsim_des::fnv1a(&bytes)
+        })
     }
 
     /// Per-layer statistics (shape, params, FLOPs, bytes) in execution
@@ -357,6 +391,18 @@ mod tests {
         let g = tiny_graph();
         assert_eq!(g.input_shapes(LayerId(0)), vec![TensorShape::new(3, 8, 8)]);
         assert_eq!(g.input_shapes(LayerId(3)).len(), 2);
+    }
+
+    #[test]
+    fn stored_fingerprint_stays_out_of_the_json() {
+        let g = tiny_graph();
+        let before = serde_json::to_string(&g).unwrap();
+        let fingerprint = g.fingerprint();
+        assert_eq!(serde_json::to_string(&g).unwrap(), before);
+        assert!(!before.contains("fingerprint"));
+        let back: ModelGraph = serde_json::from_str(&before).unwrap();
+        assert_eq!(back.fingerprint(), fingerprint);
+        assert_eq!(fingerprint, jetsim_des::fnv1a(before.as_bytes()));
     }
 
     #[test]

@@ -111,6 +111,39 @@ proptest! {
         prop_assert!(stats.matmul_flop_fraction <= 1.0);
     }
 
+    /// The stored fingerprint never goes stale: fingerprinting between
+    /// random `add`s (and extending clones) always agrees with hashing
+    /// the final graph's JSON afresh and with a graph built by the same
+    /// `add`s that was never fingerprinted along the way.
+    #[test]
+    fn stored_fingerprint_equals_a_fresh_recomputation(
+        ops in prop::collection::vec((0u8..4, any::<bool>()), 1..16),
+    ) {
+        let mut probed = ModelGraph::new("probed", TensorShape::new(3, 32, 32));
+        let mut fresh = ModelGraph::new("probed", TensorShape::new(3, 32, 32));
+        for (i, &(op, probe)) in ops.iter().enumerate() {
+            // Fingerprint (and snapshot) before this `add` only sometimes,
+            // so stored values meet every interleaving of adds.
+            let before = probe.then(|| (probed.fingerprint(), probed.clone()));
+            let inputs: Vec<_> = probed.iter().last().map(|(id, _)| id).into_iter().collect();
+            let kind = match op {
+                0 => conv(8, 3, 1, 1, 1, 1, false),
+                1 => LayerKind::Act(Activation::Relu),
+                2 => LayerKind::BatchNorm,
+                _ => LayerKind::Act(Activation::Silu),
+            };
+            probed.add(format!("l{i}"), kind, &inputs);
+            fresh.add(format!("l{i}"), kind, &inputs);
+            if let Some((fingerprint, snapshot)) = before {
+                prop_assert!(probed.fingerprint() != fingerprint, "add kept a stale value");
+                prop_assert_eq!(snapshot.fingerprint(), fingerprint);
+            }
+        }
+        let json = serde_json::to_vec(&probed).unwrap();
+        prop_assert_eq!(probed.fingerprint(), jetsim_des::fnv1a(&json));
+        prop_assert_eq!(probed.fingerprint(), fresh.fingerprint());
+    }
+
     /// Upsample then compatible pooling returns to the original spatial
     /// dims.
     #[test]

@@ -8,6 +8,7 @@
 //!    — the aggregate-stream seed fold and trace-replay arrivals
 //!    reproduce the single-device ingress bit for bit.
 
+use jetsim_des::fnv1a;
 use jetsim_fleet::{build_fleet_spec, FleetSpec, NetworkModel, RouterPolicy, ScenarioSpec};
 use jetsim_serve::build_serve_spec;
 
@@ -74,13 +75,6 @@ keep_alive = "100ms"
 start_cost = "auto"
 "#;
 
-/// FNV-1a 64 over a report's JSON text.
-fn fnv1a(text: &str) -> u64 {
-    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
-
 /// Same bytes at any worker count, pinned by digest. The two scenarios
 /// route with `least_queue` and `offload`, which read the planner's
 /// backlog model; `round_robin`, the only router the fleet bench and
@@ -94,7 +88,7 @@ fn fleet_report_is_byte_identical_across_worker_counts() {
         let base = build_fleet_spec(&scenario(toml)).unwrap();
         let reference = base.clone().workers(Some(1)).run().unwrap().to_json();
         assert_eq!(
-            format!("{:#018x}", fnv1a(&reference)),
+            format!("{:#018x}", fnv1a(reference.as_bytes())),
             format!("{digest:#018x}"),
             "FleetReport bytes moved:\n{reference}"
         );

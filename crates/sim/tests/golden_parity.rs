@@ -1,13 +1,16 @@
-//! Golden-trace parity suite for the component refactor.
+//! Golden-trace parity: the byte referee for refactors and
+//! optimisations of the simulator.
 //!
-//! ISSUE 3 requires the `Runner` decomposition to be *bit-identical*:
-//! the same seed must produce the same [`RunTrace`] — every event time,
-//! every float, every fault record — before and after the split. This
-//! suite pins a grid of seeds × process counts × precisions × devices
-//! (plus cells that exercise the run-queue scheduler, MPS packing,
-//! open-loop arrivals, Nsight instrumentation, and fault injection,
-//! since each walks a distinct RNG path) and asserts an FNV-1a hash of
-//! the full trace against values captured on the pre-refactor tree.
+//! The same seed must produce the same [`RunTrace`] — every event time,
+//! every float, every fault, request and serve record — before and
+//! after any change that claims not to alter behaviour. This suite pins
+//! a grid of seeds × process counts × precisions × devices, plus cells
+//! that exercise the run-queue scheduler, MPS packing, open-loop
+//! arrivals, Nsight instrumentation, fault injection, the serving path
+//! (batching with degrading admission, scale-to-zero autoscaling, the
+//! resilience stack under a fault plan) and the `priority` and `mps` GPU
+//! policies, since each walks a distinct path. It asserts an FNV-1a
+//! hash of the full trace against captured values.
 //!
 //! To re-capture (only legitimate when the simulation *model* changes,
 //! never for a pure refactor):
@@ -16,30 +19,36 @@
 //! JETSIM_GOLDEN_CAPTURE=1 cargo test -p jetsim-sim --test golden_parity -- --nocapture
 //! ```
 
-use jetsim_des::{SimDuration, SimTime};
+use std::fmt::Debug;
+use std::sync::Arc;
+
+use jetsim_des::{ArrivalProcess, Fnv1a, SimDuration, SimTime};
 use jetsim_device::presets;
 use jetsim_dnn::{zoo, Precision};
 use jetsim_sim::{
-    ArrivalModel, CpuModel, FaultKind, FaultPlan, GpuSharing, ProfilerMode, RunTrace, SimConfig,
-    Simulation,
+    AdmissionPolicy, ArrivalModel, AutoscalerPolicy, BreakerPolicy, CpuModel, DropKind, DropRecord,
+    EcRecord, FaultEvent, FaultKind, FaultPlan, GpuPolicy, GpuSharing, HedgePolicy, KernelEvent,
+    KernelPreempted, OomPolicy, PowerSample, ProcessStats, ProfilerMode, RecoveryPolicy,
+    RequestRecord, RetryPolicy, RunTrace, ServeEvent, ServeEventKind, ServeGroup, ServePlan,
+    SimConfig, Simulation,
 };
+use jetsim_trt::{Engine, EngineBuilder};
 
 // --- deterministic trace hashing -----------------------------------------
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x1000_0000_01b3;
+/// FNV-1a over little-endian words: integers as 8 bytes, floats by bit
+/// pattern, times and durations as nanoseconds, strings length-prefixed.
+struct Hash(Fnv1a);
 
-struct Fnv(u64);
-
-impl Fnv {
+impl Hash {
     fn new() -> Self {
-        Fnv(FNV_OFFSET)
+        Hash(Fnv1a::new())
     }
     fn u64(&mut self, v: u64) {
-        for byte in v.to_le_bytes() {
-            self.0 ^= u64::from(byte);
-            self.0 = self.0.wrapping_mul(FNV_PRIME);
-        }
+        self.0.write(&v.to_le_bytes());
+    }
+    fn usize(&mut self, v: usize) {
+        self.u64(v as u64);
     }
     fn f64(&mut self, v: f64) {
         self.u64(v.to_bits());
@@ -54,134 +63,340 @@ impl Fnv {
         self.u64(u64::from(b));
     }
     fn str(&mut self, s: &str) {
-        self.u64(s.len() as u64);
-        for byte in s.bytes() {
-            self.0 ^= u64::from(byte);
-            self.0 = self.0.wrapping_mul(FNV_PRIME);
+        self.usize(s.len());
+        self.0.write(s.as_bytes());
+    }
+    /// A variant this file does not know yet (the enum is
+    /// `#[non_exhaustive]`): hashed by its `Debug` text, so it still
+    /// moves the digest, tagged apart from every known variant.
+    fn unknown(&mut self, v: &impl Debug) {
+        self.u64(u64::MAX);
+        self.str(&format!("{v:?}"));
+    }
+    fn opt<T: Copy>(&mut self, v: Option<T>, mut some: impl FnMut(&mut Self, T)) {
+        match v {
+            None => self.u64(0),
+            Some(v) => {
+                self.u64(1);
+                some(self, v);
+            }
         }
     }
-    fn opt_time(&mut self, t: Option<SimTime>) {
-        match t {
-            None => self.u64(0),
-            Some(t) => {
-                self.u64(1);
-                self.time(t);
-            }
+    fn seq<T>(&mut self, items: &[T], mut each: impl FnMut(&mut Self, &T)) {
+        self.usize(items.len());
+        for item in items {
+            each(self, item);
         }
     }
 }
 
-/// Hashes every observable field of a [`RunTrace`] — floats by bit
-/// pattern, times/durations as nanoseconds — so any behavioral drift
-/// in the refactor flips the digest.
+/// Hashes every field of a [`RunTrace`] and of every record it holds.
+/// Each struct is destructured without `..`, so a new field fails to
+/// compile here until the hash covers it.
 fn trace_hash(t: &RunTrace) -> u64 {
-    let mut h = Fnv::new();
-    h.str(&t.device_name);
-    h.dur(t.measured);
-    h.u64(t.processes.len() as u64);
-    for p in &t.processes {
-        h.str(&p.name);
-        h.str(&p.engine_name);
-        h.u64(u64::from(p.batch));
-        h.u64(p.completed_ecs);
-        h.u64(p.images);
-        h.f64(p.throughput);
-        h.dur(p.mean_ec_time);
-        h.dur(p.p50_ec_time);
-        h.dur(p.p95_ec_time);
-        h.dur(p.p99_ec_time);
-        h.dur(p.mean_launch_time);
-        h.dur(p.mean_blocking_time);
-        h.dur(p.mean_sync_time);
-        h.dur(p.mean_gpu_time);
-        h.dur(p.mean_queue_delay);
-        h.opt_time(p.killed_at);
+    let RunTrace {
+        device_name,
+        measured,
+        processes,
+        kernel_names,
+        ec_records,
+        kernel_events,
+        preemptions,
+        power_samples,
+        fault_events,
+        requests,
+        serve_events,
+        serve_group_labels,
+        budget_exceeded,
+        sim_events,
+        gpu_busy,
+        gpu_memory_bytes,
+        gpu_memory_percent,
+        final_freq_mhz,
+        top_freq_mhz,
+        mem_bandwidth_bytes_per_sec,
+    } = t;
+    let mut h = Hash::new();
+    h.str(device_name);
+    h.dur(*measured);
+    h.seq(processes, hash_process);
+    h.seq(kernel_names, |h, names| h.seq(names, |h, name| h.str(name)));
+    h.seq(ec_records, |h, records| h.seq(records, hash_ec));
+    h.seq(kernel_events, hash_kernel);
+    h.seq(preemptions, hash_preemption);
+    h.seq(power_samples, hash_power);
+    h.seq(fault_events, hash_fault);
+    h.seq(requests, hash_request);
+    h.seq(serve_events, hash_serve_event);
+    h.seq(serve_group_labels, |h, label| h.str(label));
+    h.bool(*budget_exceeded);
+    h.u64(*sim_events);
+    h.dur(*gpu_busy);
+    h.u64(*gpu_memory_bytes);
+    h.f64(*gpu_memory_percent);
+    h.u64(u64::from(*final_freq_mhz));
+    h.u64(u64::from(*top_freq_mhz));
+    h.f64(*mem_bandwidth_bytes_per_sec);
+    h.0.finish()
+}
+
+fn hash_process(h: &mut Hash, p: &ProcessStats) {
+    let ProcessStats {
+        name,
+        engine_name,
+        batch,
+        completed_ecs,
+        images,
+        throughput,
+        mean_ec_time,
+        p50_ec_time,
+        p95_ec_time,
+        p99_ec_time,
+        mean_launch_time,
+        mean_blocking_time,
+        mean_sync_time,
+        mean_gpu_time,
+        mean_queue_delay,
+        killed_at,
+    } = p;
+    h.str(name);
+    h.str(engine_name);
+    h.u64(u64::from(*batch));
+    h.u64(*completed_ecs);
+    h.u64(*images);
+    h.f64(*throughput);
+    for d in [
+        mean_ec_time,
+        p50_ec_time,
+        p95_ec_time,
+        p99_ec_time,
+        mean_launch_time,
+        mean_blocking_time,
+        mean_sync_time,
+        mean_gpu_time,
+        mean_queue_delay,
+    ] {
+        h.dur(*d);
     }
-    h.u64(t.kernel_names.len() as u64);
-    for names in &t.kernel_names {
-        h.u64(names.len() as u64);
-        for name in names.iter() {
+    h.opt(*killed_at, Hash::time);
+}
+
+fn hash_ec(h: &mut Hash, r: &EcRecord) {
+    let EcRecord {
+        start,
+        end,
+        launch_time,
+        blocking_time,
+        sync_time,
+        gpu_time,
+        queue_delay,
+    } = r;
+    h.time(*start);
+    h.time(*end);
+    for d in [launch_time, blocking_time, sync_time, gpu_time, queue_delay] {
+        h.dur(*d);
+    }
+}
+
+fn hash_kernel(h: &mut Hash, e: &KernelEvent) {
+    let KernelEvent {
+        pid,
+        ec_seq,
+        kernel_index,
+        start,
+        end,
+        precision,
+        sm_active,
+        issue_slot,
+        tc_activity,
+        bytes,
+    } = e;
+    h.usize(*pid);
+    h.u64(*ec_seq);
+    h.usize(*kernel_index);
+    h.time(*start);
+    h.time(*end);
+    h.u64(*precision as u64);
+    h.f64(*sm_active);
+    h.f64(*issue_slot);
+    h.f64(*tc_activity);
+    h.u64(*bytes);
+}
+
+fn hash_preemption(h: &mut Hash, p: &KernelPreempted) {
+    let KernelPreempted {
+        pid,
+        ec_seq,
+        kernel_index,
+        start,
+        preempted_at,
+        by_pid,
+    } = p;
+    h.usize(*pid);
+    h.u64(*ec_seq);
+    h.usize(*kernel_index);
+    h.time(*start);
+    h.time(*preempted_at);
+    h.usize(*by_pid);
+}
+
+fn hash_power(h: &mut Hash, s: &PowerSample) {
+    let PowerSample {
+        time,
+        watts,
+        gpu_utilization,
+        gpu_freq_mhz,
+        gpu_memory_bytes,
+        cpu_busy_cores,
+        temp_c,
+    } = s;
+    h.time(*time);
+    h.f64(*watts);
+    h.f64(*gpu_utilization);
+    h.u64(u64::from(*gpu_freq_mhz));
+    h.u64(*gpu_memory_bytes);
+    h.f64(*cpu_busy_cores);
+    h.f64(*temp_c);
+}
+
+fn hash_fault(h: &mut Hash, f: &FaultEvent) {
+    let FaultEvent { time, kind } = f;
+    h.time(*time);
+    match kind {
+        FaultKind::MemorySpikeStart { bytes } => {
+            h.u64(1);
+            h.u64(*bytes);
+        }
+        FaultKind::MemorySpikeEnd { bytes } => {
+            h.u64(2);
+            h.u64(*bytes);
+        }
+        FaultKind::ThrottleLockStart { step, mhz } => {
+            h.u64(3);
+            h.usize(*step);
+            h.u64(u64::from(*mhz));
+        }
+        FaultKind::ThrottleLockEnd => h.u64(4),
+        FaultKind::ProcessKilled {
+            pid,
+            name,
+            freed_bytes,
+        } => {
+            h.u64(5);
+            h.usize(*pid);
             h.str(name);
+            h.u64(*freed_bytes);
         }
+        other => h.unknown(other),
     }
-    h.u64(t.ec_records.len() as u64);
-    for records in &t.ec_records {
-        h.u64(records.len() as u64);
-        for r in records {
-            h.time(r.start);
-            h.time(r.end);
-            h.dur(r.launch_time);
-            h.dur(r.blocking_time);
-            h.dur(r.sync_time);
-            h.dur(r.gpu_time);
-            h.dur(r.queue_delay);
+}
+
+fn hash_request(h: &mut Hash, r: &RequestRecord) {
+    let RequestRecord {
+        group,
+        seq,
+        arrival,
+        dispatched,
+        completed,
+        dropped,
+        pid,
+        batch_size,
+        degraded,
+        attempt,
+        retry_of,
+        hedge_of,
+    } = r;
+    h.usize(*group);
+    h.u64(*seq);
+    h.time(*arrival);
+    h.opt(*dispatched, Hash::time);
+    h.opt(*completed, Hash::time);
+    h.opt(*dropped, |h, record| {
+        let DropRecord { at, kind } = record;
+        h.time(at);
+        match kind {
+            DropKind::Rejected => h.u64(1),
+            DropKind::Shed => h.u64(2),
+            DropKind::DeadlineExpired => h.u64(3),
+            DropKind::Killed => h.u64(4),
+            DropKind::HedgeLoser => h.u64(5),
+            DropKind::BreakerOpen => h.u64(6),
+            other => h.unknown(&other),
         }
-    }
-    h.u64(t.kernel_events.len() as u64);
-    for e in &t.kernel_events {
-        h.u64(e.pid as u64);
-        h.u64(e.ec_seq);
-        h.u64(e.kernel_index as u64);
-        h.time(e.start);
-        h.time(e.end);
-        h.u64(e.precision as u64);
-        h.f64(e.sm_active);
-        h.f64(e.issue_slot);
-        h.f64(e.tc_activity);
-        h.u64(e.bytes);
-    }
-    h.u64(t.power_samples.len() as u64);
-    for s in &t.power_samples {
-        h.time(s.time);
-        h.f64(s.watts);
-        h.f64(s.gpu_utilization);
-        h.u64(u64::from(s.gpu_freq_mhz));
-        h.u64(s.gpu_memory_bytes);
-        h.f64(s.cpu_busy_cores);
-        h.f64(s.temp_c);
-    }
-    h.u64(t.fault_events.len() as u64);
-    for f in &t.fault_events {
-        h.time(f.time);
-        match &f.kind {
-            FaultKind::MemorySpikeStart { bytes } => {
-                h.u64(1);
-                h.u64(*bytes);
-            }
-            FaultKind::MemorySpikeEnd { bytes } => {
-                h.u64(2);
-                h.u64(*bytes);
-            }
-            FaultKind::ThrottleLockStart { step, mhz } => {
-                h.u64(3);
-                h.u64(*step as u64);
-                h.u64(u64::from(*mhz));
-            }
-            FaultKind::ThrottleLockEnd => h.u64(4),
-            FaultKind::ProcessKilled {
-                pid,
-                name,
-                freed_bytes,
-            } => {
-                h.u64(5);
-                h.u64(*pid as u64);
-                h.str(name);
-                h.u64(*freed_bytes);
-            }
-            // `FaultKind` is non_exhaustive; new variants must extend
-            // this hash (and re-capture) deliberately.
-            _ => h.u64(u64::MAX),
+    });
+    h.opt(*pid, Hash::usize);
+    h.u64(u64::from(*batch_size));
+    h.bool(*degraded);
+    h.u64(u64::from(*attempt));
+    h.opt(*retry_of, Hash::usize);
+    h.opt(*hedge_of, Hash::usize);
+}
+
+fn hash_serve_event(h: &mut Hash, e: &ServeEvent) {
+    let ServeEvent { time, group, kind } = e;
+    h.time(*time);
+    h.usize(*group);
+    match kind {
+        ServeEventKind::BatchFormed {
+            pid,
+            size,
+            oldest_wait,
+            queue_depth,
+            degraded,
+        } => {
+            h.u64(1);
+            h.usize(*pid);
+            h.u64(u64::from(*size));
+            h.dur(*oldest_wait);
+            h.usize(*queue_depth);
+            h.bool(*degraded);
         }
+        ServeEventKind::DegradeEnter { queue_depth } => {
+            h.u64(2);
+            h.usize(*queue_depth);
+        }
+        ServeEventKind::DegradeExit { queue_depth } => {
+            h.u64(3);
+            h.usize(*queue_depth);
+        }
+        ServeEventKind::BreakerTrip { error_rate } => {
+            h.u64(4);
+            h.f64(*error_rate);
+        }
+        ServeEventKind::BreakerHalfOpen => h.u64(5),
+        ServeEventKind::BreakerClose => h.u64(6),
+        ServeEventKind::ReplicaDown {
+            pid,
+            failed_inflight,
+        } => {
+            h.u64(7);
+            h.usize(*pid);
+            h.usize(*failed_inflight);
+        }
+        ServeEventKind::ReplicaUp { pid } => {
+            h.u64(8);
+            h.usize(*pid);
+        }
+        ServeEventKind::ReplicaEjected { pid } => {
+            h.u64(9);
+            h.usize(*pid);
+        }
+        ServeEventKind::ReplicaProvisioned { pid, cold } => {
+            h.u64(10);
+            h.usize(*pid);
+            h.bool(*cold);
+        }
+        ServeEventKind::ReplicaWarmed { pid } => {
+            h.u64(11);
+            h.usize(*pid);
+        }
+        ServeEventKind::ReplicaReaped { pid } => {
+            h.u64(12);
+            h.usize(*pid);
+        }
+        ServeEventKind::ParkedToZero => h.u64(13),
+        other => h.unknown(other),
     }
-    h.bool(t.budget_exceeded);
-    h.u64(t.sim_events);
-    h.dur(t.gpu_busy);
-    h.u64(t.gpu_memory_bytes);
-    h.f64(t.gpu_memory_percent);
-    h.u64(u64::from(t.final_freq_mhz));
-    h.u64(u64::from(t.top_freq_mhz));
-    h.f64(t.mem_bandwidth_bytes_per_sec);
-    h.0
 }
 
 // --- the pinned grid ------------------------------------------------------
@@ -332,44 +547,203 @@ fn all_cells() -> Vec<Cell> {
         id: "faults_nano_4p_s99".into(),
         trace: Simulation::new(config).expect("valid").run(),
     });
+    cells.extend(serving_and_policy_cells());
     cells
 }
 
-// --- golden hashes (captured pre-refactor) --------------------------------
+fn resnet50_engine(
+    device: &jetsim_device::DeviceSpec,
+    precision: Precision,
+    batch: u32,
+) -> Arc<Engine> {
+    Arc::new(
+        EngineBuilder::new(device)
+            .precision(precision)
+            .batch(batch)
+            .build(&zoo::resnet50())
+            .expect("engine builds"),
+    )
+}
 
-/// Captured on the pre-refactor tree (`simulation.rs` god-object) with
-/// `JETSIM_GOLDEN_CAPTURE=1`. The component split must reproduce every
-/// one of these bit-for-bit.
+/// `members` named replicas of `engine` serving `group`, kernel events
+/// recorded.
+fn serve_cell(
+    id: &str,
+    device: jetsim_device::DeviceSpec,
+    engine: &Arc<Engine>,
+    members: usize,
+    group: ServeGroup,
+    faults: Option<FaultPlan>,
+    seed: u64,
+) -> Cell {
+    let mut builder = SimConfig::builder(device);
+    for i in 0..members {
+        builder = builder.add_engine_named(format!("{}/{i}", group.label), Arc::clone(engine));
+    }
+    if let Some(plan) = faults {
+        builder = builder.faults(plan);
+    }
+    let config = builder
+        .serve(ServePlan::new().group(group.members(0..members)))
+        .warmup(SimDuration::from_millis(100))
+        .measure(SimDuration::from_millis(700))
+        .seed(seed)
+        .build()
+        .expect("fits");
+    Cell {
+        id: id.into(),
+        trace: Simulation::new(config).expect("valid").run(),
+    }
+}
+
+/// Four ResNet50 int8 processes on the Orin Nano, two at priority 5 /
+/// SM share 2.0, under `policy`.
+fn contended_cell(id: &str, policy: GpuPolicy, seed: u64) -> Cell {
+    let mut builder = SimConfig::builder(presets::orin_nano())
+        .gpu_policy(policy)
+        .warmup(SimDuration::from_millis(100))
+        .measure(SimDuration::from_millis(500))
+        .seed(seed);
+    for i in 0..4 {
+        builder = builder
+            .add_model(&zoo::resnet50(), Precision::Int8, 1)
+            .expect("engine builds");
+        if i % 2 == 0 {
+            builder = builder.process_priority(5).process_sm_share(2.0);
+        }
+    }
+    let config = builder.build().expect("fits");
+    Cell {
+        id: id.into(),
+        trace: Simulation::new(config).expect("valid").run(),
+    }
+}
+
+/// The serving path and the non-default GPU policies, every one with
+/// kernel events recorded: dynamic batching with degrading admission,
+/// preemptive `priority`, fractional `mps`, scale-to-zero autoscaling,
+/// and the whole resilience stack under a fault plan.
+fn serving_and_policy_cells() -> Vec<Cell> {
+    let orin = presets::orin_nano();
+    let nano = presets::jetson_nano();
+    let b4 = resnet50_engine(&orin, Precision::Fp16, 4);
+    let batched = ServeGroup::new("resnet50", ArrivalProcess::poisson(2500.0))
+        .max_delay(SimDuration::from_millis(2))
+        .queue_cap(12)
+        .admission(AdmissionPolicy::Degrade)
+        .degraded_engine(resnet50_engine(&orin, Precision::Int8, 4));
+    let scaler = AutoscalerPolicy::new(0, 2)
+        .target_queue_per_replica(1.0)
+        .evaluate_every(SimDuration::from_millis(5))
+        .keep_alive(SimDuration::from_millis(20))
+        .start_costs(SimDuration::from_millis(60), SimDuration::from_millis(12));
+    let scale_to_zero = ServeGroup::new("resnet50", ArrivalProcess::poisson(15.0))
+        .queue_cap(64)
+        .autoscaler(scaler);
+    // A spike the size of the Nano's whole board at t = 300 ms: the OOM
+    // killer takes both replicas, which recovery then restarts.
+    let spike = FaultPlan::new()
+        .memory_spike(
+            SimTime::from_nanos(300_000_000),
+            SimDuration::from_millis(100),
+            4 << 30,
+        )
+        .oom_policy(OomPolicy::KillLargest);
+    let resilient = ServeGroup::new("resnet50", ArrivalProcess::poisson(60.0))
+        .queue_cap(32)
+        .deadline(SimDuration::from_millis(500))
+        .retry(RetryPolicy::new(3, SimDuration::from_millis(50)))
+        .hedge(HedgePolicy::fixed(SimDuration::from_millis(30)))
+        .breaker(BreakerPolicy::new(16, 0.5))
+        .recovery(RecoveryPolicy::new(SimDuration::from_millis(200), 2));
+    vec![
+        serve_cell(
+            "serve_batched_orin_2r_s17",
+            orin.clone(),
+            &b4,
+            2,
+            batched,
+            None,
+            17,
+        ),
+        contended_cell(
+            "priority_orin_4p_s19",
+            GpuPolicy::Priority {
+                preempt_penalty: GpuPolicy::DEFAULT_PREEMPT_PENALTY,
+            },
+            19,
+        ),
+        contended_cell(
+            "mps_policy_orin_4p_s29",
+            GpuPolicy::FractionalMps {
+                overlap_efficiency: GpuPolicy::DEFAULT_MPS_OVERLAP,
+            },
+            29,
+        ),
+        serve_cell(
+            "autoscale_zero_orin_2r_s3",
+            orin.clone(),
+            &resnet50_engine(&orin, Precision::Int8, 1),
+            2,
+            scale_to_zero,
+            None,
+            3,
+        ),
+        serve_cell(
+            "resilience_nano_2r_s13",
+            nano.clone(),
+            &resnet50_engine(&nano, Precision::Fp16, 1),
+            2,
+            resilient,
+            Some(spike),
+            13,
+        ),
+    ]
+}
+
+// --- golden hashes ------------------------------------------------------
+
+/// Captured with `JETSIM_GOLDEN_CAPTURE=1` by running this file, hasher
+/// and cells as they stand, on the tree before the engine-cache
+/// fingerprint change (the first 29 cells were first pinned before the
+/// component split; their values moved only because the hasher now
+/// also reads preemptions, requests, serve events and group labels).
+/// Every refactor must reproduce each one bit-for-bit.
 const GOLDEN: &[(&str, u64)] = &[
-    ("orin_Int8_1p_s11", 0x1d56a6bb2afe986b),
-    ("orin_Int8_2p_s11", 0xddc0d0dd81b2bf24),
-    ("orin_Int8_4p_s11", 0x66c26de431f2193e),
-    ("orin_Fp16_1p_s11", 0x2f2f91b9ce8e9957),
-    ("orin_Fp16_2p_s11", 0x1b031e2b030ed0ad),
-    ("orin_Fp16_4p_s11", 0xb08f0fc4aba08e7c),
-    ("nano_Int8_1p_s11", 0xa04e50568555ea7e),
-    ("nano_Int8_2p_s11", 0x4f0ee62d163103e3),
-    ("nano_Int8_4p_s11", 0xf928fb91bf2c96aa),
-    ("nano_Fp16_1p_s11", 0x7d50f117c771a596),
-    ("nano_Fp16_2p_s11", 0xefed57e2fa15e82d),
-    ("nano_Fp16_4p_s11", 0xf969d7064ffb944c),
-    ("orin_Int8_1p_s42", 0x27f6555944e90bfe),
-    ("orin_Int8_2p_s42", 0x39d260e100b412ca),
-    ("orin_Int8_4p_s42", 0xdfa2f4b0f1e95736),
-    ("orin_Fp16_1p_s42", 0x90eec6bc5053c332),
-    ("orin_Fp16_2p_s42", 0xc8005dbe339dd724),
-    ("orin_Fp16_4p_s42", 0x211eb14761bb79ae),
-    ("nano_Int8_1p_s42", 0x148c5203b5b2bb31),
-    ("nano_Int8_2p_s42", 0xba7339e0218c8b83),
-    ("nano_Int8_4p_s42", 0x36be4d4405285119),
-    ("nano_Fp16_1p_s42", 0x73f58c7ab2f59002),
-    ("nano_Fp16_2p_s42", 0xd1ed7fe94e90b383),
-    ("nano_Fp16_4p_s42", 0xec909bcae46689d1),
-    ("runqueue_orin_6p_s7", 0x92c2e19fd425d329),
-    ("mps_orin_3p_s13", 0x086a958327a436c6),
-    ("arrivals_orin_2p_s23", 0x3d7e3fe5f702973d),
-    ("nsight_nano_2p_s31", 0x43f118ddefbebec9),
-    ("faults_nano_4p_s99", 0xa325dc76b28556f6),
+    ("orin_Int8_1p_s11", 0x1602f422841b90ab),
+    ("orin_Int8_2p_s11", 0xeb05a0ab1536f8e4),
+    ("orin_Int8_4p_s11", 0x2755e91897098b3e),
+    ("orin_Fp16_1p_s11", 0xd0d37a4407d17a97),
+    ("orin_Fp16_2p_s11", 0x5c6de6fb80935c6d),
+    ("orin_Fp16_4p_s11", 0xbd0723277279397c),
+    ("nano_Int8_1p_s11", 0xc7f26f6e443a3a5e),
+    ("nano_Int8_2p_s11", 0x2d110e02c61a7023),
+    ("nano_Int8_4p_s11", 0x075a85f405b905ca),
+    ("nano_Fp16_1p_s11", 0xd7b2af37f63a00d6),
+    ("nano_Fp16_2p_s11", 0x6caba94ba3d4c64d),
+    ("nano_Fp16_4p_s11", 0x4139f542b87d36cc),
+    ("orin_Int8_1p_s42", 0x671370dd100788be),
+    ("orin_Int8_2p_s42", 0x869c2ac2969802ea),
+    ("orin_Int8_4p_s42", 0xfbc50234e151c956),
+    ("orin_Fp16_1p_s42", 0xca848c5a3fb5df12),
+    ("orin_Fp16_2p_s42", 0xff92643865f58d64),
+    ("orin_Fp16_4p_s42", 0x3074759fe392e9ae),
+    ("nano_Int8_1p_s42", 0x0c35e51517f28ed1),
+    ("nano_Int8_2p_s42", 0x861aed01706921a3),
+    ("nano_Int8_4p_s42", 0x2e98fc6ebb91da79),
+    ("nano_Fp16_1p_s42", 0xd4c136fef42731c2),
+    ("nano_Fp16_2p_s42", 0x72cdcec6f7f6a2c3),
+    ("nano_Fp16_4p_s42", 0x672947971439ae71),
+    ("runqueue_orin_6p_s7", 0x123fc128eca55309),
+    ("mps_orin_3p_s13", 0x9b2296b5c53497c6),
+    ("arrivals_orin_2p_s23", 0x5b685dd0f376613d),
+    ("nsight_nano_2p_s31", 0x37c753d2906e0a49),
+    ("faults_nano_4p_s99", 0x118e7d402f2dffb6),
+    ("serve_batched_orin_2r_s17", 0xa3a550a63a3c2bef),
+    ("priority_orin_4p_s19", 0xfa9de86c6d2f3e0e),
+    ("mps_policy_orin_4p_s29", 0x29ff3a01b91a5687),
+    ("autoscale_zero_orin_2r_s3", 0x38b5ab836a697207),
+    ("resilience_nano_2r_s13", 0x3571befbf8e37e54),
 ];
 
 #[test]
@@ -403,6 +777,58 @@ fn golden_trace_parity() {
         "golden-trace parity broken:\n{}",
         failures.join("\n")
     );
+}
+
+/// Each serving and policy cell exercises the path it is there to pin,
+/// so its digest covers those records rather than an idle run.
+#[test]
+fn serving_and_policy_cells_exercise_their_paths() {
+    let cells = serving_and_policy_cells();
+    let trace = |id: &str| {
+        &cells
+            .iter()
+            .find(|c| c.id == id)
+            .unwrap_or_else(|| panic!("no cell {id}"))
+            .trace
+    };
+    let any_event = |t: &RunTrace, pred: fn(&ServeEventKind) -> bool| {
+        t.serve_events.iter().any(|e| pred(&e.kind))
+    };
+    for cell in &cells {
+        assert!(
+            !cell.trace.kernel_events.is_empty(),
+            "{}: kernel events",
+            cell.id
+        );
+    }
+    let batched = trace("serve_batched_orin_2r_s17");
+    assert!(any_event(
+        batched,
+        |k| matches!(k, ServeEventKind::BatchFormed { size, .. } if *size > 1)
+    ));
+    assert!(any_event(batched, |k| matches!(
+        k,
+        ServeEventKind::DegradeEnter { .. }
+    )));
+    assert!(batched.requests.iter().any(|r| r.dropped.is_some()));
+    assert!(!trace("priority_orin_4p_s19").preemptions.is_empty());
+    assert!(trace("mps_policy_orin_4p_s29").preemptions.is_empty());
+    assert!(any_event(trace("autoscale_zero_orin_2r_s3"), |k| matches!(
+        k,
+        ServeEventKind::ParkedToZero
+    )));
+    let resilient = trace("resilience_nano_2r_s13");
+    assert!(!resilient.fault_events.is_empty());
+    assert!(any_event(resilient, |k| matches!(
+        k,
+        ServeEventKind::ReplicaDown { .. }
+    )));
+    assert!(any_event(resilient, |k| matches!(
+        k,
+        ServeEventKind::ReplicaUp { .. }
+    )));
+    assert!(resilient.requests.iter().any(|r| r.retry_of.is_some()));
+    assert!(resilient.requests.iter().any(|r| r.hedge_of.is_some()));
 }
 
 /// The hash itself must be deterministic run-to-run (hardens the suite

@@ -11,14 +11,17 @@
 //! Keys are content fingerprints (FNV-1a over the serialised
 //! [`DeviceSpec`] / [`ModelGraph`]), not names, so mutated ablation specs
 //! created via `Platform::from_spec` can never alias a preset's cache
-//! entry.
+//! entry. Each graph is fingerprinted once per process: the value is
+//! stored on the graph ([`ModelGraph::fingerprint`]) and shared by its
+//! clones, so a warm hit costs the device fingerprint and a hash-map
+//! lookup. The device is re-fingerprinted on every lookup, because
+//! [`DeviceSpec`]'s fields are public and ablations mutate clones of it.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, OnceLock, RwLock};
 
-use std::sync::RwLock;
-
+use jetsim_des::fnv1a;
 use jetsim_device::DeviceSpec;
 use jetsim_dnn::{ModelGraph, Precision};
 
@@ -32,7 +35,8 @@ use crate::error::BuildError;
 pub struct EngineKey {
     /// Fingerprint of the target [`DeviceSpec`].
     pub device_fp: u64,
-    /// Fingerprint of the source [`ModelGraph`].
+    /// Fingerprint of the source [`ModelGraph`]
+    /// ([`ModelGraph::fingerprint`]).
     pub model_fp: u64,
     /// Requested precision.
     pub precision: Precision,
@@ -45,7 +49,7 @@ impl EngineKey {
     pub fn of(device: &DeviceSpec, model: &ModelGraph, precision: Precision, batch: u32) -> Self {
         EngineKey {
             device_fp: fingerprint_device(device),
-            model_fp: fingerprint_model(model),
+            model_fp: model.fingerprint(),
             precision,
             batch,
         }
@@ -214,26 +218,9 @@ impl EngineCache {
     }
 }
 
-/// FNV-1a over a byte stream: tiny, dependency-free, and stable across
-/// platforms and runs — exactly what a content fingerprint needs.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
-/// Content fingerprint of a device specification.
+/// Content fingerprint of a device specification: FNV-1a over its JSON.
 pub fn fingerprint_device(device: &DeviceSpec) -> u64 {
     let bytes = serde_json::to_vec(device).expect("DeviceSpec serialises");
-    fnv1a(&bytes)
-}
-
-/// Content fingerprint of a model graph.
-pub fn fingerprint_model(model: &ModelGraph) -> u64 {
-    let bytes = serde_json::to_vec(model).expect("ModelGraph serialises");
     fnv1a(&bytes)
 }
 
@@ -292,6 +279,101 @@ mod tests {
         let key_stock = EngineKey::of(&stock, &model, Precision::Fp16, 1);
         let key_tweaked = EngineKey::of(&tweaked, &model, Precision::Fp16, 1);
         assert_ne!(key_stock, key_tweaked);
+        // A spec mutated after the preset's engine is cached still
+        // misses: the device is fingerprinted on every lookup.
+        let cache = EngineCache::new();
+        let stock_engine = cache
+            .get_or_build(&stock, &model, Precision::Fp16, 1)
+            .unwrap();
+        let tweaked_engine = cache
+            .get_or_build(&tweaked, &model, Precision::Fp16, 1)
+            .unwrap();
+        assert!(!Arc::ptr_eq(&stock_engine, &tweaked_engine));
+        assert_eq!(cache.stats(), CacheStats { hits: 0, misses: 2 });
+    }
+
+    /// `fingerprint_model` / `fingerprint_device` of every zoo model and
+    /// preset as the serialise-on-every-lookup path computed them. The
+    /// stored fingerprints must key every engine exactly as before.
+    const PINNED_MODELS: [(&str, u64); 7] = [
+        ("resnet50", 0x7e51_2efe_2f4c_67b2),
+        ("fcn_resnet50", 0xbf69_8abc_cbd4_22f1),
+        ("yolov8n", 0x8fe0_73a0_e994_f3d7),
+        ("resnet18", 0x72c9_8849_a6d4_cf86),
+        ("resnet34", 0x3a04_60b2_9882_ea38),
+        ("resnet101", 0x8f2d_1e93_9c7e_5f9e),
+        ("mobilenet_v2", 0x5b49_0cba_b0d5_927f),
+    ];
+    const PINNED_DEVICES: [(&str, u64); 3] = [
+        ("Jetson Orin Nano", 0x7c98_6c27_e1f0_f777),
+        ("Jetson Nano", 0x5d6a_73c2_741b_8082),
+        ("Cloud A40", 0x019a_8c0b_6c5a_fd44),
+    ];
+
+    #[test]
+    fn keys_match_the_pinned_fingerprints() {
+        let devices = [
+            presets::orin_nano(),
+            presets::jetson_nano(),
+            presets::cloud_a40(),
+        ];
+        let models = zoo::extended();
+        assert_eq!(models.len(), PINNED_MODELS.len());
+        for (device, &(name, device_fp)) in devices.iter().zip(&PINNED_DEVICES) {
+            assert_eq!(device.name, name);
+            for (model, &(name, model_fp)) in models.iter().zip(&PINNED_MODELS) {
+                assert_eq!(model.name(), name);
+                let key = EngineKey::of(device, model, Precision::Int8, 2);
+                assert_eq!(key.device_fp, device_fp, "{}", device.name);
+                assert_eq!(key.model_fp, model_fp, "{name}");
+                // The stored value answers the second lookup too.
+                assert_eq!(EngineKey::of(device, model, Precision::Int8, 2), key);
+            }
+        }
+    }
+
+    #[test]
+    fn add_after_fingerprinting_gives_a_new_key() {
+        let device = presets::orin_nano();
+        let mut model = zoo::resnet18();
+        let before = EngineKey::of(&device, &model, Precision::Fp16, 1);
+        let original = model.clone();
+        let (last, _) = model.iter().last().unwrap();
+        model.add(
+            "extra_relu",
+            jetsim_dnn::LayerKind::Act(jetsim_dnn::Activation::Relu),
+            &[last],
+        );
+        let after = EngineKey::of(&device, &model, Precision::Fp16, 1);
+        assert_ne!(after.model_fp, before.model_fp);
+        // The clone taken before the `add` keeps the old key.
+        assert_eq!(
+            EngineKey::of(&device, &original, Precision::Fp16, 1),
+            before
+        );
+        // The stored value matches a fresh serialisation.
+        let bytes = serde_json::to_vec(&model).unwrap();
+        assert_eq!(after.model_fp, fnv1a(&bytes));
+    }
+
+    #[test]
+    fn extending_a_clone_leaves_the_original_key() {
+        let device = presets::jetson_nano();
+        let model = zoo::mobilenet_v2();
+        let key = EngineKey::of(&device, &model, Precision::Fp32, 4);
+        let mut extended = model.clone();
+        extended.add(
+            "tail_relu",
+            jetsim_dnn::LayerKind::Act(jetsim_dnn::Activation::Relu),
+            &[],
+        );
+        assert_ne!(
+            EngineKey::of(&device, &extended, Precision::Fp32, 4),
+            key,
+            "the clone was extended"
+        );
+        assert_eq!(EngineKey::of(&device, &model, Precision::Fp32, 4), key);
+        assert_eq!(key.model_fp, PINNED_MODELS[6].1);
     }
 
     #[test]
@@ -346,8 +428,8 @@ mod tests {
         let d2 = fingerprint_device(&presets::orin_nano());
         assert_eq!(d1, d2);
         assert_ne!(d1, fingerprint_device(&presets::jetson_nano()));
-        let m1 = fingerprint_model(&zoo::resnet50());
-        assert_eq!(m1, fingerprint_model(&zoo::resnet50()));
-        assert_ne!(m1, fingerprint_model(&zoo::yolov8n()));
+        let m1 = zoo::resnet50().fingerprint();
+        assert_eq!(m1, zoo::resnet50().fingerprint());
+        assert_ne!(m1, zoo::yolov8n().fingerprint());
     }
 }

@@ -13,8 +13,8 @@ use crate::kernel::KernelDesc;
 /// A compiled inference engine for one model, precision and batch size.
 ///
 /// Engines are immutable once built; create one per `(model, precision,
-/// batch, device)` combination as `trtexec` does. Execution state lives in
-/// [`crate::ExecutionContext`].
+/// batch, device)` combination as `trtexec` does. Execution state (each
+/// process's in-flight execution contexts) lives in the simulator.
 ///
 /// # Examples
 ///

@@ -41,7 +41,6 @@
 pub mod builder;
 pub mod cache;
 pub mod calibration;
-pub mod context;
 pub mod engine;
 pub mod error;
 pub mod kernel;
@@ -49,7 +48,6 @@ pub mod kernel;
 pub use builder::EngineBuilder;
 pub use cache::{CacheStats, EngineCache, EngineKey};
 pub use calibration::CalibrationTable;
-pub use context::ExecutionContext;
 pub use engine::Engine;
 pub use error::BuildError;
 pub use kernel::{KernelDesc, KernelKind};
