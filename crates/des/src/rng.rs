@@ -31,18 +31,12 @@ impl SimRng {
         }
     }
 
-    /// Derives an independent child generator; children with different
-    /// `stream` values produce uncorrelated sequences.
-    pub fn fork(&mut self, stream: u64) -> SimRng {
-        let base: u64 = self.inner.gen();
-        SimRng::seed_from(base ^ stream.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-    }
-
     /// Samples uniformly from `[lo, hi)`.
     ///
     /// # Panics
     ///
     /// Panics if `lo > hi` or either bound is not finite.
+    #[inline]
     pub fn uniform(&mut self, lo: f64, hi: f64) -> f64 {
         assert!(lo.is_finite() && hi.is_finite(), "bounds must be finite");
         assert!(lo <= hi, "uniform: lo ({lo}) > hi ({hi})");
@@ -57,12 +51,14 @@ impl SimRng {
     /// # Panics
     ///
     /// Panics if `lo > hi`.
+    #[inline]
     pub fn uniform_u64(&mut self, lo: u64, hi: u64) -> u64 {
         assert!(lo <= hi, "uniform_u64: lo ({lo}) > hi ({hi})");
         self.inner.gen_range(lo..=hi)
     }
 
     /// Returns `true` with probability `p` (clamped to `[0, 1]`).
+    #[inline]
     pub fn chance(&mut self, p: f64) -> bool {
         let p = p.clamp(0.0, 1.0);
         self.inner.gen::<f64>() < p
@@ -79,6 +75,7 @@ impl SimRng {
 
     /// Multiplies `value` by a relative jitter factor drawn from
     /// `[1 - spread, 1 + spread]`.
+    #[inline]
     pub fn jitter(&mut self, value: f64, spread: f64) -> f64 {
         let spread = spread.clamp(0.0, 0.95);
         value * self.uniform(1.0 - spread, 1.0 + spread + f64::EPSILON)
@@ -185,14 +182,6 @@ mod tests {
         let va: Vec<u64> = (0..16).map(|_| a.uniform_u64(0, u64::MAX)).collect();
         let vb: Vec<u64> = (0..16).map(|_| b.uniform_u64(0, u64::MAX)).collect();
         assert_ne!(va, vb);
-    }
-
-    #[test]
-    fn fork_streams_differ() {
-        let mut root = SimRng::seed_from(9);
-        let mut c1 = root.fork(1);
-        let mut c2 = root.fork(2);
-        assert_ne!(c1.uniform_u64(0, u64::MAX), c2.uniform_u64(0, u64::MAX));
     }
 
     #[test]

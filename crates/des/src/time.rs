@@ -56,22 +56,26 @@ impl SimTime {
     }
 
     /// Returns the instant as (fractional) microseconds.
+    #[inline]
     pub fn as_micros_f64(self) -> f64 {
         self.0 as f64 / 1_000.0
     }
 
     /// Returns the instant as (fractional) milliseconds.
+    #[inline]
     pub fn as_millis_f64(self) -> f64 {
         self.0 as f64 / 1_000_000.0
     }
 
     /// Returns the instant as (fractional) seconds.
+    #[inline]
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1_000_000_000.0
     }
 
     /// Returns the duration elapsed since `earlier`, saturating to zero if
     /// `earlier` is in the future.
+    #[inline]
     pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
@@ -82,6 +86,7 @@ impl SimTime {
     ///
     /// Panics if `earlier` is later than `self`; use
     /// [`SimTime::saturating_since`] when that is possible.
+    #[inline]
     pub fn since(self, earlier: SimTime) -> SimDuration {
         assert!(
             earlier.0 <= self.0,
@@ -91,6 +96,7 @@ impl SimTime {
     }
 
     /// Returns the later of two instants.
+    #[inline]
     pub fn max_of(self, other: SimTime) -> SimTime {
         if self.0 >= other.0 {
             self
@@ -126,12 +132,14 @@ impl SimDuration {
 
     /// Creates a duration from fractional seconds, rounding to the nearest
     /// nanosecond and saturating negative inputs to zero.
+    #[inline]
     pub fn from_secs_f64(secs: f64) -> Self {
         SimDuration((secs.max(0.0) * 1e9).round() as u64)
     }
 
     /// Creates a duration from fractional microseconds, rounding to the
     /// nearest nanosecond and saturating negative inputs to zero.
+    #[inline]
     pub fn from_micros_f64(micros: f64) -> Self {
         SimDuration((micros.max(0.0) * 1e3).round() as u64)
     }
@@ -142,16 +150,19 @@ impl SimDuration {
     }
 
     /// Returns the span as (fractional) microseconds.
+    #[inline]
     pub fn as_micros_f64(self) -> f64 {
         self.0 as f64 / 1_000.0
     }
 
     /// Returns the span as (fractional) milliseconds.
+    #[inline]
     pub fn as_millis_f64(self) -> f64 {
         self.0 as f64 / 1_000_000.0
     }
 
     /// Returns the span as (fractional) seconds.
+    #[inline]
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1_000_000_000.0
     }
@@ -163,16 +174,19 @@ impl SimDuration {
 
     /// Multiplies the span by a non-negative factor, rounding to the
     /// nearest nanosecond. Negative factors saturate to zero.
+    #[inline]
     pub fn mul_f64(self, factor: f64) -> SimDuration {
         SimDuration((self.0 as f64 * factor.max(0.0)).round() as u64)
     }
 
     /// Subtracts `other`, saturating at zero.
+    #[inline]
     pub fn saturating_sub(self, other: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_sub(other.0))
     }
 
     /// Returns the larger of two spans.
+    #[inline]
     pub fn max_of(self, other: SimDuration) -> SimDuration {
         if self.0 >= other.0 {
             self
@@ -185,12 +199,14 @@ impl SimDuration {
 impl Add<SimDuration> for SimTime {
     type Output = SimTime;
 
+    #[inline]
     fn add(self, rhs: SimDuration) -> SimTime {
         SimTime(self.0.checked_add(rhs.0).expect("SimTime overflow"))
     }
 }
 
 impl AddAssign<SimDuration> for SimTime {
+    #[inline]
     fn add_assign(&mut self, rhs: SimDuration) {
         *self = *self + rhs;
     }
@@ -199,6 +215,7 @@ impl AddAssign<SimDuration> for SimTime {
 impl Sub<SimDuration> for SimTime {
     type Output = SimTime;
 
+    #[inline]
     fn sub(self, rhs: SimDuration) -> SimTime {
         SimTime(self.0.checked_sub(rhs.0).expect("SimTime underflow"))
     }
@@ -207,6 +224,7 @@ impl Sub<SimDuration> for SimTime {
 impl Sub<SimTime> for SimTime {
     type Output = SimDuration;
 
+    #[inline]
     fn sub(self, rhs: SimTime) -> SimDuration {
         self.since(rhs)
     }
@@ -215,12 +233,14 @@ impl Sub<SimTime> for SimTime {
 impl Add for SimDuration {
     type Output = SimDuration;
 
+    #[inline]
     fn add(self, rhs: SimDuration) -> SimDuration {
         SimDuration(self.0.checked_add(rhs.0).expect("SimDuration overflow"))
     }
 }
 
 impl AddAssign for SimDuration {
+    #[inline]
     fn add_assign(&mut self, rhs: SimDuration) {
         *self = *self + rhs;
     }
@@ -229,6 +249,7 @@ impl AddAssign for SimDuration {
 impl Sub for SimDuration {
     type Output = SimDuration;
 
+    #[inline]
     fn sub(self, rhs: SimDuration) -> SimDuration {
         SimDuration(
             self.0
@@ -239,6 +260,7 @@ impl Sub for SimDuration {
 }
 
 impl SubAssign for SimDuration {
+    #[inline]
     fn sub_assign(&mut self, rhs: SimDuration) {
         *self = *self - rhs;
     }
@@ -247,6 +269,7 @@ impl SubAssign for SimDuration {
 impl Mul<u64> for SimDuration {
     type Output = SimDuration;
 
+    #[inline]
     fn mul(self, rhs: u64) -> SimDuration {
         SimDuration(self.0.checked_mul(rhs).expect("SimDuration overflow"))
     }
@@ -255,6 +278,7 @@ impl Mul<u64> for SimDuration {
 impl Div<u64> for SimDuration {
     type Output = SimDuration;
 
+    #[inline]
     fn div(self, rhs: u64) -> SimDuration {
         SimDuration(self.0 / rhs)
     }

@@ -9,11 +9,55 @@ mod queue;
 
 use queue::EventQueue;
 
+/// Where a generated event lands, relative to the queues' state when it
+/// is scheduled.
+#[derive(Debug, Clone, Copy)]
+enum At {
+    /// `now() + d` for `d` in `0..7`: the next kernel step, or a tie with
+    /// the event just popped.
+    Next(u64),
+    /// Up to 2²⁰ ns (`f / 4096` of it) before `now()`.
+    Past(u64),
+    /// The time of the `k`-th most recent schedule: an equal-time tie.
+    Tie(usize),
+    /// Up to 2²² ns (`f / 1024` of 2²⁰) after `now()`: a far-off timer.
+    Ahead(u64),
+    /// `u64::MAX - d` nanoseconds: the end of time.
+    End(u64),
+}
+
+#[derive(Debug, Clone)]
+enum Op {
+    Schedule(At),
+    Batch(Vec<At>),
+    Pop,
+    Clear,
+}
+
+fn at() -> impl Strategy<Value = At> {
+    (0u8..9, 0u64..7, 0u64..4096, 0usize..16).prop_map(|(kind, d, f, k)| match kind {
+        0..=2 => At::Next(d),
+        3 => At::Past(f),
+        4..=5 => At::Tie(k),
+        6..=7 => At::Ahead(f),
+        _ => At::End(d),
+    })
+}
+
+fn mixed_op() -> impl Strategy<Value = Op> {
+    (0u8..20, at(), prop::collection::vec(at(), 0..8)).prop_map(|(kind, at, batch)| match kind {
+        0..=7 => Op::Schedule(at),
+        8..=9 => Op::Batch(batch),
+        10..=18 => Op::Pop,
+        _ => Op::Clear,
+    })
+}
+
 proptest! {
     /// The calendar queue is observationally identical to the binary
     /// heap: same pops (time and payload) for any interleaving of
     /// schedules and pops, including duplicate timestamps, events far
-    /// beyond the bucket horizon, and scheduling into the past.
+    /// ahead of the rest, and scheduling into the past.
     ///
     /// `Some(t)` schedules payload `i` at `t`; `None` pops both queues
     /// and compares.
@@ -44,8 +88,8 @@ proptest! {
     }
 
     /// `schedule_batch` is observationally identical to scheduling the
-    /// same items one by one on the heap: bursts of deferred-sort
-    /// appends interleaved with pops never reorder anything.
+    /// same items one by one on the heap: bursts of appends sorted once,
+    /// interleaved with pops, never reorder anything.
     #[test]
     fn calendar_batch_matches_heap(
         rounds in prop::collection::vec(
@@ -58,7 +102,7 @@ proptest! {
         ),
     ) {
         let mut heap = EventQueue::new();
-        let mut cal = CalendarQueue::with_params(8, 32);
+        let mut cal = CalendarQueue::new();
         let mut id = 0u64;
         for (batch, single, pops) in rounds {
             let items: Vec<(SimTime, u64)> = batch
@@ -86,35 +130,6 @@ proptest! {
         prop_assert_eq!(cal.pop(), None);
     }
 
-    /// Adversarial geometries — a single bucket (every day collides) and
-    /// a huge `width_shift` (every event shares one day) — still match
-    /// the heap exactly. Geometry tunes speed, never order.
-    #[test]
-    fn calendar_adversarial_geometry_matches_heap(
-        width_shift in prop::sample::select(vec![0u32, 1, 30, 40, 63]),
-        buckets in prop::sample::select(vec![1usize, 2, 4, 1024]),
-        ops in prop::collection::vec(
-            prop::option::weighted(0.7, 0u64..(1u64 << 34)),
-            1..150,
-        ),
-    ) {
-        let mut heap = EventQueue::new();
-        let mut cal = CalendarQueue::with_params(width_shift, buckets);
-        for (i, op) in ops.into_iter().enumerate() {
-            match op {
-                Some(t) => {
-                    let time = SimTime::from_nanos(t);
-                    heap.schedule(time, i);
-                    cal.schedule(time, i);
-                }
-                None => prop_assert_eq!(heap.pop(), cal.pop()),
-            }
-        }
-        while let Some(expected) = heap.pop() {
-            prop_assert_eq!(cal.pop(), Some(expected));
-        }
-    }
-
     /// After `clear`, both backends behave like freshly constructed
     /// queues: `now` rewinds to zero, and scheduling times earlier than
     /// anything popped before the clear needs no special handling.
@@ -125,7 +140,7 @@ proptest! {
         delay in 0u64..10_000,
     ) {
         let mut heap = EventQueue::new();
-        let mut cal = CalendarQueue::with_params(6, 16);
+        let mut cal = CalendarQueue::new();
         for (i, &t) in before.iter().enumerate() {
             heap.schedule(SimTime::from_nanos(t), i);
             cal.schedule(SimTime::from_nanos(t), i);
@@ -152,8 +167,7 @@ proptest! {
         prop_assert_eq!(cal.pop(), None);
     }
 
-    /// `peek_time` never disagrees with the next pop, warm or cold
-    /// cursor, dirty or sorted buckets.
+    /// `peek_time` never disagrees with the next pop.
     #[test]
     fn calendar_peek_agrees_with_pop(
         ops in prop::collection::vec(
@@ -161,7 +175,7 @@ proptest! {
             1..200,
         ),
     ) {
-        let mut cal = CalendarQueue::with_params(5, 8);
+        let mut cal = CalendarQueue::new();
         for (i, op) in ops.into_iter().enumerate() {
             match op {
                 Some(t) => cal.schedule(SimTime::from_nanos(t), i),
@@ -172,6 +186,64 @@ proptest! {
                 }
             }
         }
+    }
+
+    /// Every step lines up with the heap under the event mix a
+    /// simulation produces: a chain of events due right after `now()`
+    /// with far-off timers pending behind it, events before `now()`,
+    /// equal-time ties, events at the end of time, `schedule_batch`
+    /// bursts landing among pending events, and `clear()` mid-run, with
+    /// `peek_time`, `len` and `now` compared after every step.
+    #[test]
+    fn calendar_mixed_ops_match_heap(ops in prop::collection::vec(mixed_op(), 1..200)) {
+        const SPAN: u128 = 1 << 20;
+        let mut heap = EventQueue::new();
+        let mut cal = CalendarQueue::new();
+        let mut scheduled: Vec<u64> = Vec::new();
+        let mut id = 0u64;
+        for op in ops {
+            let mut resolve = |at: At| {
+                let now = u128::from(heap.now().as_nanos());
+                let t = match at {
+                    At::Next(d) => now + u128::from(d),
+                    At::Past(f) => now.saturating_sub(SPAN * u128::from(f) / 4096),
+                    At::Tie(k) if !scheduled.is_empty() => {
+                        u128::from(scheduled[scheduled.len() - 1 - k % scheduled.len()])
+                    }
+                    At::Tie(_) => now,
+                    At::Ahead(f) => now + SPAN * u128::from(f) / 1024,
+                    At::End(d) => u128::from(u64::MAX - d),
+                };
+                let t = u64::try_from(t).unwrap_or(u64::MAX);
+                scheduled.push(t);
+                id += 1;
+                (SimTime::from_nanos(t), id)
+            };
+            match op {
+                Op::Schedule(at) => {
+                    let (time, event) = resolve(at);
+                    heap.schedule(time, event);
+                    cal.schedule(time, event);
+                }
+                Op::Batch(ats) => {
+                    let items: Vec<(SimTime, u64)> = ats.into_iter().map(&mut resolve).collect();
+                    heap.extend(items.iter().copied());
+                    cal.schedule_batch(items);
+                }
+                Op::Pop => prop_assert_eq!(cal.pop(), heap.pop()),
+                Op::Clear => {
+                    heap.clear();
+                    cal.clear();
+                }
+            }
+            prop_assert_eq!(cal.peek_time(), heap.peek_time());
+            prop_assert_eq!(cal.len(), heap.len());
+            prop_assert_eq!(cal.now(), heap.now());
+        }
+        while let Some(expected) = heap.pop() {
+            prop_assert_eq!(cal.pop(), Some(expected));
+        }
+        prop_assert_eq!(cal.pop(), None);
     }
 
     /// `schedule_after` on both backends is relative to the same clock:
@@ -268,8 +340,7 @@ proptest! {
         prop_assert!((scaled.as_nanos() as f64 - expected).abs() <= 1.0);
     }
 
-    /// Same seed ⇒ identical stream; different streams from fork differ
-    /// on long sequences.
+    /// Same seed ⇒ identical stream.
     #[test]
     fn rng_determinism(seed in any::<u64>()) {
         let mut a = SimRng::seed_from(seed);
@@ -293,7 +364,7 @@ proptest! {
 fn matches_heap_on_random_workload() {
     let mut rng = SimRng::seed_from(42);
     let mut heap = EventQueue::new();
-    let mut cal = CalendarQueue::with_params(6, 16);
+    let mut cal = CalendarQueue::new();
     let mut id = 0u64;
     // Interleave schedules and pops with a drifting time base.
     let mut base = 0u64;
@@ -326,7 +397,7 @@ fn matches_heap_on_random_workload() {
 #[allow(clippy::explicit_counter_loop)]
 fn batch_interleaves_with_singles() {
     let mut heap = EventQueue::new();
-    let mut cal = CalendarQueue::with_params(5, 16);
+    let mut cal = CalendarQueue::new();
     let mut id = 0u64;
     for round in 0u64..50 {
         let burst: Vec<(SimTime, u64)> = (0..round % 7)

@@ -204,27 +204,14 @@ impl Runner {
                 ecs: EcColumns::with_capacity(ecs),
             })
             .collect::<Vec<_>>();
-        // Expected event density for the calendar geometry: every kernel
-        // costs a GpuDone plus a couple of sched events per EC, so the
-        // mean inter-event gap is roughly total_time / total events. The
-        // estimate only tunes bucket width/count — pop order (and thus
-        // every trace byte) is geometry-independent.
-        let est_total_events: f64 = config
-            .processes
-            .iter()
-            .zip(&est_ecs)
-            .map(|(p, &ecs)| (2 * p.engine.kernel_count() + 4) as f64 * ecs as f64)
-            .sum::<f64>()
-            .max(1.0);
-        let expected_gap = SimDuration::from_secs_f64(total_secs.max(1e-9) / est_total_events);
         let n_procs = procs.len() as u32;
         let warmup_end = SimTime::ZERO + config.warmup;
         let sim_end = SimTime::ZERO + config.total_time();
         let ambient_c = config.device.thermal.ambient_c;
         // The pending-event population is tiny (a couple of events per
-        // process plus the periodic ticks); the expected gap sizes the
-        // bucket width so consecutive events land in distinct days.
-        let queue = CalendarQueue::with_tuned(expected_gap, 4 * procs.len() + 16);
+        // process plus the periodic ticks), the regime the queue's one
+        // sorted list is built for.
+        let queue = CalendarQueue::new();
         let guard = MemoryGuard::new(&config);
         let ingress = Ingress::new(&config);
         let proc_count = procs.len();
@@ -299,7 +286,15 @@ impl Runner {
     /// check away when no [`SimConfig::event_budget`] is set.
     #[inline]
     fn drive<const BUDGETED: bool>(&mut self, budget: u64) {
+        let mut last = self.queue.now();
         while let Some((now, event)) = self.queue.pop() {
+            debug_assert!(
+                now >= last,
+                "event {event:?} popped at {} ns, before the previous event at {} ns",
+                now.as_nanos(),
+                last.as_nanos()
+            );
+            last = now;
             if now > self.sim_end {
                 break;
             }
