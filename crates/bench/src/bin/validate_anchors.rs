@@ -1,163 +1,19 @@
-//! Quantitative validation: re-measures every number the paper reports
-//! and prints paper vs simulator with a PASS/FAIL band check — the
-//! executable version of EXPERIMENTS.md's ledger.
-//!
-//! Exits non-zero if any anchor leaves its band.
-
+//! Checks the simulated platform against the paper oracle
+//! ([`jetsim::observations`]): every number the paper reports, with the
+//! band it must land in, and every boxed observation. Prints one line
+//! per row and exits non-zero if any row fails. It reads no environment
+//! variable and writes no file, so its output is the same wherever it
+//! runs.
 use std::process::ExitCode;
 
-use jetsim::prelude::*;
-use jetsim::report::Table;
-
-struct Anchor {
-    id: &'static str,
-    description: &'static str,
-    paper: f64,
-    lo: f64,
-    hi: f64,
-    measured: f64,
-}
-
-fn phase1(
-    platform: &Platform,
-    model: &ModelGraph,
-    precision: Precision,
-    batch: u32,
-    procs: u32,
-) -> JetsonStatsReport {
-    DualPhaseProfiler::new(platform)
-        .deployment(&Deployment::homogeneous(model, precision, batch, procs))
-        .expect("engine builds")
-        .warmup(SimDuration::from_millis(300))
-        .measure(SimDuration::from_millis(1500))
-        .run_phase1()
-        .expect("fits in memory")
-        .0
-}
+use jetsim::observations;
 
 fn main() -> ExitCode {
-    let orin = Platform::orin_nano();
-    let nano = Platform::jetson_nano();
-    let resnet = zoo::resnet50();
-    let fcn = zoo::fcn_resnet50();
-    let yolo = zoo::yolov8n();
-
-    let t = |platform: &Platform, model: &ModelGraph, p, b, n| {
-        phase1(platform, model, p, b, n).throughput
-    };
-
-    let mut anchors = vec![Anchor {
-        id: "fcn-fp16-orin",
-        description: "FCN_ResNet50 fp16 throughput, Orin (img/s)",
-        paper: 18.57,
-        lo: 13.0,
-        hi: 25.0,
-        measured: t(&orin, &fcn, Precision::Fp16, 1, 1),
-    }];
-    anchors.push(Anchor {
-        id: "fcn-tf32-orin",
-        description: "FCN_ResNet50 tf32 throughput, Orin (img/s)",
-        paper: 6.86,
-        lo: 4.5,
-        hi: 9.5,
-        measured: t(&orin, &fcn, Precision::Tf32, 1, 1),
-    });
-    anchors.push(Anchor {
-        id: "resnet-int8-speedup",
-        description: "ResNet50 int8/fp32 speedup, Orin (×)",
-        paper: 9.75,
-        lo: 5.0,
-        hi: 13.0,
-        measured: t(&orin, &resnet, Precision::Int8, 1, 1)
-            / t(&orin, &resnet, Precision::Fp32, 1, 1),
-    });
-    anchors.push(Anchor {
-        id: "fcn-int8-speedup",
-        description: "FCN int8/fp32 speedup, Orin (×)",
-        paper: 12.0,
-        lo: 7.0,
-        hi: 16.0,
-        measured: t(&orin, &fcn, Precision::Int8, 1, 1) / t(&orin, &fcn, Precision::Fp32, 1, 1),
-    });
-    anchors.push(Anchor {
-        id: "yolo-int8-speedup",
-        description: "YoloV8n int8/fp32 speedup, Orin (×)",
-        paper: 3.0,
-        lo: 2.0,
-        hi: 7.0,
-        measured: t(&orin, &yolo, Precision::Int8, 1, 1) / t(&orin, &yolo, Precision::Fp32, 1, 1),
-    });
-    anchors.push(Anchor {
-        id: "yolo-tp-b1",
-        description: "YoloV8n int8 T/P at b1 p1, Orin (img/s)",
-        paper: 210.0,
-        lo: 150.0,
-        hi: 320.0,
-        measured: t(&orin, &yolo, Precision::Int8, 1, 1),
-    });
-    anchors.push(Anchor {
-        id: "yolo-tp-p8",
-        description: "YoloV8n int8 T/P at b1 p8, Orin (img/s)",
-        paper: 10.0,
-        lo: 5.0,
-        hi: 30.0,
-        measured: phase1(&orin, &yolo, Precision::Int8, 1, 8).throughput_per_process,
-    });
-    anchors.push(Anchor {
-        id: "yolo-nano-fp16",
-        description: "YoloV8n fp16 throughput, Nano (img/s)",
-        paper: 20.0,
-        lo: 15.0,
-        hi: 30.0,
-        measured: t(&nano, &yolo, Precision::Fp16, 1, 1),
-    });
-    anchors.push(Anchor {
-        id: "nano-fp16-j-per-img",
-        description: "ResNet50 fp16 energy/image, Nano (J)",
-        paper: 0.125,
-        lo: 0.09,
-        hi: 0.18,
-        measured: phase1(&nano, &resnet, Precision::Fp16, 1, 1).power_per_image,
-    });
-    anchors.push(Anchor {
-        id: "fcn-fp16-power",
-        description: "FCN fp16 power, Orin (W)",
-        paper: 5.83,
-        lo: 5.2,
-        hi: 6.4,
-        measured: phase1(&orin, &fcn, Precision::Fp16, 1, 1).mean_power_w,
-    });
-    anchors.push(Anchor {
-        id: "fcn-tf32-power",
-        description: "FCN tf32 power, Orin (W)",
-        paper: 6.39,
-        lo: 5.8,
-        hi: 7.0,
-        measured: phase1(&orin, &fcn, Precision::Tf32, 1, 1).mean_power_w,
-    });
-
-    let mut table = Table::new(["anchor", "paper", "measured", "band", "verdict"]);
-    let mut failures = 0;
-    for a in &anchors {
-        let pass = (a.lo..=a.hi).contains(&a.measured);
-        if !pass {
-            failures += 1;
-        }
-        table.row([
-            format!("{} — {}", a.id, a.description),
-            format!("{:.2}", a.paper),
-            format!("{:.2}", a.measured),
-            format!("[{:.1}, {:.1}]", a.lo, a.hi),
-            if pass { "PASS" } else { "FAIL" }.to_string(),
-        ]);
-    }
-    println!("{table}");
-    println!(
-        "{}/{} anchors inside their bands",
-        anchors.len() - failures,
-        anchors.len()
-    );
-    if failures == 0 {
+    let checks = observations::check_all();
+    let passed = checks.iter().filter(|c| c.holds).count();
+    println!("{}", observations::table(&checks));
+    println!("{passed}/{} rows hold", checks.len());
+    if passed == checks.len() {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE

@@ -6,7 +6,6 @@
 
 use std::sync::OnceLock;
 
-use jetsim::observations;
 use jetsim::prelude::*;
 use jetsim::report::fmt_num;
 use jetsim::report::Table;
@@ -584,116 +583,6 @@ pub fn headline_gap() -> FigureResult {
         title: "High GPU utilisation vs low SM/TC utilisation (abstract)",
         tables: vec![("gap".to_string(), table)],
     }
-}
-
-/// Checks the paper's boxed observations against the simulated platform
-/// and reports PASS/FAIL per claim.
-pub fn observation_checks() -> (FigureResult, usize, usize) {
-    let (warmup, measure) = windows();
-    let orin = Platform::orin_nano();
-    let nano = Platform::jetson_nano();
-    let mut checks: Vec<observations::Check> = Vec::new();
-
-    // §6.1.1 / §6.1.2 — precision sweeps at b1 p1.
-    let orin_resnet = spec()
-        .precisions(Precision::ALL)
-        .run(&orin, &zoo::resnet50());
-    let nano_resnet = spec()
-        .precisions(Precision::ALL)
-        .run(&nano, &zoo::resnet50());
-    checks.push(observations::optimal_precision(
-        &orin_resnet,
-        Precision::Int8,
-    ));
-    checks.push(observations::optimal_precision(
-        &nano_resnet,
-        Precision::Fp16,
-    ));
-    checks.push(observations::memory_grows_with_precision(&orin_resnet));
-    checks.push(observations::supported_format_cheapest_per_image(
-        &nano_resnet,
-    ));
-    checks.push(observations::fp32_power_drops(&orin_resnet));
-
-    // §6.1.3 / §6.1.4 — kernel-level behaviour.
-    if let Some(report) = nsight_profile(&orin, &zoo::resnet50(), Precision::Fp16, 1) {
-        checks.push(observations::issue_slots_stall(&report));
-    }
-    let fcn = DualPhaseProfiler::new(&orin)
-        .deployment(&Deployment::homogeneous(
-            &zoo::fcn_resnet50(),
-            Precision::Fp16,
-            1,
-            1,
-        ))
-        .expect("builds")
-        .warmup(warmup)
-        .measure(measure)
-        .run()
-        .expect("fits");
-    let resnet_int8 = DualPhaseProfiler::new(&orin)
-        .deployment(&Deployment::homogeneous(
-            &zoo::resnet50(),
-            Precision::Int8,
-            1,
-            1,
-        ))
-        .expect("builds")
-        .warmup(warmup)
-        .measure(measure)
-        .run()
-        .expect("fits");
-    checks.push(observations::tc_not_throughput(
-        (fcn.kernel.cdfs.tc.mean(), fcn.soc.throughput),
-        (
-            resnet_int8.kernel.cdfs.tc.mean(),
-            resnet_int8.soc.throughput,
-        ),
-    ));
-
-    // §6.2 / §7 — concurrency grids.
-    let grid = orin_int8_grid();
-    for (model, cells) in grid {
-        if model == "yolov8n" {
-            checks.push(observations::tp_scaling(cells, Precision::Int8));
-        }
-        if model == "resnet50" {
-            checks.push(observations::power_capped(
-                cells,
-                orin.device().power.budget_w,
-            ));
-            checks.push(observations::ec_stability(
-                cells,
-                Precision::Int8,
-                orin.device().cpu.heavy_cores,
-            ));
-            checks.push(observations::batch_stabilizes_ec(cells, Precision::Int8));
-        }
-    }
-
-    let mut table = Table::new(["id", "claim", "verdict", "evidence"]);
-    let mut passed = 0;
-    for check in &checks {
-        if check.holds {
-            passed += 1;
-        }
-        table.row([
-            check.id.to_string(),
-            check.claim.to_string(),
-            if check.holds { "PASS" } else { "FAIL" }.to_string(),
-            check.evidence.clone(),
-        ]);
-    }
-    let total = checks.len();
-    (
-        FigureResult {
-            id: "observations",
-            title: "The paper's boxed observations, checked",
-            tables: vec![("checks".to_string(), table)],
-        },
-        passed,
-        total,
-    )
 }
 
 /// Jain fairness index over per-group goodput: `(Σx)² / (n·Σx²)`.

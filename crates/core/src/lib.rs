@@ -17,7 +17,8 @@
 //!   with per-tenant breakdowns.
 //! * [`analysis`] — bottleneck classification (CPU-blocking-bound,
 //!   launch-bound, memory-bound, DVFS-throttled, …).
-//! * [`observations`] — the paper's boxed takeaways as executable checks.
+//! * [`observations`] — the paper oracle: its reported numbers and boxed
+//!   takeaways as one table of executable checks.
 //! * [`sweep`] — batch × process-count × precision grids, with OOM cells
 //!   reported rather than crashing (the paper's over-deployment reboots).
 //! * [`pool`] — the worker pool every parallel loop runs on, with

@@ -1,335 +1,52 @@
-//! Integration tests pinning the simulated platform to the paper's
-//! reported numbers (see EXPERIMENTS.md for the full ledger).
-//!
-//! These are *shape* anchors: tolerances are generous because the
-//! substrate is a simulator, but the winners, the rough factors and the
-//! crossovers must match the publication.
+//! The paper's reported numbers: each test runs the rows of the paper
+//! oracle ([`jetsim::observations`]) that pin one of them, so tier-1
+//! checks exactly what `validate_anchors` reports.
 
-use jetsim::prelude::*;
+#[macro_use]
+mod support;
 
-fn phase1(
-    platform: &Platform,
-    model: &ModelGraph,
-    precision: Precision,
-    batch: u32,
-    procs: u32,
-) -> JetsonStatsReport {
-    DualPhaseProfiler::new(platform)
-        .deployment(&Deployment::homogeneous(model, precision, batch, procs))
-        .expect("engine builds")
-        .warmup(SimDuration::from_millis(300))
-        .measure(SimDuration::from_millis(1500))
-        .run_phase1()
-        .expect("fits in memory")
-        .0
+use jetsim::observations;
+
+paper_tests! {
+    anchor_fcn_fp16_orin_throughput => ["fcn-fp16-orin"],
+    anchor_fcn_tf32_orin_throughput => ["fcn-tf32-orin"],
+    anchor_fcn_power_orin => ["fcn-fp16-power", "fcn-tf32-power"],
+    anchor_resnet_int8_speedup_over_fp32_orin => ["resnet-int8-speedup"],
+    anchor_fcn_int8_speedup_over_fp32_orin => ["fcn-int8-speedup"],
+    anchor_yolo_int8_speedup_smallest_of_the_three => [
+        "yolo-int8-speedup",
+        "yolo-speedup-smallest",
+    ],
+    anchor_yolo_int8_orin_tp_range => ["yolo-tp-b1", "yolo-tp-batch-gain", "yolo-tp-p8"],
+    anchor_yolo_fp16_nano_throughput => ["yolo-nano-fp16", "yolo-nano-batch-gain"],
+    anchor_nano_resnet_power_per_image => [
+        "nano-fp16-j-per-img",
+        "nano-int8-j-per-img",
+        "nano-fp16-half-energy",
+    ],
+    anchor_resnet_fp16_orin_memory_below_3_percent => ["resnet-fp16-busy-gpu"],
+    anchor_fp32_memory_ratio_over_int8 => [
+        "resnet-mem-ratio",
+        "fcn-mem-ratio",
+        "yolo-mem-ratio",
+        "yolo-mem-ratio-smallest",
+    ],
+    anchor_sixteen_yolo_processes_exceed_35_percent_memory => ["yolo-16-proc-memory"],
+    anchor_nsight_intrusion_near_half => ["nsight-intrusion"],
+    anchor_kernel_launch_in_paper_band => ["launch-p1", "launch-p8", "launch-stretches"],
+    anchor_blocking_interval_one_to_two_ms => ["blocking-p8"],
 }
 
+/// Every row of the oracle is claimed by a test in this file or in
+/// `paper_observations.rs`, so no row goes unchecked by tier-1.
 #[test]
-fn anchor_fcn_fp16_orin_throughput() {
-    // Paper §6.1.2: FCN_ResNet50 fp16 ≈ 18.57 img/s on the Orin Nano.
-    let t = phase1(
-        &Platform::orin_nano(),
-        &zoo::fcn_resnet50(),
-        Precision::Fp16,
-        1,
-        1,
-    )
-    .throughput;
-    assert!((13.0..25.0).contains(&t), "throughput = {t}");
-}
-
-#[test]
-fn anchor_fcn_tf32_orin_throughput() {
-    // Paper §6.1.2: FCN_ResNet50 tf32 ≈ 6.86 img/s on the Orin Nano.
-    let t = phase1(
-        &Platform::orin_nano(),
-        &zoo::fcn_resnet50(),
-        Precision::Tf32,
-        1,
-        1,
-    )
-    .throughput;
-    assert!((4.5..9.5).contains(&t), "throughput = {t}");
-}
-
-#[test]
-fn anchor_resnet_int8_speedup_over_fp32_orin() {
-    // Paper §6.1.1: 9.75×. The simulator lands in the same regime.
-    let int8 = phase1(
-        &Platform::orin_nano(),
-        &zoo::resnet50(),
-        Precision::Int8,
-        1,
-        1,
-    )
-    .throughput;
-    let fp32 = phase1(
-        &Platform::orin_nano(),
-        &zoo::resnet50(),
-        Precision::Fp32,
-        1,
-        1,
-    )
-    .throughput;
-    let ratio = int8 / fp32;
-    assert!((5.0..13.0).contains(&ratio), "ratio = {ratio}");
-}
-
-#[test]
-fn anchor_fcn_int8_speedup_over_fp32_orin() {
-    // Paper §6.1.1: 12× — the largest speedup of the three models.
-    let int8 = phase1(
-        &Platform::orin_nano(),
-        &zoo::fcn_resnet50(),
-        Precision::Int8,
-        1,
-        1,
-    )
-    .throughput;
-    let fp32 = phase1(
-        &Platform::orin_nano(),
-        &zoo::fcn_resnet50(),
-        Precision::Fp32,
-        1,
-        1,
-    )
-    .throughput;
-    let ratio = int8 / fp32;
-    assert!((7.0..16.0).contains(&ratio), "ratio = {ratio}");
-}
-
-#[test]
-fn anchor_yolo_int8_speedup_smallest_of_the_three() {
-    // Paper §6.1.1: YoloV8n's int8 speedup (~3×) is far below the
-    // ResNet-family models because its skinny layers stay wide.
-    let speedup = |model: &ModelGraph| {
-        let int8 = phase1(&Platform::orin_nano(), model, Precision::Int8, 1, 1).throughput;
-        let fp32 = phase1(&Platform::orin_nano(), model, Precision::Fp32, 1, 1).throughput;
-        int8 / fp32
-    };
-    let yolo = speedup(&zoo::yolov8n());
-    let resnet = speedup(&zoo::resnet50());
-    let fcn = speedup(&zoo::fcn_resnet50());
-    assert!((2.0..7.0).contains(&yolo), "yolo ratio = {yolo}");
-    assert!(
-        yolo < resnet && yolo < fcn,
-        "yolo {yolo} vs resnet {resnet} / fcn {fcn}"
-    );
-}
-
-#[test]
-fn anchor_yolo_int8_orin_tp_range() {
-    // Paper §6.2.1: T/P ≈ 210 img/s at batch 1, rising toward ≈320 at
-    // batch 16, collapsing to ≈10 at 8 processes.
-    let b1 = phase1(
-        &Platform::orin_nano(),
-        &zoo::yolov8n(),
-        Precision::Int8,
-        1,
-        1,
-    )
-    .throughput_per_process;
-    let b16 = phase1(
-        &Platform::orin_nano(),
-        &zoo::yolov8n(),
-        Precision::Int8,
-        16,
-        1,
-    )
-    .throughput_per_process;
-    let p8 = phase1(
-        &Platform::orin_nano(),
-        &zoo::yolov8n(),
-        Precision::Int8,
-        1,
-        8,
-    )
-    .throughput_per_process;
-    assert!((150.0..320.0).contains(&b1), "b1 T/P = {b1}");
-    assert!(b16 > b1 * 1.1, "batch must help: {b16} vs {b1}");
-    assert!((5.0..30.0).contains(&p8), "p8 T/P = {p8}");
-}
-
-#[test]
-fn anchor_yolo_fp16_nano_throughput() {
-    // Paper §6.1.1: ≈20 img/s at batch 1, ≈22 at batch 8.
-    let b1 = phase1(
-        &Platform::jetson_nano(),
-        &zoo::yolov8n(),
-        Precision::Fp16,
-        1,
-        1,
-    )
-    .throughput;
-    let b8 = phase1(
-        &Platform::jetson_nano(),
-        &zoo::yolov8n(),
-        Precision::Fp16,
-        8,
-        1,
-    )
-    .throughput;
-    assert!((15.0..30.0).contains(&b1), "b1 = {b1}");
-    assert!(b8 > b1, "batch 8 must edge ahead: {b8} vs {b1}");
-    assert!(b8 < b1 * 1.6, "but only modestly: {b8} vs {b1}");
-}
-
-#[test]
-fn anchor_nano_resnet_power_per_image() {
-    // Paper §6.1.2: ≈0.23 J int8(→fp32), ≈0.125 J fp16, ≈0.32 J tf32.
-    let fp16 = phase1(
-        &Platform::jetson_nano(),
-        &zoo::resnet50(),
-        Precision::Fp16,
-        1,
-        1,
-    )
-    .power_per_image;
-    let int8 = phase1(
-        &Platform::jetson_nano(),
-        &zoo::resnet50(),
-        Precision::Int8,
-        1,
-        1,
-    )
-    .power_per_image;
-    assert!((0.09..0.18).contains(&fp16), "fp16 J/img = {fp16}");
-    assert!((0.18..0.40).contains(&int8), "int8 J/img = {int8}");
-    assert!(fp16 < int8 / 1.5, "fp16 about half the energy per image");
-}
-
-#[test]
-fn anchor_resnet_fp16_orin_memory_below_3_percent() {
-    // Paper §1: ResNet50 fp16 shows >98% GPU utilisation with <3% memory.
-    let report = phase1(
-        &Platform::orin_nano(),
-        &zoo::resnet50(),
-        Precision::Fp16,
-        1,
-        1,
-    );
-    assert!(report.gpu_utilization_percent > 90.0, "{report}");
-    assert!(report.gpu_memory_percent < 3.0, "{report}");
-}
-
-#[test]
-fn anchor_fp32_memory_ratio_over_int8() {
-    // Paper §6.1.1: fp32 engines take ~2× the GPU memory of int8 for the
-    // ResNet-family models but only ~1.25× for YoloV8n.
-    let orin = Platform::orin_nano();
-    let ratio = |model: &ModelGraph| {
-        let ctx = orin.device().memory.cuda_context_bytes;
-        let int8 = orin.build_engine(model, Precision::Int8, 1).unwrap();
-        let fp32 = orin.build_engine(model, Precision::Fp32, 1).unwrap();
-        fp32.gpu_memory_bytes(ctx) as f64 / int8.gpu_memory_bytes(ctx) as f64
-    };
-    let resnet = ratio(&zoo::resnet50());
-    let fcn = ratio(&zoo::fcn_resnet50());
-    let yolo = ratio(&zoo::yolov8n());
-    assert!((1.5..2.6).contains(&resnet), "resnet ratio = {resnet}");
-    assert!((1.5..2.8).contains(&fcn), "fcn ratio = {fcn}");
-    assert!((1.05..1.5).contains(&yolo), "yolo ratio = {yolo}");
-    assert!(yolo < resnet && yolo < fcn);
-}
-
-#[test]
-fn anchor_sixteen_yolo_processes_exceed_35_percent_memory() {
-    // Paper §6.2.1: 16 concurrent YoloV8n processes push GPU memory past
-    // 35% while one process at batch 8 stays below 10%.
-    let orin = Platform::orin_nano();
-    let one = SimConfig::builder(orin.device().clone())
-        .add_model_processes(&zoo::yolov8n(), Precision::Int8, 8, 1)
-        .unwrap()
-        .build()
-        .unwrap();
-    let sixteen = SimConfig::builder(orin.device().clone())
-        .add_model_processes(&zoo::yolov8n(), Precision::Int8, 16, 16)
-        .unwrap()
-        .build()
-        .unwrap();
-    let pct = |c: &SimConfig| c.device.memory.gpu_percent(c.gpu_memory_bytes());
-    assert!(pct(&one) < 10.0, "one process: {:.1}%", pct(&one));
-    assert!(
-        pct(&sixteen) > 35.0,
-        "sixteen processes: {:.1}%",
-        pct(&sixteen)
-    );
-}
-
-#[test]
-fn anchor_nsight_intrusion_near_half() {
-    // Paper §4: the Nsight phase costs ~50% of throughput.
-    let profile = DualPhaseProfiler::new(&Platform::orin_nano())
-        .deployment(&Deployment::homogeneous(
-            &zoo::resnet50(),
-            Precision::Int8,
-            1,
-            1,
-        ))
-        .unwrap()
-        .warmup(SimDuration::from_millis(200))
-        .measure(SimDuration::from_millis(1000))
-        .run()
-        .unwrap();
-    assert!(
-        (0.3..0.65).contains(&profile.intrusion),
-        "intrusion = {}",
-        profile.intrusion
-    );
-}
-
-#[test]
-fn anchor_kernel_launch_in_paper_band() {
-    // Paper §7: individual kernel launches take ~20–100 µs; the per-EC
-    // launch total grows with the process count.
-    let orin = Platform::orin_nano();
-    let per_launch_us = |procs: u32| {
-        let trace = DualPhaseProfiler::new(&orin)
-            .deployment(&Deployment::homogeneous(
-                &zoo::resnet50(),
-                Precision::Int8,
-                1,
-                procs,
-            ))
-            .unwrap()
-            .warmup(SimDuration::from_millis(200))
-            .measure(SimDuration::from_millis(800))
-            .run_phase1()
-            .unwrap()
-            .1;
-        let engine_kernels = 57.0;
-        trace.processes[0].mean_launch_time.as_micros_f64() / engine_kernels
-    };
-    let p1 = per_launch_us(1);
-    let p8 = per_launch_us(8);
-    assert!((15.0..70.0).contains(&p1), "p1 per-launch = {p1} us");
-    assert!((40.0..160.0).contains(&p8), "p8 per-launch = {p8} us");
-    assert!(p8 > p1 * 1.5, "launches stretch under contention");
-}
-
-#[test]
-fn anchor_blocking_interval_one_to_two_ms() {
-    // Paper §7 observation 1: individual blocking intervals b_l are
-    // typically 1–2 ms once oversubscribed.
-    let trace = DualPhaseProfiler::new(&Platform::orin_nano())
-        .deployment(&Deployment::homogeneous(
-            &zoo::resnet50(),
-            Precision::Int8,
-            1,
-            8,
-        ))
-        .unwrap()
-        .warmup(SimDuration::from_millis(200))
-        .measure(SimDuration::from_millis(800))
-        .run_phase1()
-        .unwrap()
-        .1;
-    // Blocking per EC divided by the number of blocking events must land
-    // in the 1–2 ms band; estimate events from totals.
-    let p = &trace.processes[0];
-    assert!(
-        p.mean_blocking_time > SimDuration::from_millis(10),
-        "{:?}",
-        p.mean_blocking_time
-    );
+fn every_oracle_row_is_claimed_by_a_test() {
+    let sources = [
+        include_str!("calibration_anchors.rs"),
+        include_str!("paper_observations.rs"),
+    ];
+    let unclaimed: Vec<&str> = observations::row_ids()
+        .filter(|id| !sources.iter().any(|s| s.contains(&format!("\"{id}\""))))
+        .collect();
+    assert!(unclaimed.is_empty(), "rows no test claims: {unclaimed:?}");
 }

@@ -1,178 +1,21 @@
-//! Integration tests: the paper's boxed observations, asserted across
-//! the whole stack (model zoo → engine builder → simulator → profilers →
-//! analysis).
+//! The paper's boxed observations: each test runs the rows of the paper
+//! oracle ([`jetsim::observations`]) that check one of them, so tier-1
+//! checks exactly what `validate_anchors` reports.
 
-use jetsim::observations;
-use jetsim::prelude::*;
+#[macro_use]
+mod support;
 
-fn fast_spec() -> SweepSpec {
-    SweepSpec::new()
-        .warmup(SimDuration::from_millis(150))
-        .measure(SimDuration::from_millis(700))
-}
-
-#[test]
-fn obs_611_int8_optimal_on_orin() {
-    let cells = fast_spec()
-        .precisions(Precision::ALL)
-        .run(&Platform::orin_nano(), &zoo::resnet50());
-    let check = observations::optimal_precision(&cells, Precision::Int8);
-    assert!(check.holds, "{check}");
-}
-
-#[test]
-fn obs_611_fp16_optimal_on_nano() {
-    for model in [zoo::resnet50(), zoo::yolov8n()] {
-        let cells = fast_spec()
-            .precisions(Precision::ALL)
-            .run(&Platform::jetson_nano(), &model);
-        let check = observations::optimal_precision(&cells, Precision::Fp16);
-        assert!(check.holds, "{}: {check}", model.name());
-    }
-}
-
-#[test]
-fn obs_611_memory_grows_with_precision_on_orin() {
-    for model in zoo::all() {
-        let cells = fast_spec()
-            .precisions(Precision::ALL)
-            .run(&Platform::orin_nano(), &model);
-        let check = observations::memory_grows_with_precision(&cells);
-        assert!(check.holds, "{}: {check}", model.name());
-    }
-}
-
-#[test]
-fn obs_612_supported_format_cheapest_per_image_on_nano() {
-    let cells = fast_spec()
-        .precisions(Precision::ALL)
-        .run(&Platform::jetson_nano(), &zoo::resnet50());
-    let check = observations::supported_format_cheapest_per_image(&cells);
-    assert!(check.holds, "{check}");
-}
-
-#[test]
-fn obs_612_fp32_power_drops_below_tf32_on_orin() {
-    for model in zoo::all() {
-        let cells = SweepSpec::new()
-            .precisions([Precision::Tf32, Precision::Fp32])
-            .warmup(SimDuration::from_millis(300))
-            .measure(SimDuration::from_millis(1500))
-            .run(&Platform::orin_nano(), &model);
-        let check = observations::fp32_power_drops(&cells);
-        assert!(check.holds, "{}: {check}", model.name());
-    }
-}
-
-#[test]
-fn obs_621_tp_scaling_for_every_model_on_orin() {
-    for model in zoo::all() {
-        let cells = fast_spec()
-            .precisions([Precision::Int8])
-            .batches([1, 16])
-            .process_counts([1, 8])
-            .run(&Platform::orin_nano(), &model);
-        let check = observations::tp_scaling(&cells, Precision::Int8);
-        assert!(check.holds, "{}: {check}", model.name());
-    }
-}
-
-#[test]
-fn obs_622_power_capped_on_both_devices() {
-    let orin_cells = fast_spec()
-        .precisions(Precision::ALL)
-        .batches([1, 16])
-        .process_counts([1, 4])
-        .run(&Platform::orin_nano(), &zoo::fcn_resnet50());
-    let check = observations::power_capped(&orin_cells, 7.0);
-    assert!(check.holds, "{check}");
-
-    let nano_cells = fast_spec()
-        .precisions([Precision::Fp16, Precision::Fp32])
-        .batches([1, 8])
-        .process_counts([1, 2])
-        .run(&Platform::jetson_nano(), &zoo::resnet50());
-    let check = observations::power_capped(&nano_cells, 5.0);
-    assert!(check.holds, "{check}");
-}
-
-#[test]
-fn obs_7_ec_stability_threshold_on_orin() {
-    let cells = fast_spec()
-        .precisions([Precision::Int8])
-        .process_counts([1, 2, 4, 8])
-        .run(&Platform::orin_nano(), &zoo::resnet50());
-    let check = observations::ec_stability(&cells, Precision::Int8, 3);
-    assert!(check.holds, "{check}");
-}
-
-#[test]
-fn obs_7_nano_ec_doubles_past_half_the_cores() {
-    // Paper §7: on the Jetson Nano, EC duration roughly doubles once the
-    // process count exceeds half the CPU cores (2 of 4).
-    let cells = fast_spec()
-        .precisions([Precision::Fp16])
-        .process_counts([2, 4])
-        .measure(SimDuration::from_millis(1500))
-        .run(&Platform::jetson_nano(), &zoo::resnet50());
-    let ec = |p: u32| {
-        cells
-            .iter()
-            .find(|c| c.processes == p)
-            .and_then(|c| c.outcome.metrics())
-            .map(|m| m.mean_ec_ms)
-            .expect("cell ran")
-    };
-    let ratio = ec(4) / ec(2);
-    assert!(
-        (1.6..3.5).contains(&ratio),
-        "EC should ~double: p2 {:.1} ms → p4 {:.1} ms",
-        ec(2),
-        ec(4)
-    );
-}
-
-#[test]
-fn obs_7_batch_stabilizes_ec() {
-    let cells = fast_spec()
-        .precisions([Precision::Int8])
-        .batches([1, 4, 16])
-        .run(&Platform::orin_nano(), &zoo::resnet50());
-    let check = observations::batch_stabilizes_ec(&cells, Precision::Int8);
-    assert!(check.holds, "{check}");
-}
-
-#[test]
-fn obs_613_issue_slots_stall_on_every_model() {
-    for model in zoo::all() {
-        let profile = DualPhaseProfiler::new(&Platform::orin_nano())
-            .deployment(&Deployment::homogeneous(&model, Precision::Fp16, 1, 1))
-            .unwrap()
-            .warmup(SimDuration::from_millis(150))
-            .measure(SimDuration::from_millis(700))
-            .run()
-            .unwrap();
-        let check = observations::issue_slots_stall(&profile.kernel);
-        assert!(check.holds, "{}: {check}", model.name());
-    }
-}
-
-#[test]
-fn obs_614_tc_activity_does_not_imply_throughput() {
-    let run = |model: &ModelGraph, precision| {
-        DualPhaseProfiler::new(&Platform::orin_nano())
-            .deployment(&Deployment::homogeneous(model, precision, 1, 1))
-            .unwrap()
-            .warmup(SimDuration::from_millis(150))
-            .measure(SimDuration::from_millis(700))
-            .run()
-            .unwrap()
-    };
-    let fcn = run(&zoo::fcn_resnet50(), Precision::Fp16);
-    let yolo = run(&zoo::yolov8n(), Precision::Int8);
-    let check = observations::tc_not_throughput(
-        (fcn.kernel.cdfs.tc.mean(), fcn.soc.throughput),
-        (yolo.kernel.cdfs.tc.mean(), yolo.soc.throughput),
-    );
-    assert!(check.holds, "{check}");
+paper_tests! {
+    obs_611_int8_optimal_on_orin => ["obs-6.1.1-orin"],
+    obs_611_fp16_optimal_on_nano => ["obs-6.1.1-nano"],
+    obs_611_memory_grows_with_precision_on_orin => ["obs-6.1.1-mem"],
+    obs_612_supported_format_cheapest_per_image_on_nano => ["obs-6.1.2"],
+    obs_612_fp32_power_drops_below_tf32_on_orin => ["obs-6.1.2-dvfs"],
+    obs_613_issue_slots_stall_on_every_model => ["obs-6.1.3"],
+    obs_614_tc_activity_does_not_imply_throughput => ["obs-6.1.4"],
+    obs_621_tp_scaling_for_every_model_on_orin => ["obs-6.2.1"],
+    obs_622_power_capped_on_both_devices => ["obs-6.2.2-orin", "obs-6.2.2-nano"],
+    obs_7_ec_stability_threshold_on_orin => ["obs-7"],
+    obs_7_nano_ec_doubles_past_half_the_cores => ["nano-ec-doubling"],
+    obs_7_batch_stabilizes_ec => ["obs-7-batch"],
 }
