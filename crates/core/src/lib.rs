@@ -61,7 +61,7 @@ pub use deployment::{Deployment, DeploymentError, Tenant, TenantMetrics};
 pub use platform::Platform;
 pub use profiler::{DualPhaseProfiler, WorkloadProfile};
 pub use scenario::{AutoscaleScenario, FleetScenario, ScenarioSpec, TenantScenario};
-pub use sweep::{CellChaos, CellMetrics, CellOutcome, SupervisorPolicy, SweepCell, SweepSpec};
+pub use sweep::{CellMetrics, CellOutcome, SupervisorPolicy, SweepCell, SweepSpec};
 
 /// Convenience re-exports for downstream users and examples.
 pub mod prelude {
@@ -70,9 +70,7 @@ pub mod prelude {
     pub use crate::platform::Platform;
     pub use crate::profiler::{DualPhaseProfiler, WorkloadProfile};
     pub use crate::report::Table;
-    pub use crate::sweep::{
-        CellChaos, CellMetrics, CellOutcome, SupervisorPolicy, SweepCell, SweepSpec,
-    };
+    pub use crate::sweep::{CellMetrics, CellOutcome, SupervisorPolicy, SweepCell, SweepSpec};
     pub use jetsim_des::{SimDuration, SimTime};
     pub use jetsim_dnn::{zoo, ModelGraph, Precision};
     pub use jetsim_profile::{JetsonStatsReport, NsightReport};

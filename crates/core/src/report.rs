@@ -1,11 +1,9 @@
-//! Report emitters: markdown tables, CSV, and JSON result dumps.
+//! Report emitters: markdown tables and CSV.
 
 use std::fmt;
 use std::fs;
 use std::io;
 use std::path::Path;
-
-use serde::Serialize;
 
 /// A simple rectangular table with named columns.
 ///
@@ -130,21 +128,6 @@ impl fmt::Display for Table {
     }
 }
 
-/// Serialises `value` as pretty JSON to `path`, creating parent
-/// directories.
-///
-/// # Errors
-///
-/// Propagates filesystem errors; serialisation of plain result structs
-/// cannot fail.
-pub fn save_json<T: Serialize, P: AsRef<Path>>(path: P, value: &T) -> io::Result<()> {
-    if let Some(parent) = path.as_ref().parent() {
-        fs::create_dir_all(parent)?;
-    }
-    let json = serde_json::to_string_pretty(value).map_err(io::Error::other)?;
-    fs::write(path, json)
-}
-
 /// Formats a float with sensible precision for tables (3 significant
 /// decimals below 10, 1 decimal above).
 pub fn fmt_num(x: f64) -> String {
@@ -196,16 +179,6 @@ mod tests {
         t.row(["v"]);
         t.save_csv(&path).unwrap();
         assert_eq!(std::fs::read_to_string(&path).unwrap(), "h\nv\n");
-        std::fs::remove_dir_all(dir).ok();
-    }
-
-    #[test]
-    fn json_round_trip() {
-        let dir = std::env::temp_dir().join("jetsim_json_test");
-        let path = dir.join("v.json");
-        save_json(&path, &vec![1, 2, 3]).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert!(text.contains('2'));
         std::fs::remove_dir_all(dir).ok();
     }
 

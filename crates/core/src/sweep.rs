@@ -13,7 +13,7 @@ use jetsim_profile::JetsonStatsReport;
 use jetsim_sim::{
     ArrivalModel, FaultPlan, GpuPolicy, ProfilerMode, SimConfig, SimError, Simulation, DEFAULT_SEED,
 };
-use jetsim_trt::{Engine, EngineBuilder};
+use jetsim_trt::Engine;
 
 use crate::deployment::{Deployment, Tenant, TenantMetrics};
 use crate::platform::Platform;
@@ -23,8 +23,8 @@ use crate::pool::{panic_message, run_isolated};
 /// panics, runs away, hits OOM, or suffers injected faults.
 ///
 /// The default policy is inert — no fault plan, no event budget, no
-/// retries, no chaos — and [`SweepSpec::run`] uses it, so plain sweeps
-/// behave exactly as before (byte-identical results).
+/// retries — and [`SweepSpec::run`] uses it, so plain sweeps behave
+/// exactly as before (byte-identical results).
 ///
 /// # Examples
 ///
@@ -50,11 +50,12 @@ pub struct SupervisorPolicy {
     pub faults: FaultPlan,
     /// Chaos injections for supervision tests: force specific grid cells
     /// to panic or to fail engine builds transiently.
-    pub chaos: Vec<CellChaos>,
+    #[cfg(test)]
+    chaos: Vec<CellChaos>,
 }
 
 impl SupervisorPolicy {
-    /// The inert policy (no budget, no retries, no faults, no chaos).
+    /// The inert policy (no budget, no retries, no faults).
     pub fn new() -> Self {
         SupervisorPolicy::default()
     }
@@ -78,7 +79,8 @@ impl SupervisorPolicy {
     }
 
     /// Adds a chaos injection.
-    pub fn chaos(mut self, chaos: CellChaos) -> Self {
+    #[cfg(test)]
+    fn chaos(mut self, chaos: CellChaos) -> Self {
         self.chaos.push(chaos);
         self
     }
@@ -86,9 +88,9 @@ impl SupervisorPolicy {
 
 /// A targeted fault injected into one grid cell, used to exercise the
 /// supervisor's isolation and retry paths deterministically.
+#[cfg(test)]
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum CellChaos {
+enum CellChaos {
     /// Panic inside the cell worker at these grid coordinates. The
     /// supervisor must catch it and report [`CellOutcome::Panicked`]
     /// while every other cell completes.
@@ -345,8 +347,7 @@ impl SweepSpec {
     /// The returned [`SweepCell`] keys the deployment by its canonical
     /// label ([`Deployment::label`]); `precision` is the first tenant's,
     /// `batch` is the largest tenant batch, and `processes` is the total
-    /// across tenants. Chaos injections match on that `(batch,
-    /// processes)` pair. A homogeneous deployment reproduces the
+    /// across tenants. A homogeneous deployment reproduces the
     /// corresponding grid cell's metrics byte-for-byte — the seed
     /// derivation folds per tenant and reduces exactly to the grid
     /// formula for one tenant.
@@ -421,12 +422,15 @@ impl SweepSpec {
         gpu_policy: GpuPolicy,
         policy: &SupervisorPolicy,
     ) -> CellOutcome {
-        let (batch, procs) = grid_coords;
-        if policy.chaos.iter().any(|c| {
-            matches!(c, CellChaos::PanicOn { batch: b, processes: p }
-                     if *b == batch && *p == procs)
-        }) {
-            panic!("chaos: injected panic at b{batch} p{procs}");
+        #[cfg(test)]
+        {
+            let (batch, procs) = grid_coords;
+            if policy.chaos.iter().any(|c| {
+                matches!(c, CellChaos::PanicOn { batch: b, processes: p }
+                         if *b == batch && *p == procs)
+            }) {
+                panic!("chaos: injected panic at b{batch} p{procs}");
+            }
         }
         let mut attempts: Vec<String> = Vec::new();
         let mut current = Cow::Borrowed(deployment);
@@ -566,11 +570,12 @@ impl SweepSpec {
         }
     }
 
-    /// Builds the cell's engine, retrying transient driver failures
-    /// (chaos-injected or real) up to the policy's retry cap. Chaos
-    /// matches on the cell's original grid coordinates so degraded
-    /// retries of an OOM cell do not re-trigger it.
+    /// Builds the cell's engine, retrying transient driver failures up to
+    /// the policy's retry cap. Test chaos matches on the cell's original
+    /// grid coordinates so degraded retries of an OOM cell do not
+    /// re-trigger it.
     #[allow(clippy::too_many_arguments, clippy::result_large_err)]
+    #[cfg_attr(not(test), allow(unused_variables))]
     fn build_cell_engine(
         &self,
         platform: &Platform,
@@ -581,20 +586,20 @@ impl SweepSpec {
         policy: &SupervisorPolicy,
         attempts: &mut Vec<String>,
     ) -> Result<Arc<Engine>, CellOutcome> {
-        let chaos_failures = policy.chaos.iter().find_map(|c| match c {
+        #[cfg(test)]
+        if let Some(failures) = policy.chaos.iter().find_map(|c| match c {
             CellChaos::TransientBuild {
                 failures,
                 batch: b,
                 processes: p,
             } if (*b, *p) == grid_coords => Some(*failures),
             _ => None,
-        });
-        if let Some(failures) = chaos_failures {
+        }) {
             // Bypass the process-wide engine cache: a cached hit would
             // silently skip the injected failure and other sweeps must
             // not observe this cell's flaky engine.
             for attempt in 0..=policy.max_retries {
-                let result = EngineBuilder::new(platform.device())
+                let result = jetsim_trt::EngineBuilder::new(platform.device())
                     .precision(precision)
                     .batch(batch)
                     .transient_failures(failures.saturating_sub(attempt))
@@ -809,9 +814,6 @@ pub enum CellOutcome {
 
 impl CellOutcome {
     /// The metrics, if the cell ran.
-    ///
-    /// Degraded cells ran at reduced parameters — use
-    /// [`CellOutcome::degraded_metrics`] if those should count too.
     pub fn metrics(&self) -> Option<&CellMetrics> {
         match self {
             CellOutcome::Ok(m) => Some(m),
@@ -829,16 +831,6 @@ impl CellOutcome {
     /// degraded cells.
     pub fn throughput(&self) -> Option<f64> {
         self.metrics().map(|m| m.throughput)
-    }
-
-    /// The metrics of a cell that ran, whether at its requested
-    /// parameters or at a degraded operating point.
-    pub fn degraded_metrics(&self) -> Option<&CellMetrics> {
-        match self {
-            CellOutcome::Ok(m) => Some(m),
-            CellOutcome::Degraded { metrics, .. } => Some(metrics),
-            _ => None,
-        }
     }
 }
 

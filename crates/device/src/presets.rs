@@ -201,11 +201,6 @@ pub fn cloud_a40() -> DeviceSpec {
     }
 }
 
-/// The devices the paper evaluates, in Table 1 order.
-pub fn paper_devices() -> Vec<DeviceSpec> {
-    vec![orin_nano(), jetson_nano()]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -262,12 +257,6 @@ mod tests {
             jetson_nano().memory.per_process_host_bytes
                 > 2 * orin_nano().memory.per_process_host_bytes
         );
-    }
-
-    #[test]
-    fn paper_devices_order() {
-        let names: Vec<String> = paper_devices().into_iter().map(|d| d.name).collect();
-        assert_eq!(names, vec!["Jetson Orin Nano", "Jetson Nano"]);
     }
 
     #[test]

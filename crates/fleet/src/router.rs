@@ -42,12 +42,14 @@ pub struct RouteRequest {
 /// A telemetry snapshot of fleet load, refreshed every
 /// `telemetry_every` by the planner.
 ///
-/// `outstanding[site][class]` is the estimated number of requests
-/// routed to `site` for `class` and not yet drained, *as of
+/// Both per-site tables are site-major, one entry per `(site, class)` at
+/// index `site * classes + class`, where `classes` is the table length
+/// over [`FleetView::sites`]. `outstanding` is the estimated number
+/// of requests routed to `site` for `class` and not yet drained, *as of
 /// [`FleetView::snapshot_at`]* — between refreshes every policy reads
 /// the same stale numbers, the way a scraped-metrics control plane
-/// does. `est_rate[site][class]` is the static per-site service-rate
-/// prior from [`jetsim_serve::estimate_capacity`].
+/// does. `est_rate` is the static per-site service-rate prior from
+/// [`jetsim_serve::estimate_capacity`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetView {
     /// Number of edge sites (`0..edge_sites` are valid edge indices).
@@ -61,25 +63,28 @@ pub struct FleetView {
     pub cloud_round_trip: SimDuration,
     /// When the snapshot was taken.
     pub snapshot_at: SimDuration,
-    /// Estimated un-drained requests per `[site][class]` at
-    /// `snapshot_at`.
-    pub outstanding: Vec<Vec<f64>>,
-    /// Estimated service rate (requests/s) per `[site][class]`.
-    pub est_rate: Vec<Vec<f64>>,
+    /// Estimated un-drained requests per `(site, class)` at
+    /// `snapshot_at`, site-major.
+    pub outstanding: Vec<f64>,
+    /// Estimated service rate (requests/s) per `(site, class)`,
+    /// site-major.
+    pub est_rate: Vec<f64>,
 }
 
 impl FleetView {
     /// Total number of sites (edges plus cloud).
     pub fn sites(&self) -> usize {
-        self.outstanding.len()
+        self.edge_sites + usize::from(self.cloud.is_some())
     }
 
     /// Estimated seconds for `site` to drain its snapshot backlog:
     /// the sum over classes of `outstanding / est_rate`.
     pub fn est_wait_secs(&self, site: usize) -> f64 {
-        self.outstanding[site]
+        let classes = self.outstanding.len() / self.sites();
+        let row = site * classes..(site + 1) * classes;
+        self.outstanding[row.clone()]
             .iter()
-            .zip(&self.est_rate[site])
+            .zip(&self.est_rate[row])
             .map(|(&q, &r)| if r > 0.0 { q / r } else { q * 1e6 })
             .sum()
     }
@@ -274,14 +279,15 @@ mod tests {
 
     fn view(edges: usize, cloud: bool, outstanding: Vec<Vec<f64>>) -> FleetView {
         let sites = outstanding.len();
+        let classes = outstanding[0].len();
         FleetView {
             edge_sites: edges,
             cloud: cloud.then_some(sites - 1),
             slo: SimDuration::from_millis(50),
             cloud_round_trip: SimDuration::from_millis(10),
             snapshot_at: SimDuration::ZERO,
-            est_rate: vec![vec![100.0]; sites],
-            outstanding,
+            est_rate: vec![100.0; sites * classes],
+            outstanding: outstanding.concat(),
         }
     }
 

@@ -257,9 +257,10 @@ impl FleetSpec {
             .as_ref()
             .map(|s| estimate_capacity(s).map_err(|e| format!("cloud tier: {e}")))
             .transpose()?;
-        // The planner's backlog model is site-major: entry
-        // `site * n_classes + class`, so the per-emission drain is one
-        // pass over contiguous memory.
+        // The planner's backlog model and the view's tables are
+        // site-major: entry `site * n_classes + class`, so the
+        // per-emission drain is one pass over contiguous memory and a
+        // snapshot is one copy.
         let mut est_rate: Vec<f64> = (0..total_sites)
             .flat_map(|s| {
                 let caps = match (cloud_index, &cloud_caps) {
@@ -297,11 +298,8 @@ impl FleetSpec {
                 Direction::Downlink,
             ),
             snapshot_at: SimDuration::ZERO,
-            outstanding: vec![vec![0.0; n_classes]; total_sites],
-            est_rate: est_rate
-                .chunks_exact(n_classes)
-                .map(<[f64]>::to_vec)
-                .collect(),
+            outstanding: vec![0.0; total_sites * n_classes],
+            est_rate,
         };
         let mut live = vec![0.0; total_sites * n_classes];
         let mut last = SimDuration::ZERO;
@@ -322,7 +320,7 @@ impl FleetSpec {
             // Drain the live backlog model up to the emission instant.
             let dt = (t - last).as_secs_f64();
             if dt > 0.0 {
-                for (l, &r) in live.iter_mut().zip(&est_rate) {
+                for (l, &r) in live.iter_mut().zip(&view.est_rate) {
                     *l = (*l - r * dt).max(0.0);
                 }
             }
@@ -330,10 +328,7 @@ impl FleetSpec {
             // Refresh the router's snapshot on the telemetry period;
             // between refreshes it reads stale state on purpose.
             if t >= next_snapshot {
-                let rows = live.chunks_exact(n_classes);
-                for (row, now) in view.outstanding.iter_mut().zip(rows) {
-                    row.copy_from_slice(now);
-                }
+                view.outstanding.copy_from_slice(&live);
                 view.snapshot_at = t;
                 while next_snapshot <= t {
                     next_snapshot += self.telemetry_every;

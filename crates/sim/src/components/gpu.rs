@@ -7,7 +7,7 @@ use jetsim_device::{DeviceSpec, GpuArch};
 use jetsim_trt::Engine;
 
 use crate::config::{CpuModel, GpuPolicy, SimConfig};
-use crate::soa::{KernelEventColumns, PreemptionColumns};
+use crate::trace::{KernelEvent, KernelPreempted};
 
 use super::gpu_policy::{make_policy, GpuSchedPolicy, PolicyView, ReadySet};
 use super::sched::{CpuSched, Resume, SchedEvent};
@@ -208,10 +208,8 @@ pub(crate) struct GpuEngine {
     sample_window: Window,
     /// GPU busy time within the measured window.
     pub(crate) gpu_busy_measured: SimDuration,
-    /// Kernel events recorded inside the measured window (columnar; the
-    /// hot loop appends word-sized columns, `finalize` materialises the
-    /// AoS view once).
-    pub(crate) kernel_events: KernelEventColumns,
+    /// Kernel events recorded inside the measured window.
+    pub(crate) kernel_events: Vec<KernelEvent>,
     /// Independent stream for kernel-event jitter samples, so toggling
     /// `record_kernel_events` cannot perturb the simulation dynamics:
     /// aggregate results are bit-identical with tracing on or off.
@@ -240,7 +238,7 @@ pub(crate) struct GpuEngine {
     /// non-preemptive path).
     pending_penalty: SimDuration,
     /// Preemption events recorded inside the measured window.
-    pub(crate) preemptions: PreemptionColumns,
+    pub(crate) preemptions: Vec<KernelPreempted>,
 }
 
 impl Component for GpuEngine {
@@ -289,7 +287,7 @@ impl GpuEngine {
             dvfs_window: Window::default(),
             sample_window: Window::default(),
             gpu_busy_measured: SimDuration::ZERO,
-            kernel_events: KernelEventColumns::with_capacity(est_events),
+            kernel_events: Vec::with_capacity(est_events),
             trace_rng,
             ktime: KernelTimeCaches::default(),
             policy: make_policy(&config.gpu_policy),
@@ -299,7 +297,7 @@ impl GpuEngine {
             sm_shares: config.processes.iter().map(|p| p.sm_share).collect(),
             gen: 0,
             pending_penalty: SimDuration::ZERO,
-            preemptions: PreemptionColumns::default(),
+            preemptions: Vec::new(),
         }
     }
 
@@ -478,14 +476,14 @@ impl GpuEngine {
         if now > ctx.warmup_end {
             let clipped = now.saturating_since(ctx.warmup_end.max_of(inflight.start));
             self.gpu_busy_measured += clipped;
-            self.preemptions.push(
-                inflight.pid,
-                inflight.ec_seq,
-                inflight.kernel_index,
-                inflight.start,
-                now.max_of(inflight.start),
+            self.preemptions.push(KernelPreempted {
+                pid: inflight.pid,
+                ec_seq: inflight.ec_seq,
+                kernel_index: inflight.kernel_index,
+                start: inflight.start,
+                preempted_at: now.max_of(inflight.start),
                 by_pid,
-            );
+            });
         }
         // The cancelled kernel is still the next thing its stream must
         // run: back to the head of the queue, not the tail.
@@ -569,18 +567,18 @@ impl GpuEngine {
             let sm = (sm_base * self.trace_rng.uniform(0.92, 1.08)).clamp(0.0, 1.0);
             let issue = (issue_base * self.trace_rng.uniform(0.85, 1.15)).clamp(0.0, 0.8);
             let tc = (tc_base * self.trace_rng.uniform(0.88, 1.12)).clamp(0.0, 1.0);
-            self.kernel_events.push(
-                inflight.pid,
-                inflight.ec_seq,
-                inflight.kernel_index,
-                inflight.start,
-                inflight.end,
-                kernel.precision,
-                sm,
-                issue,
-                tc,
-                kernel.bytes * u64::from(batch),
-            );
+            self.kernel_events.push(KernelEvent {
+                pid: inflight.pid,
+                ec_seq: inflight.ec_seq,
+                kernel_index: inflight.kernel_index,
+                start: inflight.start,
+                end: inflight.end,
+                precision: kernel.precision,
+                sm_active: sm,
+                issue_slot: issue,
+                tc_activity: tc,
+                bytes: kernel.bytes * u64::from(batch),
+            });
         }
 
         if inflight.kernel_index + 1 == kernel_count && ctx.alive[inflight.pid] {

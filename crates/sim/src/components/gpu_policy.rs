@@ -12,8 +12,8 @@
 //! * [`Fifo`] — global kernel-arrival order, no timeslice affinity;
 //! * [`PriorityPreemptive`] — strict priority levels with in-flight
 //!   kernel cancellation (see `GpuEngine::maybe_preempt`);
-//! * [`FractionalMps`] — per-process SM shares with weighted overlap
-//!   packing, generalising [`GpuSharing::SpatialMps`].
+//! * [`FractionalMps`] — per-process SM shares with overlap packing
+//!   weighted by the other ready processes' share.
 //!
 //! Policies decide *who* runs and *how* kernels pack; the physics —
 //! kernel timing, context-switch costs, power accrual, tracing — stays
@@ -343,9 +343,11 @@ impl GpuSchedPolicy for PriorityPreemptive {
 /// shrunk by the overlap efficiency weighted by the share mass of the
 /// *other* ready processes — a process holding most of the SMs leaves
 /// little room for co-scheduling and packs poorly; a small-share tenant
-/// overlaps almost fully. Generalises [`GpuSharing::SpatialMps`], which
-/// this reproduces when every share is equal and exactly one other
-/// process waits.
+/// overlaps almost fully. It does not reproduce
+/// [`GpuSharing::SpatialMps`]: with equal shares and one other process
+/// waiting it hides `0.5 × overlap` of a kernel, not `overlap`, and its
+/// pick rotates on every dispatch where `SpatialMps` under the default
+/// `rr` policy keeps timeslice affinity.
 #[derive(Debug)]
 pub(crate) struct FractionalMps {
     overlap_efficiency: f64,
@@ -668,6 +670,10 @@ mod tests {
         // …the small-share one overlaps against three times its mass.
         let small = p.hide_fraction(1, &v).unwrap();
         assert!((small - 0.4 * 0.75).abs() < 1e-12, "{small}");
+        // Equal shares against one waiter hide half the overlap, not
+        // all of it as `GpuSharing::SpatialMps` would.
+        let equal = p.hide_fraction(0, &view(&s, &prios, &[1.0, 1.0], None, 0));
+        assert_eq!(equal, Some(0.4 * 0.5));
         // Alone, nothing to pack against.
         s.unset(0);
         assert_eq!(

@@ -27,10 +27,9 @@ use jetsim_trt::Engine;
 use crate::config::SimConfig;
 use crate::serving::{
     group_seed, AdmissionPolicy, AutoscalerPolicy, BatchDecision, BatcherPolicy, BreakerMode,
-    BreakerPolicy, DropKind, DropRecord, HedgePolicy, RecoveryPolicy, ReplicaHealth, RetryPolicy,
-    ScaleDecision, ScaleSignals, ServeEventKind, RETRY_JITTER,
+    BreakerPolicy, DropKind, DropRecord, HedgePolicy, RecoveryPolicy, ReplicaHealth, RequestRecord,
+    RetryPolicy, ScaleDecision, ScaleSignals, ServeEvent, ServeEventKind, RETRY_JITTER,
 };
-use crate::soa::{RequestColumns, ServeEventColumns};
 
 use super::gpu::GpuEngine;
 use super::memory_guard::MemoryGuard;
@@ -246,12 +245,12 @@ pub(crate) struct Ingress {
     idle_since: Vec<SimTime>,
     /// Hedge pairing: each member of an unresolved pair maps to its twin.
     hedge_peer: HashMap<usize, usize>,
-    /// Every request's lifecycle, in arrival order (columnar; each
-    /// lifecycle step touches only the columns it changes).
-    pub(crate) requests: RequestColumns,
+    /// Every request's lifecycle, in arrival order; each lifecycle step
+    /// writes its fields in place.
+    pub(crate) requests: Vec<RequestRecord>,
     /// Batch formations, degradation flips, breaker transitions and
-    /// replica health changes, in time order (columnar).
-    pub(crate) serve_events: ServeEventColumns,
+    /// replica health changes, in time order.
+    pub(crate) serve_events: Vec<ServeEvent>,
 }
 
 impl Component for Ingress {
@@ -359,8 +358,8 @@ impl Ingress {
             scale_gen: vec![0; n],
             idle_since: vec![SimTime::ZERO; n],
             hedge_peer: HashMap::new(),
-            requests: RequestColumns::default(),
-            serve_events: ServeEventColumns::default(),
+            requests: Vec::new(),
+            serve_events: Vec::new(),
         }
     }
 
@@ -390,11 +389,11 @@ impl Ingress {
                     // replay with the initial up-set.
                     let initial = (policy.min_replicas as usize).min(alive.len());
                     for &pid in &alive[..initial] {
-                        self.serve_events.push(
-                            SimTime::ZERO,
-                            g,
-                            ServeEventKind::ReplicaWarmed { pid },
-                        );
+                        self.serve_events.push(ServeEvent {
+                            time: SimTime::ZERO,
+                            group: g,
+                            kind: ServeEventKind::ReplicaWarmed { pid },
+                        });
                         self.groups[g].free.push_back(pid);
                     }
                     for &pid in &alive[initial..] {
@@ -462,7 +461,8 @@ impl Ingress {
     ) {
         let seq = self.groups[g].seq;
         self.groups[g].seq += 1;
-        let ri = self.requests.push_arrival(g, seq, now);
+        let ri = self.requests.len();
+        self.requests.push(RequestRecord::arrived(g, seq, now));
         self.admit(g, ri, now, ctx);
         self.try_dispatch(g, now, ctx, deps);
         self.schedule_next_arrival(g, now, ctx);
@@ -472,13 +472,10 @@ impl Ingress {
     /// the admission policy. Returns `true` when it ended up queued.
     fn admit(&mut self, g: usize, ri: usize, now: SimTime, ctx: &mut Ctx<'_>) -> bool {
         if !self.breaker_gate(g, ri, now) {
-            self.requests.mark_dropped(
-                ri,
-                DropRecord {
-                    at: now,
-                    kind: DropKind::BreakerOpen,
-                },
-            );
+            self.requests[ri].dropped = Some(DropRecord {
+                at: now,
+                kind: DropKind::BreakerOpen,
+            });
             self.unlink_hedge(ri);
             return false;
         }
@@ -503,11 +500,11 @@ impl Ingress {
                     {
                         self.groups[g].degraded_mode = true;
                         let queue_depth = self.groups[g].queue.len();
-                        self.serve_events.push(
-                            now,
-                            g,
-                            ServeEventKind::DegradeEnter { queue_depth },
-                        );
+                        self.serve_events.push(ServeEvent {
+                            time: now,
+                            group: g,
+                            kind: ServeEventKind::DegradeEnter { queue_depth },
+                        });
                     }
                 }
             }
@@ -525,7 +522,7 @@ impl Ingress {
             );
         }
         if let Some(hp) = self.groups[g].hedge {
-            if !self.requests.is_hedge(ri) {
+            if self.requests[ri].hedge_of.is_none() {
                 if let Some(delay) = self.hedge_delay(g, hp) {
                     ctx.queue.schedule(
                         now + delay,
@@ -605,8 +602,11 @@ impl Ingress {
             self.groups[g].engine_built = true;
             self.scale[pid] = ScaleState::Provisioning;
             self.scale_gen[pid] = self.scale_gen[pid].wrapping_add(1);
-            self.serve_events
-                .push(now, g, ServeEventKind::ReplicaProvisioned { pid, cold });
+            self.serve_events.push(ServeEvent {
+                time: now,
+                group: g,
+                kind: ServeEventKind::ReplicaProvisioned { pid, cold },
+            });
             // A cold start splits into the build/plan-fetch phase
             // (skipped warm) and the Warming plan-load phase everyone
             // pays; `start_costs` clamps cold ≥ warm ≥ 1 ms.
@@ -659,8 +659,11 @@ impl Ingress {
             }
             ScaleState::Warming => {
                 self.scale[pid] = ScaleState::Up;
-                self.serve_events
-                    .push(now, g, ServeEventKind::ReplicaWarmed { pid });
+                self.serve_events.push(ServeEvent {
+                    time: now,
+                    group: g,
+                    kind: ServeEventKind::ReplicaWarmed { pid },
+                });
                 self.idle_since[pid] = now;
                 self.groups[g].free.push_back(pid);
                 self.try_dispatch(g, now, ctx, deps);
@@ -715,14 +718,21 @@ impl Ingress {
                             self.scale[pid] = ScaleState::Parked;
                             self.scale_gen[pid] = self.scale_gen[pid].wrapping_add(1);
                             self.groups[g].free.retain(|&p| p != pid);
-                            self.serve_events
-                                .push(now, g, ServeEventKind::ReplicaReaped { pid });
+                            self.serve_events.push(ServeEvent {
+                                time: now,
+                                group: g,
+                                kind: ServeEventKind::ReplicaReaped { pid },
+                            });
                             live -= 1;
                             reaped = true;
                         }
                     }
                     if reaped && live == 0 && pending == 0 && policy.min_replicas == 0 {
-                        self.serve_events.push(now, g, ServeEventKind::ParkedToZero);
+                        self.serve_events.push(ServeEvent {
+                            time: now,
+                            group: g,
+                            kind: ServeEventKind::ParkedToZero,
+                        });
                     }
                 }
             }
@@ -745,8 +755,11 @@ impl Ingress {
             BrState::Open { until } => {
                 if now >= until {
                     self.groups[g].br_state = BrState::HalfOpen { probe: Some(ri) };
-                    self.serve_events
-                        .push(now, g, ServeEventKind::BreakerHalfOpen);
+                    self.serve_events.push(ServeEvent {
+                        time: now,
+                        group: g,
+                        kind: ServeEventKind::BreakerHalfOpen,
+                    });
                     true
                 } else {
                     policy.mode == BreakerMode::Brownout
@@ -792,7 +805,7 @@ impl Ingress {
         now: SimTime,
         ctx: &mut Ctx<'_>,
     ) {
-        self.requests.mark_dropped(ri, DropRecord { at: now, kind });
+        self.requests[ri].dropped = Some(DropRecord { at: now, kind });
         self.unlink_hedge(ri);
         let exempt = matches!(kind, DropKind::HedgeLoser | DropKind::BreakerOpen);
         if exempt {
@@ -801,7 +814,7 @@ impl Ingress {
         }
         self.breaker_record(g, false, now);
         self.resolve_probe(g, ri, false, now);
-        if !self.requests.is_hedge(ri) {
+        if self.requests[ri].hedge_of.is_none() {
             self.maybe_retry(g, ri, now, ctx);
         }
     }
@@ -813,7 +826,7 @@ impl Ingress {
         let Some(policy) = self.groups[g].retry else {
             return;
         };
-        let next_attempt = self.requests.attempt(ri) + 1;
+        let next_attempt = self.requests[ri].attempt + 1;
         if next_attempt >= policy.max_attempts {
             return;
         }
@@ -835,12 +848,15 @@ impl Ingress {
         ctx: &mut Ctx<'_>,
         deps: &mut IngressDeps<'_>,
     ) {
-        let g = self.requests.group(parent);
+        let g = self.requests[parent].group;
         let seq = self.groups[g].seq;
         self.groups[g].seq += 1;
-        let ri = self.requests.push_arrival(g, seq, now);
-        self.requests
-            .mark_retry(ri, self.requests.attempt(parent) + 1, parent);
+        let ri = self.requests.len();
+        self.requests.push(RequestRecord {
+            attempt: self.requests[parent].attempt + 1,
+            retry_of: Some(parent),
+            ..RequestRecord::arrived(g, seq, now)
+        });
         self.admit(g, ri, now, ctx);
         self.try_dispatch(g, now, ctx, deps);
     }
@@ -855,10 +871,11 @@ impl Ingress {
         ctx: &mut Ctx<'_>,
         deps: &mut IngressDeps<'_>,
     ) {
-        if !self.requests.is_queued(ri) {
+        let r = &self.requests[ri];
+        if r.dispatched.is_some() || !r.unfinished() {
             return;
         }
-        let g = self.requests.group(ri);
+        let g = r.group;
         self.groups[g].queue.retain(|&q| q != ri);
         self.drop_request(g, ri, DropKind::DeadlineExpired, now, ctx);
         self.try_dispatch(g, now, ctx, deps);
@@ -873,14 +890,18 @@ impl Ingress {
         ctx: &mut Ctx<'_>,
         deps: &mut IngressDeps<'_>,
     ) {
-        if !self.requests.is_in_flight(primary) || self.hedge_peer.contains_key(&primary) {
+        let p = &self.requests[primary];
+        if p.dispatched.is_none() || !p.unfinished() || self.hedge_peer.contains_key(&primary) {
             return;
         }
-        let g = self.requests.group(primary);
+        let g = p.group;
         let seq = self.groups[g].seq;
         self.groups[g].seq += 1;
-        let ri = self.requests.push_arrival(g, seq, now);
-        self.requests.mark_hedge(ri, primary);
+        let ri = self.requests.len();
+        self.requests.push(RequestRecord {
+            hedge_of: Some(primary),
+            ..RequestRecord::arrived(g, seq, now)
+        });
         self.hedge_peer.insert(primary, ri);
         self.hedge_peer.insert(ri, primary);
         if !self.admit(g, ri, now, ctx) {
@@ -905,15 +926,13 @@ impl Ingress {
             return;
         };
         self.hedge_peer.remove(&peer);
-        if self.requests.is_queued(peer) {
+        let twin = &mut self.requests[peer];
+        if twin.dispatched.is_none() && twin.unfinished() {
             self.groups[g].queue.retain(|&q| q != peer);
-            self.requests.mark_dropped(
-                peer,
-                DropRecord {
-                    at: now,
-                    kind: DropKind::HedgeLoser,
-                },
-            );
+            twin.dropped = Some(DropRecord {
+                at: now,
+                kind: DropKind::HedgeLoser,
+            });
             self.resolve_probe_neutral(g, peer);
         }
     }
@@ -948,8 +967,11 @@ impl Ingress {
                 grp.br_forced = policy.mode == BreakerMode::Brownout;
                 grp.br_window.clear();
                 grp.br_failures = 0;
-                self.serve_events
-                    .push(now, g, ServeEventKind::BreakerTrip { error_rate });
+                self.serve_events.push(ServeEvent {
+                    time: now,
+                    group: g,
+                    kind: ServeEventKind::BreakerTrip { error_rate },
+                });
             }
         }
     }
@@ -968,7 +990,11 @@ impl Ingress {
             self.groups[g].br_forced = false;
             self.groups[g].br_window.clear();
             self.groups[g].br_failures = 0;
-            self.serve_events.push(now, g, ServeEventKind::BreakerClose);
+            self.serve_events.push(ServeEvent {
+                time: now,
+                group: g,
+                kind: ServeEventKind::BreakerClose,
+            });
         } else {
             self.groups[g].br_state = BrState::Open {
                 until: now + policy.cooldown,
@@ -998,8 +1024,9 @@ impl Ingress {
         };
         let was_busy = std::mem::replace(&mut self.busy[pid], false);
         for ri in std::mem::take(&mut self.inflight[pid]) {
-            self.requests.mark_completed(ri, now);
-            let latency = now.saturating_since(self.requests.arrival(ri));
+            let r = &mut self.requests[ri];
+            r.completed = Some(now);
+            let latency = now.saturating_since(r.arrival);
             if let Some(policy) = self.groups[g].autoscaler {
                 self.groups[g].win_completions += 1;
                 if policy.slo_target.is_some_and(|target| latency > target) {
@@ -1039,8 +1066,11 @@ impl Ingress {
         let queue_depth = self.groups[g].queue.len();
         if self.groups[g].degraded_mode && queue_depth * 4 <= self.groups[g].queue_cap {
             self.groups[g].degraded_mode = false;
-            self.serve_events
-                .push(now, g, ServeEventKind::DegradeExit { queue_depth });
+            self.serve_events.push(ServeEvent {
+                time: now,
+                group: g,
+                kind: ServeEventKind::DegradeExit { queue_depth },
+            });
         }
         self.try_dispatch(g, now, ctx, deps);
     }
@@ -1061,14 +1091,14 @@ impl Ingress {
         for ri in dead {
             self.drop_request(g, ri, DropKind::Killed, now, ctx);
         }
-        self.serve_events.push(
-            now,
-            g,
-            ServeEventKind::ReplicaDown {
+        self.serve_events.push(ServeEvent {
+            time: now,
+            group: g,
+            kind: ServeEventKind::ReplicaDown {
                 pid,
                 failed_inflight,
             },
-        );
+        });
         // A kill mid cold-start cancels the provision (the stale
         // `ScaleUpDone` is generation-gated); the replica returns parked
         // and the autoscaler re-provisions on its own signals — recovery
@@ -1092,8 +1122,11 @@ impl Ingress {
             }
             _ => {
                 self.health[pid] = ReplicaHealth::Ejected;
-                self.serve_events
-                    .push(now, g, ServeEventKind::ReplicaEjected { pid });
+                self.serve_events.push(ServeEvent {
+                    time: now,
+                    group: g,
+                    kind: ServeEventKind::ReplicaEjected { pid },
+                });
             }
         }
     }
@@ -1127,8 +1160,11 @@ impl Ingress {
                 }
                 _ => {
                     self.health[pid] = ReplicaHealth::Ejected;
-                    self.serve_events
-                        .push(now, g, ServeEventKind::ReplicaEjected { pid });
+                    self.serve_events.push(ServeEvent {
+                        time: now,
+                        group: g,
+                        kind: ServeEventKind::ReplicaEjected { pid },
+                    });
                 }
             }
             return;
@@ -1147,8 +1183,11 @@ impl Ingress {
         proc.cpu = RqThread::new();
         proc.cpu.gen = gen;
         self.health[pid] = ReplicaHealth::Up;
-        self.serve_events
-            .push(now, g, ServeEventKind::ReplicaUp { pid });
+        self.serve_events.push(ServeEvent {
+            time: now,
+            group: g,
+            kind: ServeEventKind::ReplicaUp { pid },
+        });
         // A replica that was parked (or mid-provision) when killed comes
         // back as a healthy *parked* process: the autoscaler, not the
         // supervisor, decides when it serves again.
@@ -1186,7 +1225,7 @@ impl Ingress {
                 }
             };
             let grp = &mut self.groups[g];
-            let oldest = grp.queue.front().map(|&ri| self.requests.arrival(ri));
+            let oldest = grp.queue.front().map(|&ri| self.requests[ri].arrival);
             match grp.policy.decide(now, grp.queue.len(), oldest) {
                 BatchDecision::Idle => {
                     grp.free.push_front(pid);
@@ -1224,21 +1263,25 @@ impl Ingress {
                         .collect();
                     let queue_depth = grp.queue.len();
                     for &ri in &batch {
-                        self.requests.mark_dispatched(ri, now, pid, k, degraded);
+                        let r = &mut self.requests[ri];
+                        r.dispatched = Some(now);
+                        r.pid = Some(pid);
+                        r.batch_size = k;
+                        r.degraded = degraded;
                     }
                     self.inflight[pid] = batch;
                     self.busy[pid] = true;
-                    self.serve_events.push(
-                        now,
-                        g,
-                        ServeEventKind::BatchFormed {
+                    self.serve_events.push(ServeEvent {
+                        time: now,
+                        group: g,
+                        kind: ServeEventKind::BatchFormed {
                             pid,
                             size: k,
                             oldest_wait: now.saturating_since(oldest),
                             queue_depth,
                             degraded,
                         },
-                    );
+                    });
                     // Hand the batch to the host thread: a server is idle
                     // between batches (next_launch == 0), so swapping the
                     // engine at this boundary is safe.

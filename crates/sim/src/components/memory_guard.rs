@@ -5,8 +5,7 @@
 use jetsim_des::{CalendarQueue, SimTime};
 
 use crate::config::SimConfig;
-use crate::faults::{FaultKind, OomPolicy};
-use crate::soa::FaultColumns;
+use crate::faults::{FaultEvent, FaultKind, OomPolicy};
 
 use super::governor::Governor;
 use super::gpu::GpuEngine;
@@ -63,7 +62,7 @@ pub(crate) struct MemoryGuard {
     /// Background spike bytes currently resident.
     spike_bytes: u64,
     /// Faults injected and their consequences, in event order.
-    pub(crate) fault_events: FaultColumns,
+    pub(crate) fault_events: Vec<FaultEvent>,
 }
 
 impl Component for MemoryGuard {
@@ -112,7 +111,7 @@ impl MemoryGuard {
         MemoryGuard {
             timeline,
             spike_bytes: 0,
-            fault_events: FaultColumns::default(),
+            fault_events: Vec::new(),
         }
     }
 
@@ -149,25 +148,29 @@ impl MemoryGuard {
         match action {
             FaultAction::SpikeStart { bytes } => {
                 self.spike_bytes += bytes;
-                self.fault_events
-                    .push(now, FaultKind::MemorySpikeStart { bytes });
+                self.fault_events.push(FaultEvent {
+                    time: now,
+                    kind: FaultKind::MemorySpikeStart { bytes },
+                });
                 self.enforce_memory(now, ctx, sched, gpu, ingress);
             }
             FaultAction::SpikeEnd { bytes } => {
                 self.spike_bytes = self.spike_bytes.saturating_sub(bytes);
-                self.fault_events
-                    .push(now, FaultKind::MemorySpikeEnd { bytes });
+                self.fault_events.push(FaultEvent {
+                    time: now,
+                    kind: FaultKind::MemorySpikeEnd { bytes },
+                });
             }
             FaultAction::LockStart { until, step } => {
                 governor.throttle_lock = Some((until, step));
                 gpu.freq_step = step;
-                self.fault_events.push(
-                    now,
-                    FaultKind::ThrottleLockStart {
+                self.fault_events.push(FaultEvent {
+                    time: now,
+                    kind: FaultKind::ThrottleLockStart {
                         step,
                         mhz: ctx.config.device.gpu.freq.mhz(step),
                     },
-                );
+                });
             }
             FaultAction::LockEnd => {
                 // Only release when no longer-running lock superseded
@@ -175,7 +178,10 @@ impl MemoryGuard {
                 if let Some((until, _)) = governor.throttle_lock {
                     if now >= until {
                         governor.throttle_lock = None;
-                        self.fault_events.push(now, FaultKind::ThrottleLockEnd);
+                        self.fault_events.push(FaultEvent {
+                            time: now,
+                            kind: FaultKind::ThrottleLockEnd,
+                        });
                     }
                 }
             }
@@ -302,14 +308,14 @@ impl MemoryGuard {
         if ctx.config.cpu_model == crate::config::CpuModel::RunQueue {
             sched.rq_evict(pid, now, ctx);
         }
-        self.fault_events.push(
-            now,
-            FaultKind::ProcessKilled {
+        self.fault_events.push(FaultEvent {
+            time: now,
+            kind: FaultKind::ProcessKilled {
                 pid,
                 name: ctx.procs[pid].name.clone(),
                 freed_bytes,
             },
-        );
+        });
         // Serve replicas fail their in-flight requests and may recover;
         // no-op for closed-loop processes.
         ingress.on_replica_killed(pid, now, ctx);

@@ -38,7 +38,7 @@ use jetsim_des::{CalendarQueue, SimDuration, SimRng, SimTime};
 use jetsim_trt::Engine;
 
 use crate::config::{ArrivalModel, SimConfig};
-use crate::soa::EcColumns;
+use crate::trace::EcRecord;
 
 use sched::RqThread;
 
@@ -134,9 +134,9 @@ pub(crate) struct Proc {
     pub cpu: RqThread,
     /// Kernels launched and ready for the GPU, FIFO.
     pub ready: VecDeque<usize>,
-    /// Completed EC records, columnar (all; filtered to the measured
-    /// window at finalize).
-    pub ecs: EcColumns,
+    /// Completed EC records (all; filtered to the measured window at
+    /// finalize).
+    pub ecs: Vec<EcRecord>,
 }
 
 #[cfg(test)]

@@ -510,6 +510,19 @@ impl CpuSched {
             gpu_time: proc.cur_gpu,
             queue_delay: proc.cur_queue_delay,
         };
+        // The paper's §7 split: an EC's wall time is exactly its launch
+        // calls, scheduler blocking and synchronisation wait.
+        debug_assert_eq!(
+            record.duration(),
+            record.launch_time + record.blocking_time + record.sync_time,
+            "pid {pid} EC {} [{} ns, {} ns] is not Σ K_l {} ns + Σ B_l {} ns + sync {} ns",
+            proc.ec_seq,
+            record.start.as_nanos(),
+            record.end.as_nanos(),
+            record.launch_time.as_nanos(),
+            record.blocking_time.as_nanos(),
+            record.sync_time.as_nanos(),
+        );
         proc.ecs.push(record);
         proc.ec_seq += 1;
         proc.next_launch = 0;

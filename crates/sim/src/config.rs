@@ -64,8 +64,11 @@ pub enum GpuPolicy {
         preempt_penalty: SimDuration,
     },
     /// MPS-style fractional spatial sharing with per-process SM shares
-    /// (set via [`SimConfigBuilder::process_sm_share`]); generalises
-    /// [`GpuSharing::SpatialMps`].
+    /// (set via [`SimConfigBuilder::process_sm_share`]). Unlike
+    /// [`GpuSharing::SpatialMps`], the overlap is weighted by the other
+    /// ready processes' share (equal shares, one waiter: half of it) and
+    /// dispatch rotates on every kernel instead of keeping timeslice
+    /// affinity.
     FractionalMps {
         /// Peak fraction of a kernel's time hidden by co-scheduling,
         /// scaled by the contending processes' share mass. Must lie in

@@ -48,7 +48,6 @@ pub mod error;
 pub mod faults;
 pub mod serving;
 pub mod simulation;
-pub(crate) mod soa;
 pub mod trace;
 
 pub use config::{

@@ -739,6 +739,25 @@ pub struct RequestRecord {
 }
 
 impl RequestRecord {
+    /// A request that just arrived at `group`: not yet dispatched,
+    /// dropped or linked to another attempt.
+    pub(crate) fn arrived(group: usize, seq: u64, arrival: SimTime) -> Self {
+        RequestRecord {
+            group,
+            seq,
+            arrival,
+            dispatched: None,
+            completed: None,
+            dropped: None,
+            pid: None,
+            batch_size: 0,
+            degraded: false,
+            attempt: 0,
+            retry_of: None,
+            hedge_of: None,
+        }
+    }
+
     /// End-to-end latency (arrival → completion), for served requests.
     pub fn latency(&self) -> Option<SimDuration> {
         self.completed

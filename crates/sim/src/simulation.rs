@@ -17,7 +17,6 @@ use crate::components::{Component, Ctx, Event, Proc};
 use crate::config::SimConfig;
 use crate::error::SimError;
 use crate::faults::OomPolicy;
-use crate::soa::EcColumns;
 use crate::trace::{EcRecord, ProcessStats, RunTrace};
 
 /// A configured, runnable simulation.
@@ -201,7 +200,7 @@ impl Runner {
                 serve_group: group,
                 cpu: RqThread::new(),
                 ready: VecDeque::new(),
-                ecs: EcColumns::with_capacity(ecs),
+                ecs: Vec::with_capacity(ecs),
             })
             .collect::<Vec<_>>();
         let n_procs = procs.len() as u32;
@@ -358,11 +357,8 @@ impl Runner {
         let mut processes = Vec::with_capacity(self.procs.len());
         let mut ec_records = Vec::with_capacity(self.procs.len());
         for (pid, proc) in self.procs.iter_mut().enumerate() {
-            let measured: Vec<EcRecord> = proc
-                .ecs
-                .iter()
-                .filter(|r| r.end > self.warmup_end)
-                .collect();
+            let mut measured = std::mem::take(&mut proc.ecs);
+            measured.retain(|r| r.end > self.warmup_end);
             let completed = measured.len() as u64;
             let images = completed * u64::from(proc.engine.batch());
             let mean = |f: fn(&EcRecord) -> SimDuration| -> SimDuration {
@@ -430,12 +426,12 @@ impl Runner {
             processes,
             kernel_names,
             ec_records,
-            kernel_events: std::mem::take(&mut self.gpu.kernel_events).into_vec(),
-            preemptions: std::mem::take(&mut self.gpu.preemptions).into_vec(),
-            power_samples: std::mem::take(&mut self.sampler.power_samples),
-            fault_events: std::mem::take(&mut self.guard.fault_events).into_vec(),
-            requests: std::mem::take(&mut self.ingress.requests).into_vec(),
-            serve_events: std::mem::take(&mut self.ingress.serve_events).into_vec(),
+            kernel_events: self.gpu.kernel_events,
+            preemptions: self.gpu.preemptions,
+            power_samples: self.sampler.power_samples,
+            fault_events: self.guard.fault_events,
+            requests: self.ingress.requests,
+            serve_events: self.ingress.serve_events,
             serve_group_labels: self
                 .config
                 .serve

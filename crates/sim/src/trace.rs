@@ -278,11 +278,6 @@ impl RunTrace {
         }
     }
 
-    /// Total energy consumed over the measured window, joules.
-    pub fn total_energy_j(&self) -> f64 {
-        self.mean_power() * self.measured.as_secs_f64()
-    }
-
     /// How long a battery of `watt_hours` would sustain this workload at
     /// the measured draw, in hours (`None` when the trace has no samples).
     pub fn battery_life_hours(&self, watt_hours: f64) -> Option<f64> {
@@ -421,10 +416,9 @@ mod tests {
     }
 
     #[test]
-    fn energy_integrates_power_over_window() {
+    fn battery_life_divides_pack_by_mean_power() {
         let t = trace(vec![stats("a", 10.0)]);
-        assert_eq!(t.total_energy_j(), 10.0, "5 W × 2 s");
-        assert_eq!(t.battery_life_hours(50.0), Some(10.0));
+        assert_eq!(t.battery_life_hours(50.0), Some(10.0), "50 Wh / 5 W");
         let mut empty = trace(vec![]);
         empty.power_samples.clear();
         assert_eq!(empty.battery_life_hours(50.0), None);
