@@ -11,19 +11,21 @@
 //!   edge sites (plus an optional cloud tier on a different device),
 //!   one aggregate arrival stream per tenant class, a [`NetworkModel`]
 //!   and a [`RouterPolicy`];
-//! * [`FleetRouter`] — the routing contract, placed *before* any site
-//!   runs: policies see periodic telemetry snapshots
-//!   ([`FleetView`], refreshed every `telemetry_every`), which gives
-//!   them exactly the staleness a scraped-metrics control plane has;
+//! * [`RouterPolicy::route`] — the routing decision, made *before* any
+//!   site runs as a function of the request and a periodic telemetry
+//!   snapshot ([`FleetView`], refreshed every `telemetry_every`), which
+//!   gives policies exactly the staleness a scraped-metrics control
+//!   plane has;
 //! * [`FleetReport`] — per-site [`jetsim_serve::ServeReport`]s plus the
 //!   fleet-only metrics: end-to-end latency including network legs,
 //!   client-side SLO attainment, offload fraction, cross-site traffic;
 //! * the `jetsim-fleet` CLI binary.
 //!
-//! Sites couple only through pre-computed routing decisions and network
-//! delays injected as per-request ingress offsets, so the site sims run
-//! embarrassingly parallel and the report is **byte-identical whatever
-//! the worker count** — same spec and seed, same bytes.
+//! Sites couple only through pre-computed routing decisions: each site
+//! replays one arrival timeline of delivery instants, with the uplink
+//! leg already folded in, so the site sims run embarrassingly parallel
+//! and the report is **byte-identical whatever the worker count** —
+//! same spec and seed, same bytes.
 //!
 //! # Examples
 //!
@@ -60,7 +62,7 @@ pub mod spec;
 
 pub use network::{Direction, NetworkModel};
 pub use report::{FleetReport, SiteReport};
-pub use router::{FleetRouter, FleetView, RouteRequest, RouterPolicy};
+pub use router::{FleetView, RouteRequest, RouterPolicy};
 pub use scenario::{build_fleet_spec, build_network, network_overlay};
 pub use spec::{FleetSpec, DEFAULT_TELEMETRY_EVERY};
 

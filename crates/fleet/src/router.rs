@@ -1,17 +1,19 @@
 //! Fleet routing: where does each request run?
 //!
 //! The fleet planner walks the aggregate arrival timeline once, in
-//! emission order, asking a [`FleetRouter`] to place every request
-//! given a [`FleetView`] — a *telemetry snapshot* of per-site load that
-//! only refreshes every `telemetry_every`, so policies see exactly the
-//! staleness a real periodic metrics pipeline would introduce. Routing
-//! happens before any site simulation runs, which is what makes the
-//! whole fleet deterministic and embarrassingly parallel: the sites
-//! couple only through these pre-computed decisions.
+//! emission order, asking [`RouterPolicy::route`] to place every
+//! request given a [`FleetView`] — a *telemetry snapshot* of per-site
+//! load that only refreshes every `telemetry_every`, so policies see
+//! exactly the staleness a real periodic metrics pipeline would
+//! introduce. A decision is a function of the request and the view
+//! alone. Routing happens before any site simulation runs, which is
+//! what makes the whole fleet deterministic and embarrassingly
+//! parallel: the sites couple only through these pre-computed
+//! decisions.
 //!
 //! Four built-in policies ([`RouterPolicy`]):
 //!
-//! * `round_robin` — cycle the edge sites, blind to load;
+//! * `round_robin` — cycle the edge sites by request id, blind to load;
 //! * `least_queue` — send to the site (cloud included, when present)
 //!   with the smallest estimated drain time in the last snapshot;
 //! * `locality` — serve at the request's home site unless its estimated
@@ -102,16 +104,6 @@ impl FleetView {
     }
 }
 
-/// A routing policy: maps each request to a site index, in emission
-/// order. Implementations may keep internal state (e.g. a round-robin
-/// cursor) but must be deterministic in `(request, view)` history.
-pub trait FleetRouter {
-    /// Short policy name used in reports and figure tables.
-    fn name(&self) -> &'static str;
-    /// Places `req` on a site index in `0..view.sites()`.
-    fn route(&mut self, req: &RouteRequest, view: &FleetView) -> usize;
-}
-
 /// The built-in policy set, selected by the `--router` flag / scenario
 /// `router` field.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -131,15 +123,47 @@ pub enum RouterPolicy {
 }
 
 impl RouterPolicy {
-    /// Instantiates the policy's router state machine.
-    pub fn build(self) -> Box<dyn FleetRouter + Send> {
+    /// Places `req` on a site index in `0..view.sites()`.
+    pub fn route(self, req: &RouteRequest, view: &FleetView) -> usize {
+        // Spill to the least-loaded edge only when it actually looks
+        // better than home.
+        let spill = || {
+            let edge = view.least_loaded_edge();
+            if view.est_wait_secs(edge) < view.est_wait_secs(req.home) {
+                edge
+            } else {
+                req.home
+            }
+        };
         match self {
-            RouterPolicy::RoundRobin => Box::new(RoundRobin { next: 0 }),
-            RouterPolicy::LeastQueue => Box::new(LeastQueue),
-            RouterPolicy::Locality => Box::new(Locality {
-                pressure: DEFAULT_PRESSURE,
-            }),
-            RouterPolicy::Offload => Box::new(Offload { risk: DEFAULT_RISK }),
+            RouterPolicy::RoundRobin => (req.id % view.edge_sites.max(1) as u64) as usize,
+            RouterPolicy::LeastQueue => (0..view.sites())
+                .min_by(|&a, &b| {
+                    view.est_wait_secs(a)
+                        .partial_cmp(&view.est_wait_secs(b))
+                        .unwrap_or(std::cmp::Ordering::Equal)
+                })
+                .unwrap_or(0),
+            RouterPolicy::Locality => {
+                let threshold = DEFAULT_PRESSURE * view.slo.as_secs_f64();
+                if view.est_wait_secs(req.home) <= threshold || view.edge_sites <= 1 {
+                    return req.home;
+                }
+                spill()
+            }
+            RouterPolicy::Offload => {
+                let budget = DEFAULT_RISK * view.slo.as_secs_f64();
+                if view.est_wait_secs(req.home) <= budget {
+                    return req.home;
+                }
+                match view.cloud {
+                    // Escalate only when the detour itself fits the SLO.
+                    Some(cloud) if view.cloud_round_trip.as_secs_f64() < view.slo.as_secs_f64() => {
+                        cloud
+                    }
+                    _ => spill(),
+                }
+            }
         }
     }
 
@@ -186,93 +210,6 @@ const DEFAULT_PRESSURE: f64 = 0.5;
 /// Deadline-risk threshold (× SLO) above which `offload` escalates.
 const DEFAULT_RISK: f64 = 0.5;
 
-struct RoundRobin {
-    next: usize,
-}
-
-impl FleetRouter for RoundRobin {
-    fn name(&self) -> &'static str {
-        "round_robin"
-    }
-
-    fn route(&mut self, _req: &RouteRequest, view: &FleetView) -> usize {
-        let site = self.next % view.edge_sites.max(1);
-        self.next = self.next.wrapping_add(1);
-        site
-    }
-}
-
-struct LeastQueue;
-
-impl FleetRouter for LeastQueue {
-    fn name(&self) -> &'static str {
-        "least_queue"
-    }
-
-    fn route(&mut self, _req: &RouteRequest, view: &FleetView) -> usize {
-        (0..view.sites())
-            .min_by(|&a, &b| {
-                view.est_wait_secs(a)
-                    .partial_cmp(&view.est_wait_secs(b))
-                    .unwrap_or(std::cmp::Ordering::Equal)
-            })
-            .unwrap_or(0)
-    }
-}
-
-struct Locality {
-    pressure: f64,
-}
-
-impl FleetRouter for Locality {
-    fn name(&self) -> &'static str {
-        "locality"
-    }
-
-    fn route(&mut self, req: &RouteRequest, view: &FleetView) -> usize {
-        let threshold = self.pressure * view.slo.as_secs_f64();
-        if view.est_wait_secs(req.home) <= threshold || view.edge_sites <= 1 {
-            return req.home;
-        }
-        let spill = view.least_loaded_edge();
-        // Only spill when somewhere else actually looks better.
-        if view.est_wait_secs(spill) < view.est_wait_secs(req.home) {
-            spill
-        } else {
-            req.home
-        }
-    }
-}
-
-struct Offload {
-    risk: f64,
-}
-
-impl FleetRouter for Offload {
-    fn name(&self) -> &'static str {
-        "offload"
-    }
-
-    fn route(&mut self, req: &RouteRequest, view: &FleetView) -> usize {
-        let budget = self.risk * view.slo.as_secs_f64();
-        if view.est_wait_secs(req.home) <= budget {
-            return req.home;
-        }
-        match view.cloud {
-            // Escalate only when the detour itself fits the SLO.
-            Some(cloud) if view.cloud_round_trip.as_secs_f64() < view.slo.as_secs_f64() => cloud,
-            _ => {
-                let spill = view.least_loaded_edge();
-                if view.est_wait_secs(spill) < view.est_wait_secs(req.home) {
-                    spill
-                } else {
-                    req.home
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -303,7 +240,7 @@ mod tests {
     #[test]
     fn round_robin_cycles_edges_only() {
         let v = view(3, true, vec![vec![0.0]; 4]);
-        let mut r = RouterPolicy::RoundRobin.build();
+        let r = RouterPolicy::RoundRobin;
         let sites: Vec<usize> = (0..6).map(|i| r.route(&req(i, 0), &v)).collect();
         assert_eq!(sites, vec![0, 1, 2, 0, 1, 2]);
     }
@@ -311,7 +248,7 @@ mod tests {
     #[test]
     fn least_queue_follows_snapshot_minimum() {
         let v = view(3, true, vec![vec![9.0], vec![2.0], vec![5.0], vec![3.0]]);
-        let mut r = RouterPolicy::LeastQueue.build();
+        let r = RouterPolicy::LeastQueue;
         assert_eq!(r.route(&req(0, 0), &v), 1);
         // Cloud (site 3) wins when it is the least loaded.
         let v = view(3, true, vec![vec![9.0], vec![8.0], vec![5.0], vec![1.0]]);
@@ -322,7 +259,7 @@ mod tests {
     fn locality_stays_home_until_pressure_then_spills_to_edge() {
         // est_rate 100/s, SLO 50 ms, pressure 0.5 → threshold 2.5 requests.
         let calm = view(3, false, vec![vec![2.0], vec![0.0], vec![1.0]]);
-        let mut r = RouterPolicy::Locality.build();
+        let r = RouterPolicy::Locality;
         assert_eq!(r.route(&req(0, 0), &calm), 0);
         let hot = view(3, false, vec![vec![40.0], vec![0.0], vec![1.0]]);
         assert_eq!(r.route(&req(1, 0), &hot), 1);
@@ -334,7 +271,7 @@ mod tests {
     #[test]
     fn offload_escalates_to_cloud_under_deadline_risk() {
         let calm = view(2, true, vec![vec![1.0], vec![0.0], vec![0.0]]);
-        let mut r = RouterPolicy::Offload.build();
+        let r = RouterPolicy::Offload;
         assert_eq!(r.route(&req(0, 0), &calm), 0);
         let hot = view(2, true, vec![vec![40.0], vec![0.0], vec![0.0]]);
         assert_eq!(r.route(&req(1, 0), &hot), 2, "hot home goes to cloud");
@@ -347,7 +284,6 @@ mod tests {
     fn policy_names_round_trip() {
         for p in RouterPolicy::all() {
             assert_eq!(p.to_string().parse::<RouterPolicy>().unwrap(), p);
-            assert_eq!(p.build().name(), p.to_string());
         }
         assert_eq!(
             "rr".parse::<RouterPolicy>().unwrap(),

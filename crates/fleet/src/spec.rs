@@ -3,10 +3,10 @@
 //! A [`FleetSpec`] replicates one per-site serving scenario across N
 //! edge sites (plus an optional cloud tier on a different device),
 //! splits one aggregate arrival stream per tenant class across the
-//! sites through a [`FleetRouter`](crate::router::FleetRouter), and
-//! injects network transfer delays
-//! as per-request ingress offsets into each site's otherwise-unchanged
-//! device simulation.
+//! sites through a [`RouterPolicy`], and hands each site's
+//! otherwise-unchanged device simulation one arrival timeline per
+//! class: the instants its requests are delivered, uplink delay
+//! included.
 //!
 //! # Determinism
 //!
@@ -21,14 +21,17 @@
 //! 2. **Routing** — the planner walks the merged timeline once,
 //!    sequentially; telemetry snapshots refresh on a fixed period and
 //!    network jitter is a hash of `(seed, request, site, direction)`,
-//!    not an RNG stream.
+//!    not an RNG stream. Each routed request's delivery instant,
+//!    `emitted + uplink` held behind the previous delivery of its
+//!    `(site, class)` (a FIFO link: no request overtakes its
+//!    predecessor), joins that site's arrival timeline for the class.
 //! 3. **Simulation** — the edge and cloud scenarios are each resolved
 //!    once. The sites are *independent* — each sees only its own
-//!    arrival trace and uplink offsets — so each site's whole pipeline
-//!    runs on the workspace worker pool ([`jetsim::pool`]): clone the
-//!    tier's spec, set the routed arrivals and offsets, build the
-//!    `SimConfig`, simulate, and reduce the trace to the site's report
-//!    and root completion instants. Config builds may run in any order:
+//!    delivery timelines — so each site's whole pipeline runs on the
+//!    workspace worker pool ([`jetsim::pool`]): clone the tier's spec,
+//!    set the routed timelines as its arrivals, build the `SimConfig`,
+//!    simulate, and reduce the trace to the site's report and root
+//!    completion instants. Config builds may run in any order:
 //!    the only engine-cache state a config reads is the warm/cold probe
 //!    behind `RestartCost::Auto`, and the routing step's capacity
 //!    estimate has already built every tier's main engine, so that
@@ -44,7 +47,7 @@ use jetsim::scenario::ScenarioSpec;
 use jetsim_des::{
     gaps_from_times, splitmix64, ArrivalProcess, ArrivalStream, SimDuration, SimTime,
 };
-use jetsim_serve::metrics::percentile_ms;
+use jetsim_serve::metrics::{chain_roots, percentile_ms};
 use jetsim_serve::{build_serve_spec, estimate_capacity, ServeReport, ServeSpec};
 use jetsim_sim::serving::group_seed;
 use jetsim_sim::{RunTrace, Simulation};
@@ -94,17 +97,10 @@ impl SiteOutcome {
     fn reduce(spec: &ServeSpec, trace: &RunTrace) -> Self {
         // Earliest chain completion per root, as the serve metrics
         // compute it.
-        let n = trace.requests.len();
-        let mut root = vec![0usize; n];
-        let mut completion: Vec<Option<SimTime>> = vec![None; n];
-        for (i, r) in trace.requests.iter().enumerate() {
-            root[i] = match r.retry_of.or(r.hedge_of) {
-                Some(parent) => root[parent],
-                None => i,
-            };
+        let mut completion: Vec<Option<SimTime>> = vec![None; trace.requests.len()];
+        for (r, &root) in trace.requests.iter().zip(&chain_roots(&trace.requests)) {
             if let Some(at) = r.completed {
-                let best = completion[root[i]];
-                completion[root[i]] = Some(best.map_or(at, |b| b.min(at)));
+                completion[root] = Some(completion[root].map_or(at, |b| b.min(at)));
             }
         }
         let mut root_completions = vec![Vec::new(); spec.tenants().len()];
@@ -277,7 +273,6 @@ impl FleetSpec {
             }
         }
 
-        let mut router = self.router.build();
         let mut view = FleetView {
             edge_sites,
             cloud: cloud_index,
@@ -306,11 +301,9 @@ impl FleetSpec {
         let mut next_snapshot = self.telemetry_every;
 
         let mut decisions: Vec<Decision> = Vec::with_capacity(emissions.len());
-        // Per (site, class): arrival instants and uplink offsets, in
-        // emission order, plus the decision index for report assembly.
+        // Per (site, class): delivery instants, in emission order, plus
+        // the decision index for report assembly.
         let mut site_times: Vec<Vec<Vec<SimDuration>>> =
-            vec![vec![Vec::new(); n_classes]; total_sites];
-        let mut site_offsets: Vec<Vec<Vec<SimDuration>>> =
             vec![vec![Vec::new(); n_classes]; total_sites];
         let mut site_decisions: Vec<Vec<Vec<usize>>> =
             vec![vec![Vec::new(); n_classes]; total_sites];
@@ -342,7 +335,7 @@ impl FleetSpec {
                 home,
                 at: t,
             };
-            let site = router.route(&req, &view).min(total_sites - 1);
+            let site = self.router.route(&req, &view).min(total_sites - 1);
             let site_is_cloud = cloud_index == Some(site);
             let uplink =
                 self.network
@@ -351,8 +344,7 @@ impl FleetSpec {
                 self.network
                     .one_way(seed, id, home, site, site_is_cloud, Direction::Downlink);
             live[site * n_classes + class] += 1.0;
-            site_times[site][class].push(t);
-            site_offsets[site][class].push(uplink);
+            push_delivery(&mut site_times[site][class], t, uplink);
             site_decisions[site][class].push(decisions.len());
             decisions.push(Decision {
                 home,
@@ -364,39 +356,34 @@ impl FleetSpec {
         }
 
         // 3. Simulation: each site's whole pipeline runs on the worker
-        // pool — clone its tier's resolved spec, set the routed arrivals
-        // and uplink offsets, build the config, simulate, and reduce the
-        // trace — so at most `workers` traces are alive at once.
-        let inputs: Vec<_> = site_times
-            .into_iter()
-            .zip(site_offsets)
-            .enumerate()
-            .collect();
-        let outcomes: Vec<SiteOutcome> =
-            run_isolated(inputs, self.workers, |(s, (times, offsets))| {
-                let mut spec = match &cloud_spec {
-                    Some(cloud) if cloud_index == Some(s) => cloud.clone(),
-                    _ => edge_spec.clone(),
-                };
-                for (g, (times, offsets)) in times.iter().zip(offsets).enumerate() {
-                    spec.set_arrivals(g, ArrivalProcess::trace(gaps_from_times(times), false));
-                    spec.set_ingress_offsets(g, offsets);
-                }
-                let config = spec.build_config().map_err(|e| e.to_string())?;
-                let trace = Simulation::new(config).map_err(|e| e.to_string())?.run();
-                Ok(SiteOutcome::reduce(&spec, &trace))
+        // pool — clone its tier's resolved spec, set the routed delivery
+        // timelines as its arrivals, build the config, simulate, and
+        // reduce the trace — so at most `workers` traces are alive at
+        // once.
+        let inputs: Vec<_> = site_times.into_iter().enumerate().collect();
+        let outcomes: Vec<SiteOutcome> = run_isolated(inputs, self.workers, |(s, times)| {
+            let mut spec = match &cloud_spec {
+                Some(cloud) if cloud_index == Some(s) => cloud.clone(),
+                _ => edge_spec.clone(),
+            };
+            for (g, times) in times.iter().enumerate() {
+                spec.set_arrivals(g, ArrivalProcess::trace(gaps_from_times(times), false));
+            }
+            let config = spec.build_config().map_err(|e| e.to_string())?;
+            let trace = Simulation::new(config).map_err(|e| e.to_string())?.run();
+            Ok(SiteOutcome::reduce(&spec, &trace))
+        })
+        .into_iter()
+        .enumerate()
+        .map(|(s, result)| {
+            result.unwrap_or_else(|payload| {
+                Err(format!(
+                    "site {s}: simulation panicked: {}",
+                    panic_message(payload.as_ref())
+                ))
             })
-            .into_iter()
-            .enumerate()
-            .map(|(s, result)| {
-                result.unwrap_or_else(|payload| {
-                    Err(format!(
-                        "site {s}: simulation panicked: {}",
-                        panic_message(payload.as_ref())
-                    ))
-                })
-            })
-            .collect::<Result<_, String>>()?;
+        })
+        .collect::<Result<_, String>>()?;
 
         // 4. Aggregation: match each site's k-th root request of class
         // g with the k-th decision routed to (site, g) — arrival order
@@ -502,5 +489,44 @@ impl FleetSpec {
             sim_events_total,
             sites: sites_out,
         })
+    }
+}
+
+/// Appends a routed request's delivery instant to its `(site, class)`
+/// timeline: `emitted + uplink`, held back behind the previous delivery
+/// so no request overtakes its predecessor on the link (FIFO).
+fn push_delivery(times: &mut Vec<SimDuration>, emitted: SimDuration, uplink: SimDuration) {
+    let at = emitted + uplink;
+    times.push(times.last().map_or(at, |&prev| at.max(prev)));
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// The FIFO-link rule: a request lands `uplink` after its
+        /// emission unless that would overtake its predecessor, and zero
+        /// uplinks replay the emission timeline exactly.
+        #[test]
+        fn deliveries_fold_uplink_without_overtaking(
+            steps in prop::collection::vec((0u64..5_000_000, 0u64..50_000_000), 0..64),
+        ) {
+            let (mut emitted, mut delivered, mut undelayed) = (SimDuration::ZERO, vec![], vec![]);
+            for (gap, uplink) in steps {
+                emitted += SimDuration::from_nanos(gap);
+                let uplink = SimDuration::from_nanos(uplink);
+                let previous = delivered.last().copied().unwrap_or(SimDuration::ZERO);
+                push_delivery(&mut delivered, emitted, uplink);
+                push_delivery(&mut undelayed, emitted, SimDuration::ZERO);
+                let (at, due) = (delivered[delivered.len() - 1], emitted + uplink);
+                prop_assert!(at >= due && at >= previous, "{at:?} vs {due:?}, {previous:?}");
+                if due >= previous {
+                    prop_assert_eq!(at, due);
+                }
+                prop_assert_eq!(undelayed[undelayed.len() - 1], emitted);
+            }
+        }
     }
 }

@@ -78,7 +78,9 @@ start_cost = "auto"
 /// Same bytes at any worker count, pinned by digest. The two scenarios
 /// route with `least_queue` and `offload`, which read the planner's
 /// backlog model; `round_robin`, the only router the fleet bench and
-/// benchmark pin, never reads it.
+/// benchmark pin, never reads it. Then, as a property over 16 more
+/// seeds of the jittered cloud fleet: most of its routed requests leave
+/// home, so most site arrivals are delivery instants the uplink moved.
 #[test]
 fn fleet_report_is_byte_identical_across_worker_counts() {
     for (toml, digest) in [
@@ -96,6 +98,15 @@ fn fleet_report_is_byte_identical_across_worker_counts() {
             let json = base.clone().workers(Some(workers)).run().unwrap().to_json();
             assert_eq!(json, reference, "FleetReport diverged at {workers} workers");
         }
+    }
+    for seed in 1..=16 {
+        let mut sc = scenario(FLEET_TOML);
+        sc.seed = Some(seed);
+        let base = build_fleet_spec(&sc).unwrap();
+        let one = base.clone().workers(Some(1)).run().unwrap();
+        assert!(one.non_home_fraction > 0.5, "seed {seed}: {one:?}");
+        let three = base.workers(Some(3)).run().unwrap();
+        assert_eq!(one.to_json(), three.to_json(), "seed {seed} at 3 workers");
     }
 }
 

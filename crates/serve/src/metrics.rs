@@ -14,7 +14,7 @@ use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 use jetsim_des::{SimDuration, SimTime};
-use jetsim_sim::serving::{DropKind, ServeEventKind};
+use jetsim_sim::serving::{DropKind, RequestRecord, ServeEventKind};
 use jetsim_sim::RunTrace;
 use serde::Serialize;
 
@@ -131,6 +131,19 @@ pub fn percentile_ms(sorted: &[SimDuration], p: f64) -> f64 {
     sorted[rank.clamp(1, sorted.len()) - 1].as_millis_f64()
 }
 
+/// Each request record's chain root: the record itself, or the root of
+/// the retry or hedge parent it duplicates. Parents always precede
+/// their children in arrival order, so one forward pass resolves every
+/// chain.
+pub fn chain_roots(requests: &[RequestRecord]) -> Vec<usize> {
+    let mut roots = Vec::with_capacity(requests.len());
+    for (i, r) in requests.iter().enumerate() {
+        let root = r.retry_of.or(r.hedge_of).map_or(i, |parent| roots[parent]);
+        roots.push(root);
+    }
+    roots
+}
+
 /// Rolled-up outcome of one logical request (chain of attempts).
 struct Chain {
     group: usize,
@@ -152,15 +165,8 @@ impl ServeReport {
     /// arrives in-window but completes after the configured duration
     /// still counts against attainment as `unfinished`, which is exactly
     /// the bias a real load-test window has. `deadline_hit_rate` is
-    /// judged against the SLO; use [`ServeReport::from_trace_with_deadline`]
-    /// when the run enforced explicit deadlines.
-    pub fn from_trace(trace: &RunTrace, slo: SimDuration, warmup: SimDuration) -> Self {
-        Self::from_trace_with_deadline(trace, slo, warmup, None)
-    }
-
-    /// [`ServeReport::from_trace`] with the deadline the groups enforced,
-    /// so `deadline_hit_rate` is judged against the real promise instead
-    /// of the SLO.
+    /// judged against `deadline`, the deadline the groups enforced, or
+    /// against the SLO when there is none.
     pub fn from_trace_with_deadline(
         trace: &RunTrace,
         slo: SimDuration,
@@ -170,12 +176,10 @@ impl ServeReport {
         let window_start = SimTime::ZERO + warmup;
         let measured_secs = trace.measured.as_secs_f64();
 
-        // Resolve every physical record to its chain root in one pass —
-        // parents always precede children in arrival order — then roll
+        // Resolve every physical record to its chain root, then roll
         // chains up. Physical drop-cause counters stay per-record so the
         // report still shows *why* attempts died.
-        let n = trace.requests.len();
-        let mut root = vec![0usize; n];
+        let roots = chain_roots(&trace.requests);
         let mut chains: HashMap<usize, Chain> = HashMap::new();
         let n_groups = trace.serve_group_labels.len();
         let mut rejected = vec![0usize; n_groups];
@@ -186,12 +190,8 @@ impl ServeReport {
         let mut breaker_rejected = vec![0usize; n_groups];
         let mut wait_total = vec![SimDuration::ZERO; n_groups];
         let mut wait_count = vec![0usize; n_groups];
-        for (i, r) in trace.requests.iter().enumerate() {
-            root[i] = match r.retry_of.or(r.hedge_of) {
-                Some(parent) => root[parent],
-                None => i,
-            };
-            let chain = chains.entry(root[i]).or_insert_with(|| Chain {
+        for (r, &root) in trace.requests.iter().zip(&roots) {
+            let chain = chains.entry(root).or_insert_with(|| Chain {
                 group: r.group,
                 arrival: r.arrival,
                 in_window: r.arrival >= window_start,

@@ -2,7 +2,6 @@
 //! onto the DES.
 
 use std::fmt;
-use std::sync::Arc;
 
 use jetsim::deployment::{DeploymentError, Tenant};
 use jetsim::platform::Platform;
@@ -162,12 +161,6 @@ pub struct ServeTenant {
     /// Per-tenant autoscaler; `None` falls back to the spec-wide
     /// autoscaler (and to static serving when that is unset too).
     pub autoscale: Option<AutoscaleSpec>,
-    /// Per-request ingress delay offsets, indexed by arrival draw order
-    /// (see [`jetsim_sim::serving::ServeGroup::ingress_offsets`]). The
-    /// fleet layer uses these to inject network uplink delay; `None`
-    /// (the default) leaves the tenant byte-identical to the undelayed
-    /// path.
-    pub ingress_offsets: Option<Arc<[SimDuration]>>,
 }
 
 impl ServeTenant {
@@ -183,7 +176,6 @@ impl ServeTenant {
             queue_cap: 64,
             admission: AdmissionPolicy::Reject,
             autoscale: None,
-            ingress_offsets: None,
         }
     }
 
@@ -398,12 +390,6 @@ impl ServeSpec {
         self.tenants[index].arrivals = arrivals;
     }
 
-    /// Overrides tenant `index`'s per-request ingress delay offsets
-    /// (used by the fleet layer to inject network uplink delay).
-    pub fn set_ingress_offsets(&mut self, index: usize, offsets: impl Into<Arc<[SimDuration]>>) {
-        self.tenants[index].ingress_offsets = Some(offsets.into());
-    }
-
     /// The platform this spec targets.
     pub fn platform(&self) -> &Platform {
         &self.platform
@@ -487,9 +473,6 @@ impl ServeSpec {
                 .max_delay(st.max_delay)
                 .queue_cap(st.queue_cap)
                 .admission(st.admission);
-            if let Some(offsets) = &st.ingress_offsets {
-                group = group.ingress_offsets(Arc::clone(offsets));
-            }
             // A degraded fallback is needed by Degrade admission and by
             // a brownout breaker (which forces the cheap engine while
             // open).

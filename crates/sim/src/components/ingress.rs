@@ -172,15 +172,6 @@ struct GroupRt {
     /// Arrival counter (request sequence numbers; retries and hedges
     /// share it).
     seq: u64,
-    /// Per-request ingress delay offsets (see
-    /// [`crate::ServeGroup::ingress_offsets`]); absent for the common
-    /// undelayed path.
-    offsets: Option<Arc<[jetsim_des::SimDuration]>>,
-    /// Stream draws so far — the index into `offsets` for the next gap.
-    offset_drawn: u64,
-    /// Undelayed emission clock (cumulative gap sum); only advanced when
-    /// `offsets` is present.
-    offset_clock: SimTime,
     // --- resilience (all optional; absent policies cost nothing) -------
     /// Queueing deadline.
     deadline: Option<jetsim_des::SimDuration>,
@@ -323,9 +314,6 @@ impl Ingress {
                     flush_at: None,
                     exhausted: false,
                     seq: 0,
-                    offsets: sg.ingress_offsets.clone(),
-                    offset_drawn: 0,
-                    offset_clock: SimTime::ZERO,
                     deadline: sg.deadline,
                     retry: sg.retry,
                     // A distinct stream per group: constructing the RNG
@@ -411,41 +399,18 @@ impl Ingress {
         }
     }
 
-    /// Draws the next inter-arrival gap and schedules the arrival.
-    ///
-    /// Without ingress offsets the arrival lands at `now + gap` — the
-    /// original path, byte for byte. With offsets, `now` is the
-    /// previous *delivery* time while the gap advances the *emission*
-    /// clock; the arrival lands at `max(emission + offset, now)`, i.e.
-    /// the per-request network delay shifts delivery but a request can
-    /// never overtake its predecessor on the link (FIFO semantics, and
-    /// the `max` also keeps the event ordered after `now`). An all-zero
-    /// offset slice reduces to `max(emission, now)` = `now + gap`
-    /// because the emission clock then equals the delivery clock.
+    /// Draws the next inter-arrival gap and schedules the arrival at
+    /// `now + gap`.
     fn schedule_next_arrival(&mut self, g: usize, now: SimTime, ctx: &mut Ctx<'_>) {
         let grp = &mut self.groups[g];
         if grp.exhausted {
             return;
         }
         match grp.stream.next_gap() {
-            Some(gap) => {
-                let at = match &grp.offsets {
-                    None => now + gap,
-                    Some(offsets) => {
-                        let offset = offsets
-                            .get(grp.offset_drawn as usize)
-                            .copied()
-                            .unwrap_or(jetsim_des::SimDuration::ZERO);
-                        grp.offset_drawn += 1;
-                        grp.offset_clock += gap;
-                        (grp.offset_clock + offset).max(now)
-                    }
-                };
-                ctx.queue.schedule(
-                    at,
-                    Event::Ingress(IngressEvent::Arrival { group: g as u32 }),
-                );
-            }
+            Some(gap) => ctx.queue.schedule(
+                now + gap,
+                Event::Ingress(IngressEvent::Arrival { group: g as u32 }),
+            ),
             None => grp.exhausted = true,
         }
     }

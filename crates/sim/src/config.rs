@@ -323,20 +323,22 @@ impl SimConfig {
     /// Starts building a configuration for `device`.
     pub fn builder(device: DeviceSpec) -> SimConfigBuilder {
         SimConfigBuilder {
-            device,
-            processes: Vec::new(),
-            warmup: SimDuration::from_millis(500),
-            measure: SimDuration::from_secs(3),
-            seed: DEFAULT_SEED,
-            profiler: ProfilerMode::Lightweight,
-            sample_period: SimDuration::from_millis(200),
-            gpu_sharing: GpuSharing::TimeMultiplexed,
-            gpu_policy: GpuPolicy::TimesliceRR,
-            cpu_model: CpuModel::Stochastic,
-            record_kernel_events: true,
-            faults: FaultPlan::default(),
-            event_budget: None,
-            serve: None,
+            config: SimConfig {
+                device,
+                processes: Vec::new(),
+                warmup: SimDuration::from_millis(500),
+                measure: SimDuration::from_secs(3),
+                seed: DEFAULT_SEED,
+                profiler: ProfilerMode::Lightweight,
+                sample_period: SimDuration::from_millis(200),
+                gpu_sharing: GpuSharing::TimeMultiplexed,
+                gpu_policy: GpuPolicy::TimesliceRR,
+                cpu_model: CpuModel::Stochastic,
+                record_kernel_events: true,
+                faults: FaultPlan::default(),
+                event_budget: None,
+                serve: None,
+            },
         }
     }
 
@@ -375,13 +377,64 @@ impl SimConfig {
             .sum()
     }
 
-    /// Validates the dynamic-model parameters that used to be silently
-    /// clamped or ignored at dispatch time: the MPS overlap efficiency
-    /// (either sharing knob or policy) must lie in `[0, 0.6]` and every
-    /// SM share must be positive and finite. Called from
-    /// [`SimConfigBuilder::build`] and re-checked by
-    /// [`crate::Simulation::new`] for hand-assembled configs.
-    pub(crate) fn validate_dynamics(&self) -> Result<(), SimError> {
+    /// Checks a configuration before it runs, in this order: a
+    /// non-empty process list, a well-formed serve plan (every group has
+    /// a member, every member names an existing process, no process
+    /// serves two groups, `min_replicas` fits the group), in-range
+    /// dynamics (MPS overlap efficiency in `[0, 0.6]` for either sharing
+    /// knob or policy, positive finite SM shares), and under
+    /// [`OomPolicy::Strict`] a footprint that fits the board. Called by
+    /// [`SimConfigBuilder::build`] and again by
+    /// [`crate::Simulation::new`], because a config's fields are public
+    /// and may be assembled by hand.
+    pub(crate) fn validate(&self) -> Result<(), SimError> {
+        if self.processes.is_empty() {
+            return Err(SimError::NoProcesses);
+        }
+        if let Some(plan) = &self.serve {
+            let n_processes = self.processes.len();
+            let mut claimed = vec![false; n_processes];
+            for group in &plan.groups {
+                if group.members.is_empty() {
+                    return Err(SimError::InvalidServePlan {
+                        reason: format!("serve group `{}` has no member processes", group.label),
+                    });
+                }
+                for &pid in &group.members {
+                    if pid >= n_processes {
+                        return Err(SimError::InvalidServePlan {
+                            reason: format!(
+                                "serve group `{}` names process {pid}, but only {n_processes} \
+                                 processes are configured",
+                                group.label
+                            ),
+                        });
+                    }
+                    if std::mem::replace(&mut claimed[pid], true) {
+                        return Err(SimError::InvalidServePlan {
+                            reason: format!(
+                                "process {pid} is a member of more than one serve group \
+                                 (`{}` claims it again)",
+                                group.label
+                            ),
+                        });
+                    }
+                }
+                if let Some(policy) = &group.autoscaler {
+                    if policy.min_replicas as usize > group.members.len() {
+                        return Err(SimError::InvalidServePlan {
+                            reason: format!(
+                                "serve group `{}` autoscales with min_replicas {} but has \
+                                 only {} member processes",
+                                group.label,
+                                policy.min_replicas,
+                                group.members.len()
+                            ),
+                        });
+                    }
+                }
+            }
+        }
         if let GpuSharing::SpatialMps { overlap_efficiency } = self.gpu_sharing {
             if !(0.0..=0.6).contains(&overlap_efficiency) {
                 return Err(SimError::InvalidConfig {
@@ -412,6 +465,17 @@ impl SimConfig {
                 });
             }
         }
+        if self.faults.oom == OomPolicy::Strict {
+            let footprint = self
+                .total_footprint_bytes()
+                .saturating_add(self.faults.peak_spike_bytes());
+            if self.device.memory.would_oom(footprint) {
+                return Err(SimError::OutOfMemory {
+                    required_bytes: footprint,
+                    usable_bytes: self.device.memory.usable_bytes(),
+                });
+            }
+        }
         Ok(())
     }
 
@@ -438,28 +502,15 @@ impl SimConfig {
 /// Builder for [`SimConfig`].
 #[derive(Debug, Clone)]
 pub struct SimConfigBuilder {
-    device: DeviceSpec,
-    processes: Vec<ProcessConfig>,
-    warmup: SimDuration,
-    measure: SimDuration,
-    seed: u64,
-    profiler: ProfilerMode,
-    sample_period: SimDuration,
-    gpu_sharing: GpuSharing,
-    gpu_policy: GpuPolicy,
-    cpu_model: CpuModel,
-    record_kernel_events: bool,
-    faults: FaultPlan,
-    event_budget: Option<u64>,
-    serve: Option<ServePlan>,
+    config: SimConfig,
 }
 
 impl SimConfigBuilder {
     /// Adds one process running a pre-built engine in saturated mode.
     pub fn add_engine(mut self, engine: Arc<Engine>) -> Self {
-        let group = self.processes.len();
-        let name = format!("p{}", self.processes.len());
-        self.processes.push(ProcessConfig {
+        let group = self.config.processes.len();
+        let name = format!("p{}", self.config.processes.len());
+        self.config.processes.push(ProcessConfig {
             name,
             engine,
             arrivals: ArrivalModel::Saturated,
@@ -475,8 +526,8 @@ impl SimConfigBuilder {
     /// saturated mode with its own memory group, exactly like
     /// [`SimConfigBuilder::add_engine`].
     pub fn add_engine_named(mut self, name: impl Into<String>, engine: Arc<Engine>) -> Self {
-        let group = self.processes.len();
-        self.processes.push(ProcessConfig {
+        let group = self.config.processes.len();
+        self.config.processes.push(ProcessConfig {
             name: name.into(),
             engine,
             arrivals: ArrivalModel::Saturated,
@@ -490,7 +541,7 @@ impl SimConfigBuilder {
     /// Adds one process fed by the given arrival model (open-loop camera
     /// pipelines instead of `trtexec` saturation).
     pub fn add_engine_with_arrivals(self, engine: Arc<Engine>, arrivals: ArrivalModel) -> Self {
-        let name = format!("p{}", self.processes.len());
+        let name = format!("p{}", self.config.processes.len());
         self.add_engine_named_with_arrivals(name, engine, arrivals)
     }
 
@@ -503,8 +554,8 @@ impl SimConfigBuilder {
         engine: Arc<Engine>,
         arrivals: ArrivalModel,
     ) -> Self {
-        let group = self.processes.len();
-        self.processes.push(ProcessConfig {
+        let group = self.config.processes.len();
+        self.config.processes.push(ProcessConfig {
             name: name.into(),
             engine,
             arrivals,
@@ -520,9 +571,9 @@ impl SimConfigBuilder {
     /// runtime, CUDA context and weights are paid once, each stream adds
     /// only its I/O buffers and workspace.
     pub fn add_engine_streams(mut self, engine: &Arc<Engine>, streams: u32) -> Self {
-        let group = self.processes.len();
+        let group = self.config.processes.len();
         for stream in 0..streams.max(1) {
-            self.processes.push(ProcessConfig {
+            self.config.processes.push(ProcessConfig {
                 name: format!("p{group}s{stream}"),
                 engine: Arc::clone(engine),
                 arrivals: ArrivalModel::Saturated,
@@ -556,7 +607,7 @@ impl SimConfigBuilder {
         precision: Precision,
         batch: u32,
     ) -> Result<Self, BuildError> {
-        let engine = EngineBuilder::new(&self.device)
+        let engine = EngineBuilder::new(&self.config.device)
             .precision(precision)
             .batch(batch)
             .build(model)?;
@@ -572,7 +623,7 @@ impl SimConfigBuilder {
         count: u32,
     ) -> Result<Self, BuildError> {
         let engine = Arc::new(
-            EngineBuilder::new(&self.device)
+            EngineBuilder::new(&self.config.device)
                 .precision(precision)
                 .batch(batch)
                 .build(model)?,
@@ -582,44 +633,44 @@ impl SimConfigBuilder {
 
     /// Sets the warmup interval.
     pub fn warmup(mut self, warmup: SimDuration) -> Self {
-        self.warmup = warmup;
+        self.config.warmup = warmup;
         self
     }
 
     /// Sets the measured interval.
     pub fn measure(mut self, measure: SimDuration) -> Self {
-        self.measure = measure;
+        self.config.measure = measure;
         self
     }
 
     /// Sets the RNG seed.
     pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
+        self.config.seed = seed;
         self
     }
 
     /// Sets the profiler intrusion mode.
     pub fn profiler(mut self, profiler: ProfilerMode) -> Self {
-        self.profiler = profiler;
+        self.config.profiler = profiler;
         self
     }
 
     /// Sets the power/utilisation sampling period.
     pub fn sample_period(mut self, period: SimDuration) -> Self {
-        self.sample_period = period;
+        self.config.sample_period = period;
         self
     }
 
     /// Sets the GPU sharing discipline (MPS ablation).
     pub fn gpu_sharing(mut self, sharing: GpuSharing) -> Self {
-        self.gpu_sharing = sharing;
+        self.config.gpu_sharing = sharing;
         self
     }
 
     /// Sets the GPU scheduling policy. [`GpuPolicy::TimesliceRR`] (the
     /// default) is byte-identical to the pre-policy simulator.
     pub fn gpu_policy(mut self, policy: GpuPolicy) -> Self {
-        self.gpu_policy = policy;
+        self.config.gpu_policy = policy;
         self
     }
 
@@ -631,7 +682,8 @@ impl SimConfigBuilder {
     ///
     /// Panics if no process has been added yet.
     pub fn process_priority(mut self, priority: u8) -> Self {
-        self.processes
+        self.config
+            .processes
             .last_mut()
             .expect("process_priority needs a process: call add_engine* first")
             .priority = priority;
@@ -646,7 +698,8 @@ impl SimConfigBuilder {
     ///
     /// Panics if no process has been added yet.
     pub fn process_sm_share(mut self, share: f64) -> Self {
-        self.processes
+        self.config
+            .processes
             .last_mut()
             .expect("process_sm_share needs a process: call add_engine* first")
             .sm_share = share;
@@ -655,14 +708,14 @@ impl SimConfigBuilder {
 
     /// Sets the CPU contention model.
     pub fn cpu_model(mut self, model: CpuModel) -> Self {
-        self.cpu_model = model;
+        self.config.cpu_model = model;
         self
     }
 
     /// Disables per-kernel event retention (for multi-minute thermal
     /// soaks; throughput/power statistics are unaffected).
     pub fn record_kernel_events(mut self, record: bool) -> Self {
-        self.record_kernel_events = record;
+        self.config.record_kernel_events = record;
         self
     }
 
@@ -671,14 +724,14 @@ impl SimConfigBuilder {
     /// *admitted*: the OOM killer fires at start of run instead of
     /// [`SimConfigBuilder::build`] erroring.
     pub fn faults(mut self, faults: FaultPlan) -> Self {
-        self.faults = faults;
+        self.config.faults = faults;
         self
     }
 
     /// Caps the DES event count; exceeding it aborts the run with
     /// [`crate::RunTrace::budget_exceeded`] set.
     pub fn event_budget(mut self, events: u64) -> Self {
-        self.event_budget = Some(events);
+        self.config.event_budget = Some(events);
         self
     }
 
@@ -686,7 +739,7 @@ impl SimConfigBuilder {
     /// processes stop self-enqueueing and instead serve batches formed
     /// from open-loop arrivals (see [`crate::serving`]).
     pub fn serve(mut self, plan: ServePlan) -> Self {
-        self.serve = Some(plan);
+        self.config.serve = Some(plan);
         self
     }
 
@@ -695,99 +748,18 @@ impl SimConfigBuilder {
     /// # Errors
     ///
     /// Returns [`SimError::NoProcesses`] for an empty process list,
+    /// [`SimError::InvalidServePlan`] for a malformed serve plan,
     /// [`SimError::InvalidConfig`] for out-of-range dynamics parameters
     /// (MPS overlap efficiency outside `[0, 0.6]`, non-positive SM
     /// shares) and [`SimError::OutOfMemory`] when the combined footprint
-    /// (plus the
-    /// fault plan's peak concurrent memory-spike bytes) exceeds the
-    /// board's usable RAM — the configuration that reboots a real
-    /// Jetson. Under [`OomPolicy::KillLargest`] the memory check is
+    /// (plus the fault plan's peak concurrent memory-spike bytes)
+    /// exceeds the board's usable RAM — the configuration that reboots a
+    /// real Jetson. Under [`OomPolicy::KillLargest`] the memory check is
     /// waived: the deployment is admitted and the simulated OOM killer
     /// resolves the overcommit at run time.
     pub fn build(self) -> Result<SimConfig, SimError> {
-        if self.processes.is_empty() {
-            return Err(SimError::NoProcesses);
-        }
-        if let Some(plan) = &self.serve {
-            Self::validate_serve(plan, self.processes.len())?;
-        }
-        let config = SimConfig {
-            device: self.device,
-            processes: self.processes,
-            warmup: self.warmup,
-            measure: self.measure,
-            seed: self.seed,
-            profiler: self.profiler,
-            sample_period: self.sample_period,
-            gpu_sharing: self.gpu_sharing,
-            gpu_policy: self.gpu_policy,
-            cpu_model: self.cpu_model,
-            record_kernel_events: self.record_kernel_events,
-            faults: self.faults,
-            event_budget: self.event_budget,
-            serve: self.serve,
-        };
-        config.validate_dynamics()?;
-        if config.faults.oom == OomPolicy::Strict {
-            let footprint = config
-                .total_footprint_bytes()
-                .saturating_add(config.faults.peak_spike_bytes());
-            if config.device.memory.would_oom(footprint) {
-                return Err(SimError::OutOfMemory {
-                    required_bytes: footprint,
-                    usable_bytes: config.device.memory.usable_bytes(),
-                });
-            }
-        }
-        Ok(config)
-    }
-
-    /// A serve plan is well-formed when every group has at least one
-    /// member, every member names an existing process, and no process
-    /// serves two groups.
-    fn validate_serve(plan: &ServePlan, n_processes: usize) -> Result<(), SimError> {
-        let mut claimed = vec![false; n_processes];
-        for group in &plan.groups {
-            if group.members.is_empty() {
-                return Err(SimError::InvalidServePlan {
-                    reason: format!("serve group `{}` has no member processes", group.label),
-                });
-            }
-            for &pid in &group.members {
-                if pid >= n_processes {
-                    return Err(SimError::InvalidServePlan {
-                        reason: format!(
-                            "serve group `{}` names process {pid}, but only {n_processes} \
-                             processes are configured",
-                            group.label
-                        ),
-                    });
-                }
-                if std::mem::replace(&mut claimed[pid], true) {
-                    return Err(SimError::InvalidServePlan {
-                        reason: format!(
-                            "process {pid} is a member of more than one serve group \
-                             (`{}` claims it again)",
-                            group.label
-                        ),
-                    });
-                }
-            }
-            if let Some(policy) = &group.autoscaler {
-                if policy.min_replicas as usize > group.members.len() {
-                    return Err(SimError::InvalidServePlan {
-                        reason: format!(
-                            "serve group `{}` autoscales with min_replicas {} but has only \
-                             {} member processes",
-                            group.label,
-                            policy.min_replicas,
-                            group.members.len()
-                        ),
-                    });
-                }
-            }
-        }
-        Ok(())
+        self.config.validate()?;
+        Ok(self.config)
     }
 }
 

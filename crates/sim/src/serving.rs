@@ -531,16 +531,6 @@ pub struct ServeGroup {
     /// charged) and reaped as load moves. Absent (the default), every
     /// member is up from `t = 0` — the static path stays byte-identical.
     pub autoscaler: Option<AutoscalerPolicy>,
-    /// Per-request ingress delay offsets, indexed by draw order: the
-    /// `i`-th arrival the stream emits is delivered at
-    /// `max(emission_time + offsets[i], previous_delivery)` instead of
-    /// its emission time (FIFO-link semantics — a request never
-    /// overtakes its predecessor). Draws beyond the slice get zero
-    /// offset. This is how a fleet layer injects per-request network
-    /// uplink delay without perturbing the stream's RNG: absent (the
-    /// default) or all-zero offsets leave the run byte-identical to the
-    /// undelayed path.
-    pub ingress_offsets: Option<Arc<[SimDuration]>>,
 }
 
 impl ServeGroup {
@@ -562,7 +552,6 @@ impl ServeGroup {
             breaker: None,
             recovery: None,
             autoscaler: None,
-            ingress_offsets: None,
         }
     }
 
@@ -630,13 +619,6 @@ impl ServeGroup {
     /// Attaches a serverless autoscaling policy.
     pub fn autoscaler(mut self, autoscaler: AutoscalerPolicy) -> Self {
         self.autoscaler = Some(autoscaler);
-        self
-    }
-
-    /// Attaches per-request ingress delay offsets (see
-    /// [`ServeGroup::ingress_offsets`]).
-    pub fn ingress_offsets(mut self, offsets: impl Into<Arc<[SimDuration]>>) -> Self {
-        self.ingress_offsets = Some(offsets.into());
         self
     }
 }

@@ -16,7 +16,6 @@ use crate::components::sched::{CpuSched, RqThread};
 use crate::components::{Component, Ctx, Event, Proc};
 use crate::config::SimConfig;
 use crate::error::SimError;
-use crate::faults::OomPolicy;
 use crate::trace::{EcRecord, ProcessStats, RunTrace};
 
 /// A configured, runnable simulation.
@@ -48,26 +47,12 @@ impl Simulation {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::NoProcesses`], [`SimError::InvalidConfig`] or
-    /// [`SimError::OutOfMemory`] for invalid deployments (the builder
-    /// normally catches these already; they are re-checked here for
-    /// hand-assembled configs).
+    /// Returns [`SimError::NoProcesses`], [`SimError::InvalidServePlan`],
+    /// [`SimError::InvalidConfig`] or [`SimError::OutOfMemory`] for
+    /// invalid deployments (the builder normally catches these already;
+    /// they are re-checked here for hand-assembled configs).
     pub fn new(config: SimConfig) -> Result<Self, SimError> {
-        if config.processes.is_empty() {
-            return Err(SimError::NoProcesses);
-        }
-        config.validate_dynamics()?;
-        if config.faults.oom == OomPolicy::Strict {
-            let footprint = config
-                .total_footprint_bytes()
-                .saturating_add(config.faults.peak_spike_bytes());
-            if config.device.memory.would_oom(footprint) {
-                return Err(SimError::OutOfMemory {
-                    required_bytes: footprint,
-                    usable_bytes: config.device.memory.usable_bytes(),
-                });
-            }
-        }
+        config.validate()?;
         Ok(Simulation { config })
     }
 
@@ -112,7 +97,7 @@ struct Runner {
     warmup_end: SimTime,
     sim_end: SimTime,
     /// Which processes are still running (`false` once the OOM killer
-    /// fires under [`OomPolicy::KillLargest`]).
+    /// fires under [`crate::OomPolicy::KillLargest`]).
     alive: Vec<bool>,
     /// When each process was killed, if it was.
     killed_at: Vec<Option<SimTime>>,

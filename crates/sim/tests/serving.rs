@@ -278,6 +278,27 @@ fn serve_plan_validation_rejects_bad_membership() {
 }
 
 #[test]
+fn simulation_new_rejects_hand_assembled_bad_serve_plans() {
+    // `SimConfig`'s fields are public, so a serve plan can bypass the
+    // builder's checks; `Simulation::new` must still refuse it.
+    let device = presets::orin_nano();
+    let valid = SimConfig::builder(device.clone())
+        .add_engine(engine(&device, Precision::Int8, 1))
+        .build()
+        .unwrap();
+    for members in [vec![5], vec![]] {
+        let mut config = valid.clone();
+        let group = ServeGroup::new("g", ArrivalProcess::poisson(10.0)).members(members);
+        config.serve = Some(ServePlan::new().group(group));
+        let err = Simulation::new(config).err();
+        assert!(
+            matches!(err, Some(SimError::InvalidServePlan { .. })),
+            "{err:?}"
+        );
+    }
+}
+
+#[test]
 fn run_queue_cpu_model_serves_without_leaking_cores() {
     // Regression guard: a server returning from sync must release its
     // heavy core; otherwise later batches starve and throughput dies.
@@ -301,69 +322,5 @@ fn run_queue_cpu_model_serves_without_leaking_cores() {
     assert!(
         served > 50,
         "run-queue serving keeps flowing, served {served}"
-    );
-}
-
-/// One serve group with optional per-request ingress offsets.
-fn offset_trace(offsets: Option<Vec<SimDuration>>) -> RunTrace {
-    let device = presets::orin_nano();
-    let eng = engine(&device, Precision::Int8, 1);
-    let mut group = ServeGroup::new("resnet50", ArrivalProcess::poisson(150.0))
-        .members([0, 1])
-        .max_delay(SimDuration::from_millis(2));
-    if let Some(offsets) = offsets {
-        group = group.ingress_offsets(offsets);
-    }
-    let config = SimConfig::builder(device)
-        .add_engine_named("resnet50/0", Arc::clone(&eng))
-        .add_engine_named("resnet50/1", Arc::clone(&eng))
-        .serve(ServePlan::new().group(group))
-        .warmup(SimDuration::from_millis(100))
-        .measure(SimDuration::from_millis(900))
-        .seed(77)
-        .build()
-        .unwrap();
-    Simulation::new(config).unwrap().run()
-}
-
-#[test]
-fn zero_ingress_offsets_are_byte_identical_to_none() {
-    // The fleet layer's no-network case must not perturb a standalone
-    // run: an all-zero offset slice takes the offset code path yet
-    // reproduces the undelayed timeline exactly.
-    let plain = offset_trace(None);
-    let zeroed = offset_trace(Some(vec![SimDuration::ZERO; 10_000]));
-    assert_eq!(plain.requests, zeroed.requests);
-    assert_eq!(plain.serve_events, zeroed.serve_events);
-    assert_eq!(plain.sim_events, zeroed.sim_events);
-}
-
-#[test]
-fn ingress_offsets_shift_arrivals_fifo() {
-    // A constant 10 ms uplink delay shifts every delivery 10 ms past
-    // its emission instant, so the first arrival of the delayed run is
-    // exactly 10 ms later than the undelayed one's.
-    let delay = SimDuration::from_millis(10);
-    let plain = offset_trace(None);
-    let delayed = offset_trace(Some(vec![delay; 10_000]));
-    let first_plain = plain.requests.first().expect("arrivals").arrival;
-    let first_delayed = delayed.requests.first().expect("arrivals").arrival;
-    assert_eq!(first_delayed.since(first_plain), delay);
-
-    // FIFO link: deliveries stay sorted even though a mixed offset
-    // pattern would reorder raw emission + offset sums.
-    let mixed: Vec<SimDuration> = (0..10_000)
-        .map(|i| SimDuration::from_millis(if i % 3 == 0 { 40 } else { 1 }))
-        .collect();
-    let jittered = offset_trace(Some(mixed));
-    let arrivals: Vec<_> = jittered
-        .requests
-        .iter()
-        .filter(|r| r.is_root())
-        .map(|r| r.arrival)
-        .collect();
-    assert!(
-        arrivals.windows(2).all(|w| w[0] <= w[1]),
-        "deliveries never overtake on the link"
     );
 }
