@@ -5,9 +5,8 @@
 //! under the rule in [`jetsim_bench::baseline`] and exits non-zero on
 //! any mismatch.
 //! Windows are fixed constants, so every simulated field means the same
-//! thing on every host. Every bench starts from a cleared engine cache,
-//! so costs priced off cache warmth (`RestartCost::Auto`) see what a
-//! standalone run of that bench sees.
+//! thing on every host. No simulated field reads the engine cache; only
+//! `sweep`'s build counts do, so `sweep` alone clears it first.
 
 use std::path::Path;
 use std::process::ExitCode;
@@ -168,6 +167,8 @@ fn sweep() -> Value {
         })
     };
     let cache = EngineCache::global();
+    // The cold pass must build every engine, whatever ran before it.
+    cache.clear();
     let before = cache.stats().misses;
     let ((cells, ok), cold_s) = grid();
     let after_cold = cache.stats().misses;
@@ -469,7 +470,6 @@ fn main() -> ExitCode {
         if !names.is_empty() && !names.iter().any(|n| n == name) {
             continue;
         }
-        EngineCache::global().clear();
         let fresh = run();
         let file = format!("BENCH_{name}.json");
         if check {

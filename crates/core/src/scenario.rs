@@ -127,8 +127,8 @@ pub struct AutoscaleScenario {
     pub evaluate_every: Option<String>,
     /// Enable the SLO-burn scale-up criterion.
     pub slo_burn: Option<bool>,
-    /// Replica start cost: `"auto"` (derive cold/warm from the engine
-    /// cache) or a fixed duration.
+    /// Replica start cost: `"auto"` (the engine's plan-load time) or a
+    /// fixed duration.
     pub start_cost: Option<String>,
 }
 

@@ -31,13 +31,10 @@
 //!    workspace worker pool ([`jetsim::pool`]): clone the tier's spec,
 //!    set the routed timelines as its arrivals, build the `SimConfig`,
 //!    simulate, and reduce the trace to the site's report and root
-//!    completion instants. Config builds may run in any order:
-//!    the only engine-cache state a config reads is the warm/cold probe
-//!    behind `RestartCost::Auto`, and the routing step's capacity
-//!    estimate has already built every tier's main engine, so that
-//!    probe reads warm at every site whatever the order. Results come
-//!    back in site-index order. A site whose simulation panics fails
-//!    the run with an error naming the site.
+//!    completion instants. Config builds may run in any order: no
+//!    simulated value reads the engine cache, which only shares built
+//!    engines. Results come back in site-index order. A site whose
+//!    simulation panics fails the run with an error naming the site.
 //!
 //! Same spec + seed ⇒ byte-identical [`FleetReport`] at any
 //! `--workers`.

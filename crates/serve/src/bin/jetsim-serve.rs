@@ -58,7 +58,7 @@ fn usage() -> &'static str {
      \x20                [--breaker[=shed|brownout]] circuit-break on rolling error rate\n\
      \x20                  (default shed)\n\
      \x20                [--recovery[=N]] restart OOM-killed replicas up to N times\n\
-     \x20                  (default 2; cost derived from the engine cache)\n\
+     \x20                  (default 2; each restart loads the engine's plan)\n\
      \x20                [--autoscale MIN[:MAX]] autoscale every tenant between MIN and\n\
      \x20                  MAX replicas (MIN 0 = scale to zero; MAX defaults to the\n\
      \x20                  tenant's instance count)\n\
@@ -69,7 +69,7 @@ fn usage() -> &'static str {
      \x20                [--scale-every DUR] autoscaler evaluation period (default 20ms)\n\
      \x20                [--scale-slo-burn] also scale up on SLO burn\n\
      \x20                [--scale-cost DUR|auto] replica start cost (default auto:\n\
-     \x20                  cold/warm derived from the engine cache)\n\
+     \x20                  the engine's plan-load time)\n\
      \x20                [--gpu-policy rr|fifo|priority[:PENALTY_US]|mps[:OVERLAP]]\n\
      \x20                  GPU scheduling policy (default rr); tenant priorities come\n\
      \x20                  from the 5th --tenant field\n\

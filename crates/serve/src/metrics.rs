@@ -95,9 +95,10 @@ pub struct GroupReport {
     /// autoscaled group actually pays. 0.0 for static groups, whose bill
     /// is `instances × measured_secs` by construction.
     pub replica_seconds: f64,
-    /// Cold provisions over the whole run (engine build + plan load).
+    /// Cold provisions over the whole run: the group's first start,
+    /// counted only when no replica was up at t = 0.
     pub cold_starts: usize,
-    /// Warm provisions over the whole run (plan load only).
+    /// Warm provisions over the whole run: every later start.
     pub warm_starts: usize,
     /// Mean provision→serving latency across cold starts, ms — the
     /// cold-start tax a scaled-from-zero arrival eats.

@@ -17,22 +17,29 @@ use std::fmt;
 use jetsim_des::SimDuration;
 use jetsim_sim::serving::{BreakerPolicy, HedgePolicy, RecoveryPolicy, RetryPolicy};
 use jetsim_sim::FaultPlan;
-use jetsim_trt::{Engine, EngineCache, EngineKey};
+use jetsim_trt::Engine;
 use serde::Serialize;
 
 use crate::spec::{ServeError, ServeSpec};
 
-/// How a recovering replica's restart time is charged.
+/// How a replica's start or restart time is charged.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum RestartCost {
-    /// Derive from the engine cache at config-build time: a cache hit
-    /// restarts at [`Engine::load_cost_estimate`] (deserialize the plan
-    /// file), a miss at [`Engine::build_cost_estimate`] (full tactic
-    /// search). The first process to serve a spec pays cold restarts;
-    /// one that already built the engines restarts warm.
+    /// The engine's plan file exists from t = 0, as `trtexec` leaves it,
+    /// so every start deserializes it: [`Engine::load_cost_estimate`].
     Auto,
     /// A fixed restart cost (clamped ≥ 1 ms by the DES).
     Fixed(SimDuration),
+}
+
+impl RestartCost {
+    /// What one start or restart of `engine` costs.
+    pub(crate) fn of(self, engine: &Engine) -> SimDuration {
+        match self {
+            RestartCost::Fixed(d) => d,
+            RestartCost::Auto => engine.load_cost_estimate(),
+        }
+    }
 }
 
 /// Replica-recovery spec: how many restarts each replica gets and what
@@ -46,7 +53,7 @@ pub struct RecoverySpec {
 }
 
 impl RecoverySpec {
-    /// Recovery with cache-derived restart costs.
+    /// Recovery whose restarts load the engine's plan file.
     pub fn auto(max_restarts: u32) -> Self {
         RecoverySpec {
             max_restarts,
@@ -63,16 +70,9 @@ impl RecoverySpec {
     }
 
     /// Resolves this spec against a concrete engine into the
-    /// [`RecoveryPolicy`] the DES enforces. `warm` says whether the
-    /// engine was already in the [`EngineCache`] when the config was
-    /// compiled.
-    pub(crate) fn resolve(&self, engine: &Engine, warm: bool) -> RecoveryPolicy {
-        let cost = match self.cost {
-            RestartCost::Fixed(d) => d,
-            RestartCost::Auto if warm => engine.load_cost_estimate(),
-            RestartCost::Auto => engine.build_cost_estimate(),
-        };
-        RecoveryPolicy::new(cost, self.max_restarts)
+    /// [`RecoveryPolicy`] the DES enforces.
+    pub(crate) fn resolve(&self, engine: &Engine) -> RecoveryPolicy {
+        RecoveryPolicy::new(self.cost.of(engine), self.max_restarts)
     }
 }
 
@@ -105,7 +105,7 @@ impl ResiliencePolicies {
 
     /// A reasonable production bundle derived from the SLO: deadline at
     /// 4× SLO, 3 attempts backing off from SLO/2, a 32-outcome breaker
-    /// tripping at 50% errors, and 2 cache-costed restarts per replica.
+    /// tripping at 50% errors, and 2 plan-load restarts per replica.
     /// Hedging stays off (it trades load for tail latency and deserves
     /// an explicit opt-in).
     pub fn standard(slo: SimDuration) -> Self {
@@ -311,20 +311,4 @@ pub fn chaos_sweep_with_plan(
         locks,
         cells,
     })
-}
-
-/// Probes whether `EngineCache` already holds the engine for this
-/// platform/model/precision/batch — the warm/cold split
-/// [`RestartCost::Auto`] keys off. Split out so
-/// [`ServeSpec::build_config`] can probe *before* building (building
-/// populates the cache).
-pub(crate) fn engine_is_cached(
-    platform: &jetsim::platform::Platform,
-    model: &jetsim_dnn::ModelGraph,
-    precision: jetsim_dnn::Precision,
-    batch: u32,
-) -> bool {
-    EngineCache::global()
-        .get(&EngineKey::of(platform.device(), model, precision, batch))
-        .is_some()
 }

@@ -251,7 +251,7 @@ mod tests {
             .slo_burn(true)
             .cost(RestartCost::Fixed(SimDuration::from_millis(40)));
         assert_eq!(auto, expected);
-        // "auto" and absent both mean cache-derived costs.
+        // "auto" and absent both mean plan-load costs.
         let defaulted = build_autoscale(&AutoscaleScenario::default()).unwrap();
         assert_eq!(defaulted, AutoscaleSpec::new(1));
         assert!(build_autoscale(&AutoscaleScenario {

@@ -15,21 +15,19 @@ use jetsim_trt::{BuildError, Engine};
 
 use crate::capacity::{self, CapacityEstimate};
 use crate::metrics::ServeReport;
-use crate::resilience::{engine_is_cached, ResiliencePolicies, RestartCost};
+use crate::resilience::{ResiliencePolicies, RestartCost};
 
 /// Serverless autoscaling spec for a served tenant: replica bounds, the
 /// scaling knobs, and how replica start costs are charged. Resolved
-/// against the tenant's concrete engine (and the [`jetsim_trt`] engine
-/// cache's warm/cold state) into the [`AutoscalerPolicy`] the DES
-/// enforces.
+/// against the tenant's concrete engine into the [`AutoscalerPolicy`]
+/// the DES enforces.
 ///
 /// The tenant's instance count is the provisioning ceiling: all
 /// instances exist as processes (their memory counts against the board
 /// for the whole run), but only `min_replicas` start up — the rest park
-/// until the autoscaler provisions them, paying a TensorRT cold start
-/// (build + plan-load) while no plan exists and a warm plan-load after.
+/// until the autoscaler provisions them, each paying the start cost.
 /// `min_replicas == 0` scales to zero: the group parks entirely and the
-/// first arrival eats the cold start.
+/// first arrival eats a start.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AutoscaleSpec {
     /// Replica floor the idle reaper never goes below (0 = scale to
@@ -47,18 +45,16 @@ pub struct AutoscaleSpec {
     /// When `true`, completions over the spec's SLO count as burn and a
     /// burning window (≥ 50%) adds a replica per tick.
     pub slo_burn: bool,
-    /// How replica start time is charged: [`RestartCost::Auto`] derives
-    /// cold = build + load, warm = load from the engine estimates (with
-    /// the engine-cache probe deciding whether the *first* start is
-    /// already warm); [`RestartCost::Fixed`] charges a flat cost for
-    /// both.
+    /// How replica start time is charged: [`RestartCost::Auto`] loads
+    /// the engine's plan file at every start, the first included;
+    /// [`RestartCost::Fixed`] charges a flat cost.
     pub cost: RestartCost,
 }
 
 impl AutoscaleSpec {
     /// An autoscaler keeping at least `min_replicas` up; defaults:
     /// ceiling = instance count, target queue 4.0, 200 ms keep-alive,
-    /// 20 ms ticks, no SLO-burn criterion, cache-derived start costs.
+    /// 20 ms ticks, no SLO-burn criterion, plan-load start costs.
     pub fn new(min_replicas: u32) -> Self {
         AutoscaleSpec {
             min_replicas,
@@ -109,14 +105,11 @@ impl AutoscaleSpec {
     }
 
     /// Resolves this spec against a concrete engine into the policy the
-    /// DES enforces. `warm` says whether the engine was already in the
-    /// cache when the config was compiled (the first start then skips
-    /// the build), `instances` is the tenant's process count, and `slo`
-    /// feeds the optional burn criterion.
+    /// DES enforces. `instances` is the tenant's process count, and
+    /// `slo` feeds the optional burn criterion.
     pub(crate) fn resolve(
         &self,
         engine: &Engine,
-        warm: bool,
         instances: u32,
         slo: SimDuration,
     ) -> AutoscalerPolicy {
@@ -131,14 +124,8 @@ impl AutoscaleSpec {
         if self.slo_burn {
             policy = policy.slo_target(slo);
         }
-        let (cold, warm_cost) = match self.cost {
-            RestartCost::Fixed(d) => (d, d),
-            RestartCost::Auto => (
-                engine.start_cost_estimate(warm),
-                engine.start_cost_estimate(true),
-            ),
-        };
-        policy.start_costs(cold, warm_cost)
+        let cost = self.cost.of(engine);
+        policy.start_costs(cost, cost)
     }
 }
 
@@ -452,12 +439,6 @@ impl ServeSpec {
             let t = &st.tenant;
             let label = t.label();
             let scaling = st.autoscale.as_ref().or(self.autoscale.as_ref());
-            // Probe the cache *before* building: whether this exact
-            // engine was already built decides the warm/cold start cost
-            // under RestartCost::Auto (for restarts and provisioning
-            // alike).
-            let warm = (res.recovery.is_some() || scaling.is_some())
-                && engine_is_cached(&self.platform, t.model(), t.precision(), t.batch());
             let engine = self
                 .platform
                 .build_engine(t.model(), t.precision(), t.batch())
@@ -503,10 +484,10 @@ impl ServeSpec {
                 group = group.breaker(breaker);
             }
             if let Some(recovery) = res.recovery {
-                group = group.recovery(recovery.resolve(&engine, warm));
+                group = group.recovery(recovery.resolve(&engine));
             }
             if let Some(aspec) = scaling {
-                group = group.autoscaler(aspec.resolve(&engine, warm, t.instances(), self.slo));
+                group = group.autoscaler(aspec.resolve(&engine, t.instances(), self.slo));
             }
             plan = plan.group(group);
         }
@@ -638,32 +619,29 @@ mod tests {
     }
 
     #[test]
-    fn autoscale_resolve_clamps_to_instances_and_splits_costs() {
+    fn autoscale_resolve_clamps_to_instances_and_prices_plan_loads() {
         let platform = Platform::orin_nano();
         let engine = platform
             .build_engine(&jetsim_dnn::zoo::resnet50(), Precision::Fp16, 1)
             .unwrap();
         let slo = SimDuration::from_millis(50);
         // Ceiling defaults to the instance count; explicit ceilings clamp.
-        let policy = AutoscaleSpec::new(1).resolve(&engine, false, 4, slo);
+        let policy = AutoscaleSpec::new(1).resolve(&engine, 4, slo);
         assert_eq!((policy.min_replicas, policy.max_replicas), (1, 4));
         let policy = AutoscaleSpec::new(2)
             .max_replicas(16)
-            .resolve(&engine, false, 3, slo);
+            .resolve(&engine, 3, slo);
         assert_eq!((policy.min_replicas, policy.max_replicas), (2, 3));
-        // Auto on a cold cache charges build + load for the first start
-        // and plan-load for later ones; a warm cache collapses them.
-        let cold = AutoscaleSpec::new(0).resolve(&engine, false, 2, slo);
-        assert_eq!(cold.cold_start, engine.start_cost_estimate(false));
-        assert_eq!(cold.warm_start, engine.start_cost_estimate(true));
-        assert!(cold.cold_start > cold.warm_start);
-        let warm = AutoscaleSpec::new(0).resolve(&engine, true, 2, slo);
-        assert_eq!(warm.cold_start, warm.warm_start);
-        // Fixed charges a flat cost either way; slo_burn wires the SLO.
+        // Auto charges the plan load for the first start and every
+        // later one: the plan exists from t = 0.
+        let auto = AutoscaleSpec::new(0).resolve(&engine, 2, slo);
+        assert_eq!(auto.cold_start, engine.load_cost_estimate());
+        assert_eq!(auto.warm_start, engine.load_cost_estimate());
+        // Fixed charges a flat cost too; slo_burn wires the SLO.
         let fixed = AutoscaleSpec::new(0)
             .cost(RestartCost::Fixed(SimDuration::from_millis(33)))
             .slo_burn(true)
-            .resolve(&engine, false, 2, slo);
+            .resolve(&engine, 2, slo);
         assert_eq!(fixed.cold_start, SimDuration::from_millis(33));
         assert_eq!(fixed.warm_start, SimDuration::from_millis(33));
         assert_eq!(fixed.slo_target, Some(slo));

@@ -1,5 +1,5 @@
 //! Integration tests for the `jetsim-serve` CLI binary: resilience flag
-//! parsing and fault-injection determinism.
+//! parsing, fault-injection determinism, and flag/file equivalence.
 
 use std::process::Command;
 
@@ -112,4 +112,58 @@ fn bad_resilience_flags_fail_cleanly() {
     assert!(!out.status.success());
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("--retry"), "{stderr}");
+}
+
+/// Flags that reach every replica start path: OOM recovery, groups that
+/// scale from zero, and a fault plan seeded by `--seed`.
+const ORIGIN_FLAGS: [&str; 16] = [
+    "--tenant",
+    "resnet50:int8:1:2",
+    "--arrival",
+    "poisson:60",
+    "--tenant",
+    "mobilenet_v2:fp16:1:2",
+    "--arrival",
+    "poisson:30",
+    "--slo",
+    "50ms",
+    "--duration",
+    "1s",
+    "--recovery",
+    "--autoscale",
+    "0:2",
+    "--faults",
+];
+
+/// The same scenario given as flags or as its `--dump-scenario`
+/// document under `--scenario` prints the same bytes, at every seed.
+#[test]
+fn flags_and_dumped_scenario_agree_over_seeds() {
+    for seed in 1..=8 {
+        let seed = seed.to_string();
+        let from_flags = serve(&[&ORIGIN_FLAGS[..], &["--seed", &seed, "--json"]].concat());
+        assert!(
+            from_flags.status.success(),
+            "{}",
+            String::from_utf8_lossy(&from_flags.stderr)
+        );
+        let dump = serve(&[&ORIGIN_FLAGS[..], &["--seed", &seed, "--dump-scenario"]].concat());
+        assert!(dump.status.success());
+        let path = std::env::temp_dir().join(format!(
+            "jetsim_serve_origin_{seed}_{}.toml",
+            std::process::id()
+        ));
+        std::fs::write(&path, &dump.stdout).expect("scenario written");
+        let from_file = serve(&["--scenario", &path.display().to_string(), "--json"]);
+        std::fs::remove_file(&path).ok();
+        assert!(
+            from_file.status.success(),
+            "{}",
+            String::from_utf8_lossy(&from_file.stderr)
+        );
+        assert_eq!(
+            from_flags.stdout, from_file.stdout,
+            "seed {seed}: flags and their scenario document diverged"
+        );
+    }
 }

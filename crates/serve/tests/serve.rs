@@ -171,10 +171,7 @@ fn autoscaled_group_reports_scaling_telemetry() {
         "replica-seconds integral {} outside (0, ceiling x window]",
         g.replica_seconds
     );
-    assert_eq!(
-        g.cold_starts, 0,
-        "a warm floor replica seeds the engine cache"
-    );
+    assert_eq!(g.cold_starts, 0, "a floor replica was up at t = 0");
 
     // A static group reports no scaling churn at all.
     let floor = {

@@ -112,9 +112,9 @@ pub(crate) enum IngressEvent {
 enum ScaleState {
     /// Eligible to serve (the only state non-autoscaled pids ever hold).
     Up,
-    /// Paying the engine build / plan fetch part of a cold start.
+    /// Paying the part of the group's first start beyond `warm_start`.
     Provisioning,
-    /// Paying the plan-load + first-inference warmup.
+    /// Paying `warm_start`, the plan-load + first-inference warmup.
     Warming,
     /// Scaled down (or never scaled up); invisible to dispatch.
     Parked,
@@ -206,8 +206,8 @@ struct GroupRt {
     /// Completions since the last tick that missed the policy's
     /// `slo_target`.
     win_slo_miss: u32,
-    /// `true` once any replica has started (the TensorRT plan exists, so
-    /// later provisions pay the warm load, not the cold build).
+    /// `true` once any replica has started, so later provisions pay
+    /// `warm_start`, not `cold_start`.
     engine_built: bool,
 }
 
@@ -544,9 +544,9 @@ impl Ingress {
         }
     }
 
-    /// Provisions up to `k` parked replicas (member order). The first
-    /// provision while no plan exists pays the full cold start; every
-    /// later one pays the warm plan-load.
+    /// Provisions up to `k` parked replicas (member order). The group's
+    /// first provision pays `cold_start`; every later one pays
+    /// `warm_start`.
     fn provision(&mut self, g: usize, k: u32, now: SimTime, ctx: &mut Ctx<'_>) {
         let Some(policy) = self.groups[g].autoscaler else {
             return;
@@ -572,9 +572,9 @@ impl Ingress {
                 group: g,
                 kind: ServeEventKind::ReplicaProvisioned { pid, cold },
             });
-            // A cold start splits into the build/plan-fetch phase
-            // (skipped warm) and the Warming plan-load phase everyone
-            // pays; `start_costs` clamps cold ≥ warm ≥ 1 ms.
+            // A cold start splits into a Provisioning phase (skipped
+            // warm) and the Warming phase everyone pays; `start_costs`
+            // clamps cold ≥ warm ≥ 1 ms.
             let build_phase = if cold {
                 policy.cold_start.saturating_sub(policy.warm_start)
             } else {

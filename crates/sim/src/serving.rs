@@ -168,9 +168,9 @@ impl BreakerPolicy {
 
 /// Replica-recovery discipline: an OOM-killed server schedules a restart
 /// instead of staying dead. The restart cost is supplied by the caller —
-/// the serve layer charges it through the engine cache (warm hit = fast
-/// deserialize, cold = full rebuild) — and is clamped ≥ 1 ms so a
-/// revived process can never race wakeups from its previous life.
+/// the serve layer charges the engine's plan-load estimate — and is
+/// clamped ≥ 1 ms so a revived process can never race wakeups from its
+/// previous life.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RecoveryPolicy {
     /// Wall time between the kill and the replica rejoining its group.
@@ -220,14 +220,15 @@ pub enum ScaleDecision {
 /// or reaps replicas between `min_replicas` and the group's member
 /// count.
 ///
-/// Scale-up charges an engine **cold start** (TensorRT build +
-/// plan-load, from the engine-cache warm/cold split the serve layer
-/// resolves into `cold_start`/`warm_start`): the replica walks
-/// `Provisioning → Warming → Up` before it can serve. Scale-down is
-/// driven by the `keep_alive` idle-reap timer, and `min_replicas == 0`
-/// allows **scale-to-zero** — the group parks until the next arrival,
-/// which then eats the cold start (the dslab-faas economics, priced
-/// with TensorRT build costs).
+/// Scale-up charges a replica **start**: the replica walks
+/// `Provisioning → Warming → Up` before it can serve. The group's first
+/// start (its "cold" start) pays `cold_start` and every later one
+/// `warm_start`; the serve layer prices both as a TensorRT plan load,
+/// so for a serve spec they are equal. Scale-down is driven by the
+/// `keep_alive` idle-reap timer, and `min_replicas == 0` allows
+/// **scale-to-zero** — the group parks until the next arrival, which
+/// then eats a start (the dslab-faas economics, priced with TensorRT
+/// plan loads).
 ///
 /// The decision core ([`AutoscalerPolicy::decide`]) is pure — no clock,
 /// no RNG — so scale decisions are deterministic per seed and
@@ -249,13 +250,11 @@ pub struct AutoscalerPolicy {
     pub evaluate_every: SimDuration,
     /// How long a replica must sit idle before the reaper takes it.
     pub keep_alive: SimDuration,
-    /// Full cold-start cost (engine build + plan load) charged to the
-    /// first provision while no plan exists; resolved by the serve
-    /// layer from the engine's build/load estimates.
+    /// Start cost charged to the group's first provision. The serve
+    /// layer sets it equal to `warm_start`.
     pub cold_start: SimDuration,
-    /// Warm-start cost (plan deserialize + context setup) charged to
-    /// every later provision; this is also the `Warming` phase of a
-    /// cold start.
+    /// Start cost (plan deserialize + context setup) charged to every
+    /// later provision; this is also the `Warming` phase of the first.
     pub warm_start: SimDuration,
 }
 
@@ -840,9 +839,9 @@ pub enum ServeEventKind {
     ReplicaProvisioned {
         /// The replica being provisioned.
         pid: usize,
-        /// `true` when this provision pays the full cold start (engine
-        /// build — no plan in the cache yet); `false` for a warm
-        /// plan-load.
+        /// `true` for the group's first provision, which pays
+        /// `cold_start`; `false` for every later one, which pays
+        /// `warm_start`.
         cold: bool,
     },
     /// A provisioned replica finished warming and joined the free pool.

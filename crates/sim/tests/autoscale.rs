@@ -84,10 +84,10 @@ fn burst_scales_up_and_charges_the_start_cost() {
     );
     assert!(
         provisioned.iter().all(|(_, _, cold)| !cold),
-        "a floor replica built the engine at t=0, so scale-ups warm-load the plan"
+        "a floor replica started at t=0, so every scale-up is a warm start"
     );
     // Every provision's Warmed event lands exactly the configured start
-    // cost later (cold = engine build + plan load, warm = plan load).
+    // cost later (cold = the group's first start, warm = every later one).
     for (pid, at, cold) in &provisioned {
         let warmed = t
             .serve_events
@@ -171,8 +171,8 @@ fn scale_to_zero_parks_and_the_next_arrival_pays_the_start() {
         .map(|e| e.time)
         .collect();
     assert!(!parks.is_empty(), "min_replicas=0 must park the idle group");
-    // With no floor replica, nothing built the engine at t=0: the very
-    // first provision pays the full cold start, later ones warm-load.
+    // With no floor replica, nothing started at t=0: the very first
+    // provision pays the cold start, later ones the warm one.
     let first_provision = t
         .serve_events
         .iter()

@@ -120,21 +120,6 @@ impl EngineCache {
         GLOBAL.get_or_init(EngineCache::new)
     }
 
-    /// Returns the cached engine for `key`, if present.
-    pub fn get(&self, key: &EngineKey) -> Option<Arc<Engine>> {
-        let hit = self
-            .map
-            .read()
-            .expect("engine cache lock poisoned")
-            .get(key)
-            .cloned();
-        match &hit {
-            Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
-            None => self.misses.fetch_add(1, Ordering::Relaxed),
-        };
-        hit
-    }
-
     /// Returns the engine for `(device, model, precision, batch)`,
     /// compiling it with default builder options on first request.
     ///
@@ -176,15 +161,6 @@ impl EngineCache {
         );
         map.insert(key, Arc::clone(&engine));
         Ok(engine)
-    }
-
-    /// Inserts a pre-built engine (e.g. one built with non-default
-    /// builder options the caller wants re-served under the default key).
-    pub fn insert(&self, key: EngineKey, engine: Arc<Engine>) {
-        self.map
-            .write()
-            .expect("engine cache lock poisoned")
-            .insert(key, engine);
     }
 
     /// Number of distinct engines currently cached.

@@ -182,45 +182,13 @@ impl Engine {
         at_requested as f64 / total as f64
     }
 
-    /// Estimated wall time for a **cold** engine build: tactic selection
-    /// per fused kernel (lower-precision builds time more tactic
-    /// candidates — INT8 additionally calibrates) plus weight
-    /// conversion/serialisation throughput. This is the cold-start cost a
-    /// recovering serve replica pays when its engine is not in the
-    /// [`crate::EngineCache`].
-    pub fn build_cost_estimate(&self) -> SimDuration {
-        let tactic_factor = match self.requested_precision {
-            Precision::Int8 => 1.6,
-            Precision::Fp16 => 1.2,
-            Precision::Tf32 => 1.1,
-            Precision::Fp32 => 1.0,
-        };
-        let tactic_secs = self.kernel_count() as f64 * 0.045 * tactic_factor;
-        let weight_secs = self.weight_bytes as f64 / (150.0 * 1024.0 * 1024.0);
-        SimDuration::from_secs_f64(0.2 + tactic_secs + weight_secs)
-    }
-
-    /// Estimated wall time to deserialize an already-built plan file and
-    /// stand up an execution context — the **warm** restart cost when the
-    /// [`crate::EngineCache`] still holds this engine.
+    /// Estimated wall time to deserialize this engine's plan file and
+    /// stand up an execution context. Engines are built ahead of time
+    /// and kept as plan files, so this is what a serve replica pays at
+    /// every start and restart.
     pub fn load_cost_estimate(&self) -> SimDuration {
         let read_secs = self.engine_bytes() as f64 / (1024.0 * 1024.0 * 1024.0);
         SimDuration::from_secs_f64(0.08 + read_secs)
-    }
-
-    /// Estimated wall time to bring a fresh serve replica of this
-    /// engine up: the warm path deserializes the cached plan
-    /// ([`Engine::load_cost_estimate`]); the cold path must first build
-    /// it ([`Engine::build_cost_estimate`]) and then load the result.
-    /// This is the start cost an autoscaler charges a provisioned
-    /// replica, split against the [`crate::EngineCache`] warm/cold
-    /// state.
-    pub fn start_cost_estimate(&self, warm: bool) -> SimDuration {
-        if warm {
-            self.load_cost_estimate()
-        } else {
-            self.build_cost_estimate() + self.load_cost_estimate()
-        }
     }
 }
 
@@ -261,29 +229,10 @@ mod tests {
     }
 
     #[test]
-    fn start_cost_splits_on_cache_warmth() {
+    fn plan_load_cost_is_macroscopic() {
         let engine = build(Precision::Int8, 1);
-        assert_eq!(
-            engine.start_cost_estimate(true),
-            engine.load_cost_estimate()
-        );
-        assert_eq!(
-            engine.start_cost_estimate(false),
-            engine.build_cost_estimate() + engine.load_cost_estimate()
-        );
-    }
-
-    #[test]
-    fn cold_build_costs_dominate_warm_loads() {
-        let engine = build(Precision::Int8, 1);
-        let build_cost = engine.build_cost_estimate();
-        let load_cost = engine.load_cost_estimate();
-        // A cold rebuild is the expensive path: tactic timing across
-        // every fused kernel vs. a straight plan-file deserialize.
-        assert!(build_cost > load_cost * 5);
-        // Both are macroscopic (whole-engine operations, not kernels).
-        assert!(load_cost.as_secs_f64() > 0.05);
-        assert!(build_cost.as_secs_f64() < 60.0);
+        // A whole-engine operation, not a kernel.
+        assert!(engine.load_cost_estimate().as_secs_f64() > 0.05);
     }
 
     #[test]

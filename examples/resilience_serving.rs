@@ -11,7 +11,7 @@
 //! 2. **deadline+retry** — requests fail fast and retry, but with no
 //!    replica to land on the retries mostly die too;
 //! 3. **full** — deadline + retry + breaker + replica recovery: the
-//!    replicas restart (cost charged through the engine cache) and the
+//!    replicas restart (each reloads its engine's plan file) and the
 //!    group claws its goodput back.
 //!
 //! The run asserts the tentpole acceptance criterion — ≥ 2× goodput

@@ -40,8 +40,8 @@ arrival = "mmpp:40:400:80:40"
 /// Every per-site path at once: an edge-first `offload` fleet with a
 /// cloud tier, a seeded fault plan with OOM recovery, `degrade`
 /// admission and a `brownout` breaker (both reach for the fallback
-/// engine), and a scale-to-zero tenant whose start costs come from the
-/// engine cache's warm/cold probe.
+/// engine), and a scale-to-zero tenant whose starts load its engine's
+/// plan.
 const CHAOS_FLEET_TOML: &str = r#"
 seed = 4321
 fault_seed = 17

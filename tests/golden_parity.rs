@@ -16,7 +16,7 @@
 //! never for a pure refactor):
 //!
 //! ```text
-//! JETSIM_GOLDEN_CAPTURE=1 cargo test -p jetsim-sim --test golden_parity -- --nocapture
+//! JETSIM_GOLDEN_CAPTURE=1 cargo test --test golden_parity -- --nocapture
 //! ```
 
 use std::fmt::Debug;
