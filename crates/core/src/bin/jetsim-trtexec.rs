@@ -19,12 +19,14 @@
 //! Its scenario-shaped flags overlay `--scenario=FILE` through
 //! `jetsim::scenario::ScenarioFlags`, the reader all three CLIs share.
 
+use std::error::Error;
+use std::io::Write;
 use std::process::ExitCode;
 
 use jetsim::deployment::Tenant;
 use jetsim::prelude::*;
 use jetsim::scenario::{
-    cli_fault_plan, cli_main, parse_duration, FlagCursor, ScenarioFlags, ScenarioSpec,
+    cli_fault_plan, cli_main, parse_window, FlagCursor, ScenarioFlags, ScenarioSpec,
 };
 use jetsim_profile::chrome_trace;
 use jetsim_sim::{FaultKind, GpuPolicy};
@@ -156,7 +158,7 @@ impl Args {
     }
 }
 
-fn run(args: Args) -> Result<(), String> {
+fn run(args: Args, out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
     let sc = &args.scenario;
     let platform = sc.platform()?;
     let specs = args.tenant_specs();
@@ -165,7 +167,7 @@ fn run(args: Args) -> Result<(), String> {
     } else {
         let mut d = Deployment::new();
         for spec in specs {
-            d = d.tenant(Tenant::parse(spec).map_err(|e| e.to_string())?);
+            d = d.tenant(Tenant::parse(spec)?);
         }
         Some(d)
     };
@@ -177,10 +179,7 @@ fn run(args: Args) -> Result<(), String> {
     };
 
     let warmup = SimDuration::from_millis(500);
-    let measure = match &sc.duration {
-        Some(duration) => parse_duration(duration)?,
-        None => SimDuration::from_secs(2),
-    };
+    let measure = parse_window(warmup, sc.duration.as_deref(), SimDuration::from_secs(2))?;
     let mut builder = SimConfig::builder(platform.device().clone())
         .warmup(warmup)
         .measure(measure)
@@ -193,18 +192,19 @@ fn run(args: Args) -> Result<(), String> {
         });
 
     if let Some(d) = &deployment {
-        println!("=== Deployment ===");
-        println!(
+        writeln!(out, "=== Deployment ===")?;
+        writeln!(
+            out,
             "{} tenant(s), {} process(es): {}",
             d.len(),
             d.total_processes(),
             d.label()
-        );
+        )?;
         for tenant in d.tenants() {
-            let engine = platform
-                .build_engine(tenant.model(), tenant.precision(), tenant.batch())
-                .map_err(|e| e.to_string())?;
-            println!(
+            let engine =
+                platform.build_engine(tenant.model(), tenant.precision(), tenant.batch())?;
+            writeln!(
+                out,
                 "  {} x{}: {} | {} kernels | engine {:.1} MiB + workspace {:.1} MiB",
                 tenant.label(),
                 tenant.instances(),
@@ -212,11 +212,9 @@ fn run(args: Args) -> Result<(), String> {
                 engine.kernel_count(),
                 engine.engine_bytes() as f64 / (1024.0 * 1024.0),
                 engine.workspace_bytes() as f64 / (1024.0 * 1024.0),
-            );
+            )?;
         }
-        builder = d
-            .add_to_config(&platform, builder)
-            .map_err(|e| e.to_string())?;
+        builder = d.add_to_config(&platform, builder)?;
     } else {
         let model = if args.model.ends_with(".json") {
             jetsim::plan::load_model(&args.model)
@@ -227,9 +225,7 @@ fn run(args: Args) -> Result<(), String> {
         let cache = jetsim_trt::EngineCache::global();
         let misses_before = cache.stats().misses;
         let build_start = std::time::Instant::now();
-        let engine = platform
-            .build_engine(&model, args.precision, args.batch)
-            .map_err(|e| e.to_string())?;
+        let engine = platform.build_engine(&model, args.precision, args.batch)?;
         let build_secs = build_start.elapsed().as_secs_f64();
         let cache_state = if cache.stats().misses > misses_before {
             "compiled"
@@ -237,61 +233,68 @@ fn run(args: Args) -> Result<(), String> {
             "cache hit"
         };
 
-        println!("=== Model Options ===");
-        println!("Model: {} ({})", model.name(), model.stats());
-        println!("=== Build Options ===");
-        println!(
+        writeln!(out, "=== Model Options ===")?;
+        writeln!(out, "Model: {} ({})", model.name(), model.stats())?;
+        writeln!(out, "=== Build Options ===")?;
+        writeln!(
+            out,
             "Precision: {} (engine runs {:.0}% of FLOPs at the requested format)",
             args.precision,
             engine.requested_precision_flop_fraction() * 100.0
-        );
-        println!(
+        )?;
+        writeln!(
+            out,
             "Batch: {} | Kernels after fusion: {}",
             args.batch,
             engine.kernel_count()
-        );
-        println!(
+        )?;
+        writeln!(
+            out,
             "Engine size: {:.1} MiB | workspace {:.1} MiB",
             engine.engine_bytes() as f64 / (1024.0 * 1024.0),
             engine.workspace_bytes() as f64 / (1024.0 * 1024.0),
-        );
-        println!(
+        )?;
+        writeln!(
+            out,
             "Engine build: {:.1} ms ({cache_state}; {} engine(s) cached this process)",
             build_secs * 1e3,
             cache.len()
-        );
+        )?;
         for _ in 0..args.processes {
             builder = builder.add_engine_streams(&engine, args.streams);
         }
     }
-    println!("=== Device ===");
-    println!("{platform}");
+    writeln!(out, "=== Device ===")?;
+    writeln!(out, "{platform}")?;
     if gpu_policy != GpuPolicy::TimesliceRR {
-        println!("GPU scheduling policy: {gpu_policy}");
+        writeln!(out, "GPU scheduling policy: {gpu_policy}")?;
     }
 
     if let Some(fault_seed) = sc.fault_seed {
         let horizon = SimDuration::from_secs_f64(warmup.as_secs_f64() + measure.as_secs_f64());
         let plan = cli_fault_plan(fault_seed, horizon);
-        println!("=== Fault Plan (seed {fault_seed}) ===");
-        println!(
+        writeln!(out, "=== Fault Plan (seed {fault_seed}) ===")?;
+        writeln!(
+            out,
             "{} memory spike(s), {} throttle lock(s), OOM policy: kill-largest",
             plan.memory_spikes.len(),
             plan.throttle_locks.len()
-        );
+        )?;
         builder = builder.faults(plan);
     }
-    let config = builder.build().map_err(|e| e.to_string())?;
-    let trace = Simulation::new(config).map_err(|e| e.to_string())?.run();
+    let config = builder.build()?;
+    let trace = Simulation::new(config)?.run();
 
-    println!("\n=== Performance Summary ===");
-    println!(
+    writeln!(out, "\n=== Performance Summary ===")?;
+    writeln!(
+        out,
         "Throughput: {:.2} qps (total), {:.2} qps/process",
         trace.total_throughput(),
         trace.throughput_per_process()
-    );
+    )?;
     for p in &trace.processes {
-        println!(
+        writeln!(
+            out,
             "{}: EC mean {} | median {} | p95 {} | p99 {} (launch {}, sync {}, blocking {})",
             p.name,
             p.mean_ec_time,
@@ -301,75 +304,88 @@ fn run(args: Args) -> Result<(), String> {
             p.mean_launch_time,
             p.mean_sync_time,
             p.mean_blocking_time,
-        );
+        )?;
     }
     if !trace.preemptions.is_empty() {
-        println!("Kernel preemptions: {}", trace.preemptions.len());
+        writeln!(out, "Kernel preemptions: {}", trace.preemptions.len())?;
     }
-    println!("\n=== jetson-stats ===");
-    println!("{}", jetsim_profile::JetsonStatsReport::from_trace(&trace));
+    writeln!(out, "\n=== jetson-stats ===")?;
+    writeln!(
+        out,
+        "{}",
+        jetsim_profile::JetsonStatsReport::from_trace(&trace)
+    )?;
 
     if let Some(d) = &deployment {
-        println!("\n=== Per-Tenant Summary ===");
+        writeln!(out, "\n=== Per-Tenant Summary ===")?;
         for tenant in TenantMetrics::from_trace(&trace, d) {
-            println!("{tenant}");
+            writeln!(out, "{tenant}")?;
         }
     }
 
     if sc.fault_seed.is_some() {
-        println!("\n=== Fault Events ===");
+        writeln!(out, "\n=== Fault Events ===")?;
         if trace.fault_events.is_empty() {
-            println!("(none fired inside the simulated window)");
+            writeln!(out, "(none fired inside the simulated window)")?;
         }
         for event in &trace.fault_events {
             let t_ms = event.time.as_micros_f64() / 1e3;
             match &event.kind {
-                FaultKind::MemorySpikeStart { bytes } => println!(
+                FaultKind::MemorySpikeStart { bytes } => writeln!(
+                    out,
                     "[{t_ms:9.3} ms] memory spike +{:.0} MiB",
                     *bytes as f64 / (1024.0 * 1024.0)
-                ),
-                FaultKind::MemorySpikeEnd { bytes } => println!(
+                )?,
+                FaultKind::MemorySpikeEnd { bytes } => writeln!(
+                    out,
                     "[{t_ms:9.3} ms] memory spike released -{:.0} MiB",
                     *bytes as f64 / (1024.0 * 1024.0)
-                ),
-                FaultKind::ThrottleLockStart { step, mhz } => {
-                    println!("[{t_ms:9.3} ms] throttle lock: GPU pinned to step {step} ({mhz} MHz)")
-                }
-                FaultKind::ThrottleLockEnd => {
-                    println!("[{t_ms:9.3} ms] throttle lock released; governor resumes")
-                }
+                )?,
+                FaultKind::ThrottleLockStart { step, mhz } => writeln!(
+                    out,
+                    "[{t_ms:9.3} ms] throttle lock: GPU pinned to step {step} ({mhz} MHz)"
+                )?,
+                FaultKind::ThrottleLockEnd => writeln!(
+                    out,
+                    "[{t_ms:9.3} ms] throttle lock released; governor resumes"
+                )?,
                 FaultKind::ProcessKilled {
                     pid,
                     name,
                     freed_bytes,
-                } => println!(
+                } => writeln!(
+                    out,
                     "[{t_ms:9.3} ms] OOM killer: {name} (pid {pid}) killed, {:.0} MiB freed",
                     *freed_bytes as f64 / (1024.0 * 1024.0)
-                ),
-                _ => println!("[{t_ms:9.3} ms] fault: {:?}", event.kind),
+                )?,
+                _ => writeln!(out, "[{t_ms:9.3} ms] fault: {:?}", event.kind)?,
             }
         }
         if trace.killed_processes() > 0 {
-            println!(
+            writeln!(
+                out,
                 "{} of {} processes killed; surviving throughput {:.2} qps",
                 trace.killed_processes(),
                 trace.processes.len(),
                 trace.surviving_throughput()
-            );
+            )?;
         }
     }
 
     if args.nsight {
         if let Some(report) = NsightReport::from_trace(&trace) {
-            println!("\n=== Nsight Systems ===");
-            println!("{report}");
+            writeln!(out, "\n=== Nsight Systems ===")?;
+            writeln!(out, "{report}")?;
         }
     }
 
     if let Some(path) = args.chrome_trace {
         std::fs::write(&path, chrome_trace::to_chrome_trace(&trace))
             .map_err(|e| format!("cannot write {path}: {e}"))?;
-        println!("\nchrome trace written to {path} (open in ui.perfetto.dev)");
+        writeln!(
+            out,
+            "\nchrome trace written to {path} (open in ui.perfetto.dev)"
+        )?;
     }
     Ok(())
 }

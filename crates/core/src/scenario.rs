@@ -27,7 +27,10 @@
 //! `model:precision:batch[:count[:priority]]` or key=value form — so a
 //! scenario reads exactly like the command line it replaces.
 
+use std::error::Error;
 use std::fmt;
+use std::io::{self, Write};
+use std::process::ExitCode;
 use std::str::FromStr;
 
 use jetsim_des::{ArrivalProcess, SimDuration};
@@ -264,6 +267,31 @@ pub fn parse_duration(s: &str) -> Result<SimDuration, String> {
     Ok(SimDuration::from_secs_f64(value * scale))
 }
 
+/// Parses a run's measured `duration` (duration grammar, `default`
+/// when absent) and checks that it still fits the simulated clock after
+/// `warmup`, so no layer below overflows adding the two.
+///
+/// # Errors
+///
+/// A malformed duration, or a window past the clock's end, named by
+/// its duration.
+pub fn parse_window(
+    warmup: SimDuration,
+    duration: Option<&str>,
+    default: SimDuration,
+) -> Result<SimDuration, String> {
+    let measured = duration.map_or(Ok(default), parse_duration)?;
+    if warmup.as_nanos().checked_add(measured.as_nanos()).is_none() {
+        let named = duration.map_or_else(|| default.to_string(), str::to_string);
+        return Err(format!(
+            "duration `{named}` after warmup {warmup} runs past the simulated clock's end \
+             ({})",
+            SimDuration::from_nanos(u64::MAX)
+        ));
+    }
+    Ok(measured)
+}
+
 /// Parses the CLI arrival grammar: `poisson:RATE` or
 /// `mmpp:CALM:BURST:CALM_MS:BURST_MS`.
 ///
@@ -485,20 +513,34 @@ impl ScenarioFlags {
 }
 
 /// The `main` of every jetsim CLI: parses argv (program name skipped)
-/// and runs the result. A parse error — usage text included — prints
-/// as-is, a run error prints as `error: …`, and either exits with
-/// failure.
+/// and runs the result, writing its output to stdout through `run`'s
+/// writer. A parse error — usage text included — prints as-is, a run
+/// error prints as `error: …`, and either exits with failure. A reader
+/// that closes stdout early (`| head`) ends the run quietly with
+/// success; any other write error fails like a run error.
 pub fn cli_main<A>(
     parse: impl FnOnce(std::iter::Skip<std::env::Args>) -> Result<A, String>,
-    run: impl FnOnce(A) -> Result<(), String>,
-) -> std::process::ExitCode {
-    let outcome = parse(std::env::args().skip(1))
-        .and_then(|args| run(args).map_err(|e| format!("error: {e}")));
-    match outcome {
-        Ok(()) => std::process::ExitCode::SUCCESS,
-        Err(message) => {
-            eprintln!("{message}");
-            std::process::ExitCode::FAILURE
+    run: impl FnOnce(A, &mut dyn Write) -> Result<(), Box<dyn Error>>,
+) -> ExitCode {
+    let args = match parse(std::env::args().skip(1)) {
+        Ok(args) => args,
+        Err(usage) => {
+            eprintln!("{usage}");
+            return ExitCode::FAILURE;
+        }
+    };
+    let mut stdout = io::stdout().lock();
+    match run(args, &mut stdout).and_then(|()| Ok(stdout.flush()?)) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e)
+            if e.downcast_ref::<io::Error>()
+                .is_some_and(|e| e.kind() == io::ErrorKind::BrokenPipe) =>
+        {
+            ExitCode::SUCCESS
+        }
+        Err(e) => {
+            eprintln!("error: {e}");
+            ExitCode::FAILURE
         }
     }
 }
@@ -965,6 +1007,22 @@ min_replicas = 0
         // Identity laws.
         assert_eq!(base.merge(&ScenarioSpec::default()), base);
         assert_eq!(ScenarioSpec::default().merge(&base), base);
+    }
+
+    #[test]
+    fn window_must_fit_the_clock() {
+        let warmup = SimDuration::from_millis(500);
+        let default = SimDuration::from_secs(2);
+        assert_eq!(parse_window(warmup, None, default).unwrap(), default);
+        assert_eq!(
+            parse_window(warmup, Some("3s"), default).unwrap(),
+            SimDuration::from_secs(3)
+        );
+        let err = parse_window(warmup, Some("1e300s"), default).unwrap_err();
+        assert!(err.contains("`1e300s`"), "{err}");
+        let huge = SimDuration::from_nanos(u64::MAX);
+        assert!(parse_window(huge, None, default).is_err());
+        assert!(parse_window(warmup, Some("fast"), default).is_err());
     }
 
     #[test]

@@ -11,20 +11,19 @@ use jetsim_des::{splitmix64, SimDuration};
 use jetsim_dnn::{ModelGraph, Precision};
 use jetsim_profile::JetsonStatsReport;
 use jetsim_sim::{
-    ArrivalModel, FaultPlan, GpuPolicy, ProfilerMode, SimConfig, SimError, Simulation, DEFAULT_SEED,
+    ArrivalModel, GpuPolicy, ProfilerMode, SimConfig, SimError, Simulation, DEFAULT_SEED,
 };
-use jetsim_trt::Engine;
 
 use crate::deployment::{Deployment, Tenant, TenantMetrics};
 use crate::platform::Platform;
 use crate::pool::{panic_message, run_isolated};
 
 /// Supervision policy for a sweep: what the runner does when a cell
-/// panics, runs away, hits OOM, or suffers injected faults.
+/// panics, runs away or hits OOM.
 ///
-/// The default policy is inert — no fault plan, no event budget, no
-/// retries — and [`SweepSpec::run`] uses it, so plain sweeps behave
-/// exactly as before (byte-identical results).
+/// The default policy is inert — no event budget, no retries — and
+/// [`SweepSpec::run`] uses it, so plain sweeps behave exactly as before
+/// (byte-identical results).
 ///
 /// # Examples
 ///
@@ -42,20 +41,17 @@ pub struct SupervisorPolicy {
     /// events, reporting it as [`CellOutcome::BudgetExceeded`].
     pub event_budget: Option<u64>,
     /// How many times an OOM cell is retried at degraded parameters
-    /// (halve the batch first, then shed processes), and how many times a
-    /// transient engine-build failure is retried. `0` disables retries.
+    /// (halve the batch first, then shed processes). `0` disables
+    /// retries.
     pub max_retries: u32,
-    /// Fault plan applied to every cell's simulation (memory spikes,
-    /// throttle locks, OOM-killer policy).
-    pub faults: FaultPlan,
-    /// Chaos injections for supervision tests: force specific grid cells
-    /// to panic or to fail engine builds transiently.
+    /// Grid cells `(batch, processes)` whose worker panics, for the
+    /// panic-isolation tests.
     #[cfg(test)]
-    chaos: Vec<CellChaos>,
+    panic_on: Vec<(u32, u32)>,
 }
 
 impl SupervisorPolicy {
-    /// The inert policy (no budget, no retries, no faults).
+    /// The inert policy (no budget, no retries).
     pub fn new() -> Self {
         SupervisorPolicy::default()
     }
@@ -66,51 +62,18 @@ impl SupervisorPolicy {
         self
     }
 
-    /// Sets the retry cap for OOM degradation and transient builds.
+    /// Sets the retry cap for OOM degradation.
     pub fn max_retries(mut self, retries: u32) -> Self {
         self.max_retries = retries;
         self
     }
 
-    /// Sets the fault plan applied to every cell.
-    pub fn faults(mut self, faults: FaultPlan) -> Self {
-        self.faults = faults;
-        self
-    }
-
-    /// Adds a chaos injection.
+    /// Makes the worker of grid cell `(batch, processes)` panic.
     #[cfg(test)]
-    fn chaos(mut self, chaos: CellChaos) -> Self {
-        self.chaos.push(chaos);
+    fn panic_on(mut self, batch: u32, processes: u32) -> Self {
+        self.panic_on.push((batch, processes));
         self
     }
-}
-
-/// A targeted fault injected into one grid cell, used to exercise the
-/// supervisor's isolation and retry paths deterministically.
-#[cfg(test)]
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum CellChaos {
-    /// Panic inside the cell worker at these grid coordinates. The
-    /// supervisor must catch it and report [`CellOutcome::Panicked`]
-    /// while every other cell completes.
-    PanicOn {
-        /// Batch coordinate of the victim cell.
-        batch: u32,
-        /// Process-count coordinate of the victim cell.
-        processes: u32,
-    },
-    /// Make the engine build fail transiently this many times at these
-    /// grid coordinates before succeeding — the `cudaErrorUnknown`-style
-    /// flakiness long driver sessions exhibit.
-    TransientBuild {
-        /// How many consecutive build attempts fail before one succeeds.
-        failures: u32,
-        /// Batch coordinate of the victim cell.
-        batch: u32,
-        /// Process-count coordinate of the victim cell.
-        processes: u32,
-    },
 }
 
 /// The grid of parameters to sweep.
@@ -298,14 +261,7 @@ impl SweepSpec {
             |(precision, batch, procs, load, gpu_policy)| {
                 let deployment = Deployment::new()
                     .tenant(Tenant::new(Arc::clone(&shared), precision, batch).count(procs));
-                self.supervise_deployment(
-                    platform,
-                    &deployment,
-                    (batch, procs),
-                    load,
-                    gpu_policy,
-                    policy,
-                )
+                self.supervise_deployment(platform, &deployment, load, gpu_policy, policy)
             },
         );
         let mut cells: Vec<SweepCell> = params
@@ -371,22 +327,9 @@ impl SweepSpec {
                 outcome: CellOutcome::SimFailed("empty deployment".to_string()),
             };
         }
-        let batch = deployment
-            .tenants()
-            .iter()
-            .map(Tenant::batch)
-            .max()
-            .unwrap_or(1);
-        let procs = deployment.total_processes();
+        let (batch, procs) = deployment_coords(deployment);
         let outcome = run_isolated(vec![deployment], Some(1), |deployment| {
-            self.supervise_deployment(
-                platform,
-                deployment,
-                (batch, procs),
-                None,
-                gpu_policy,
-                policy,
-            )
+            self.supervise_deployment(platform, deployment, None, gpu_policy, policy)
         })
         .pop()
         .expect("one input, one result")
@@ -412,23 +355,18 @@ impl SweepSpec {
     /// the classic chain (halve the batch, then drop processes). The
     /// returned outcome always keys on the cell's *original* grid
     /// coordinates; a degraded success records where it finally ran.
-    #[allow(clippy::too_many_arguments)]
     fn supervise_deployment(
         &self,
         platform: &Platform,
         deployment: &Deployment,
-        grid_coords: (u32, u32),
         offered_load: Option<f64>,
         gpu_policy: GpuPolicy,
         policy: &SupervisorPolicy,
     ) -> CellOutcome {
         #[cfg(test)]
         {
-            let (batch, procs) = grid_coords;
-            if policy.chaos.iter().any(|c| {
-                matches!(c, CellChaos::PanicOn { batch: b, processes: p }
-                         if *b == batch && *p == procs)
-            }) {
+            let (batch, procs) = deployment_coords(deployment);
+            if policy.panic_on.contains(&(batch, procs)) {
                 panic!("chaos: injected panic at b{batch} p{procs}");
             }
         }
@@ -436,15 +374,7 @@ impl SweepSpec {
         let mut current = Cow::Borrowed(deployment);
         let mut retries_left = policy.max_retries;
         loop {
-            let outcome = self.try_deployment(
-                platform,
-                &current,
-                grid_coords,
-                offered_load,
-                gpu_policy,
-                policy,
-                &mut attempts,
-            );
+            let outcome = self.try_deployment(platform, &current, offered_load, gpu_policy, policy);
             match outcome {
                 CellOutcome::OutOfMemory { .. } if retries_left > 0 => {
                     let Some(degraded) = degrade_deployment(&current) else {
@@ -488,32 +418,23 @@ impl SweepSpec {
         })
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn try_deployment(
         &self,
         platform: &Platform,
         deployment: &Deployment,
-        grid_coords: (u32, u32),
         offered_load: Option<f64>,
         gpu_policy: GpuPolicy,
         policy: &SupervisorPolicy,
-        attempts: &mut Vec<String>,
     ) -> CellOutcome {
-        let mut engines: Vec<Arc<Engine>> = Vec::with_capacity(deployment.len());
-        for tenant in deployment.tenants() {
-            match self.build_cell_engine(
-                platform,
-                tenant.model(),
-                tenant.precision(),
-                tenant.batch(),
-                grid_coords,
-                policy,
-                attempts,
-            ) {
-                Ok(engine) => engines.push(engine),
-                Err(outcome) => return outcome,
-            }
-        }
+        let engines = match deployment
+            .tenants()
+            .iter()
+            .map(|t| platform.build_engine(t.model(), t.precision(), t.batch()))
+            .collect::<Result<Vec<_>, _>>()
+        {
+            Ok(engines) => engines,
+            Err(e) => return CellOutcome::BuildFailed(e.to_string()),
+        };
         let mut builder = SimConfig::builder(platform.device().clone())
             .warmup(self.warmup)
             .measure(self.measure)
@@ -521,9 +442,6 @@ impl SweepSpec {
             .gpu_policy(gpu_policy)
             .record_kernel_events(false)
             .profiler(ProfilerMode::Lightweight);
-        if !policy.faults.is_empty() {
-            builder = builder.faults(policy.faults.clone());
-        }
         if let Some(budget) = policy.event_budget {
             builder = builder.event_budget(budget);
         }
@@ -568,66 +486,6 @@ impl SweepSpec {
             },
             Err(e) => CellOutcome::SimFailed(e.to_string()),
         }
-    }
-
-    /// Builds the cell's engine, retrying transient driver failures up to
-    /// the policy's retry cap. Test chaos matches on the cell's original
-    /// grid coordinates so degraded retries of an OOM cell do not
-    /// re-trigger it.
-    #[allow(clippy::too_many_arguments, clippy::result_large_err)]
-    #[cfg_attr(not(test), allow(unused_variables))]
-    fn build_cell_engine(
-        &self,
-        platform: &Platform,
-        model: &ModelGraph,
-        precision: Precision,
-        batch: u32,
-        grid_coords: (u32, u32),
-        policy: &SupervisorPolicy,
-        attempts: &mut Vec<String>,
-    ) -> Result<Arc<Engine>, CellOutcome> {
-        #[cfg(test)]
-        if let Some(failures) = policy.chaos.iter().find_map(|c| match c {
-            CellChaos::TransientBuild {
-                failures,
-                batch: b,
-                processes: p,
-            } if (*b, *p) == grid_coords => Some(*failures),
-            _ => None,
-        }) {
-            // Bypass the process-wide engine cache: a cached hit would
-            // silently skip the injected failure and other sweeps must
-            // not observe this cell's flaky engine.
-            for attempt in 0..=policy.max_retries {
-                let result = jetsim_trt::EngineBuilder::new(platform.device())
-                    .precision(precision)
-                    .batch(batch)
-                    .transient_failures(failures.saturating_sub(attempt))
-                    .build(model);
-                match result {
-                    Ok(engine) => return Ok(Arc::new(engine)),
-                    Err(e) if e.is_transient() && attempt < policy.max_retries => {
-                        attempts.push(format!("b{batch} build attempt {}: {e}", attempt + 1));
-                    }
-                    Err(e) => return Err(CellOutcome::BuildFailed(e.to_string())),
-                }
-            }
-            unreachable!("loop returns on success or final failure");
-        }
-        let mut last_err = None;
-        for attempt in 0..=policy.max_retries {
-            match platform.build_engine(model, precision, batch) {
-                Ok(engine) => return Ok(engine),
-                Err(e) if e.is_transient() && attempt < policy.max_retries => {
-                    attempts.push(format!("b{batch} build attempt {}: {e}", attempt + 1));
-                    last_err = Some(e);
-                }
-                Err(e) => return Err(CellOutcome::BuildFailed(e.to_string())),
-            }
-        }
-        Err(CellOutcome::BuildFailed(
-            last_err.expect("retry loop ran at least once").to_string(),
-        ))
     }
 }
 
@@ -1042,10 +900,7 @@ mod tests {
             .precisions([Precision::Int8])
             .batches([1, 4])
             .process_counts([1, 2]);
-        let policy = SupervisorPolicy::new().chaos(CellChaos::PanicOn {
-            batch: 4,
-            processes: 1,
-        });
+        let policy = SupervisorPolicy::new().panic_on(4, 1);
         let cells = spec.run_supervised(&Platform::orin_nano(), &zoo::resnet50(), &policy);
         assert_eq!(cells.len(), 4, "every cell reported, panic included");
         let keys: Vec<(u32, u32)> = cells.iter().map(|c| (c.batch, c.processes)).collect();
@@ -1075,12 +930,7 @@ mod tests {
             .precisions([Precision::Fp16])
             .batches([1, 2])
             .process_counts([1, 4]);
-        let policy = SupervisorPolicy::new()
-            .max_retries(4)
-            .chaos(CellChaos::PanicOn {
-                batch: 2,
-                processes: 1,
-            });
+        let policy = SupervisorPolicy::new().max_retries(4).panic_on(2, 1);
         let platform = Platform::jetson_nano();
         let model = zoo::fcn_resnet50();
         let one = spec
@@ -1122,35 +972,6 @@ mod tests {
             other => panic!("expected BudgetExceeded, got {other:?}"),
         }
         assert!(format!("{}", cells[0]).contains("budget"));
-    }
-
-    #[test]
-    fn transient_build_failures_are_retried() {
-        let spec = fast_spec()
-            .precisions([Precision::Int8])
-            .batches([1])
-            .process_counts([1]);
-        let chaos = CellChaos::TransientBuild {
-            failures: 2,
-            batch: 1,
-            processes: 1,
-        };
-        // With retries the build recovers and the cell runs.
-        let policy = SupervisorPolicy::new().max_retries(3).chaos(chaos.clone());
-        let cells = spec.run_supervised(&Platform::orin_nano(), &zoo::resnet50(), &policy);
-        assert!(
-            cells[0].outcome.metrics().is_some(),
-            "recovered: {:?}",
-            cells[0].outcome
-        );
-        // Without retries the transient failure is terminal.
-        let policy = SupervisorPolicy::new().chaos(chaos);
-        let cells = spec.run_supervised(&Platform::orin_nano(), &zoo::resnet50(), &policy);
-        assert!(
-            matches!(&cells[0].outcome, CellOutcome::BuildFailed(_)),
-            "{:?}",
-            cells[0].outcome
-        );
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Integration tests for the `jetsim-trtexec` CLI binary.
 
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 fn trtexec(args: &[&str]) -> std::process::Output {
     Command::new(env!("CARGO_BIN_EXE_jetsim-trtexec"))
@@ -261,4 +261,56 @@ fn unseeded_faults_take_the_scenario_seed() {
     let args = ["--model=resnet18", "--int8", "--duration=0.4", "--faults"];
     let stdout = trtexec_scenario("faults_seed", "seed = 21\n", &args);
     assert!(stdout.contains("=== Fault Plan (seed 21) ==="), "{stdout}");
+}
+
+#[test]
+fn closed_stdout_ends_the_run_quietly() {
+    // The reader is gone before the child starts, so its first write
+    // fails with a broken pipe, as under `| head` but without the race.
+    let (reader, writer) = std::io::pipe().expect("pipe");
+    drop(reader);
+    let out = Command::new(env!("CARGO_BIN_EXE_jetsim-trtexec"))
+        .args(["--model=resnet50", "--int8", "--duration=0.2"])
+        .stdout(writer)
+        .stderr(Stdio::piped())
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{:?}: {stderr}", out.status);
+    assert!(stderr.is_empty(), "{stderr}");
+}
+
+#[test]
+fn other_stdout_write_errors_still_fail() {
+    // Linux's /dev/full fails every write with "no space left".
+    let Ok(full) = std::fs::OpenOptions::new().write(true).open("/dev/full") else {
+        return;
+    };
+    let out = Command::new(env!("CARGO_BIN_EXE_jetsim-trtexec"))
+        .args(["--model=resnet50", "--int8", "--duration=0.2"])
+        .stdout(full)
+        .stderr(Stdio::piped())
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.starts_with("error: "), "{stderr}");
+}
+
+#[test]
+fn window_past_the_clock_is_an_error_not_a_panic() {
+    let path = std::env::temp_dir().join(format!("jetsim_cli_window_{}.toml", std::process::id()));
+    std::fs::write(&path, "duration = \"1e300s\"\n").expect("scenario written");
+    let scenario = format!("--scenario={}", path.display());
+    let from_flag = trtexec(&["--model=resnet50", "--int8", "--duration=1e300s"]);
+    let from_file = trtexec(&[&scenario, "--model=resnet50", "--int8"]);
+    std::fs::remove_file(&path).ok();
+    for out in [from_flag, from_file] {
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{stderr}");
+        assert!(
+            stderr.starts_with("error: ") && stderr.contains("`1e300s`"),
+            "{stderr}"
+        );
+    }
 }

@@ -77,12 +77,6 @@ impl Precision {
         }
     }
 
-    /// Returns `true` if this format requires a calibration data set when
-    /// building an engine.
-    pub const fn needs_calibration(self) -> bool {
-        matches!(self, Precision::Int8)
-    }
-
     /// The canonical lowercase name used throughout the paper's figures.
     pub const fn as_str(self) -> &'static str {
         match self {
@@ -189,14 +183,6 @@ mod tests {
         assert!("bf16".parse::<Precision>().is_err());
         let msg = "bf16".parse::<Precision>().unwrap_err().to_string();
         assert!(msg.contains("bf16"));
-    }
-
-    #[test]
-    fn only_int8_needs_calibration() {
-        assert!(Precision::Int8.needs_calibration());
-        assert!(!Precision::Fp16.needs_calibration());
-        assert!(!Precision::Tf32.needs_calibration());
-        assert!(!Precision::Fp32.needs_calibration());
     }
 
     #[test]

@@ -15,6 +15,8 @@
 //! `--workers` caps the site-simulation threads and never changes the
 //! report bytes.
 
+use std::error::Error;
+use std::io::Write;
 use std::process::ExitCode;
 
 use jetsim::scenario::{cli_main, FlagCursor, FleetScenario, ScenarioFlags};
@@ -126,19 +128,19 @@ impl Args {
     }
 }
 
-fn run(args: Args) -> Result<(), String> {
+fn run(args: Args, out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
     let dump = args.flags.dump();
     let scenario = args.flags.merged()?;
     if dump {
-        print!("{scenario}");
+        write!(out, "{scenario}")?;
         return Ok(());
     }
     let spec = build_fleet_spec(&scenario)?.workers(args.workers);
     let report = spec.run()?;
     if args.json {
-        println!("{}", report.to_json());
+        writeln!(out, "{}", report.to_json())?;
     } else {
-        print!("{report}");
+        write!(out, "{report}")?;
     }
     Ok(())
 }

@@ -19,6 +19,8 @@
 //! through `jetsim::scenario::ScenarioFlags`, the reader all three
 //! jetsim CLIs use.
 
+use std::error::Error;
+use std::io::Write;
 use std::process::ExitCode;
 
 use jetsim::scenario::{cli_main, parse_duration, FlagCursor, ScenarioFlags};
@@ -215,51 +217,47 @@ impl Args {
     }
 }
 
-fn run(args: Args) -> Result<(), String> {
+fn run(args: Args, out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
     let dump = args.flags.dump();
     let scenario = args.flags.merged()?;
     if dump {
-        print!("{scenario}");
+        write!(out, "{scenario}")?;
         return Ok(());
     }
     let spec = build_serve_spec(&scenario)?;
 
     if let Some(target) = args.find_max_qps {
-        let estimate = spec.find_max_qps(target, 6).map_err(|e| e.to_string())?;
+        let estimate = spec.find_max_qps(target, 6)?;
         if args.json {
-            println!(
-                "{}",
-                serde_json::to_string_pretty(&estimate).map_err(|e| e.to_string())?
-            );
+            writeln!(out, "{}", serde_json::to_string_pretty(&estimate)?)?;
         } else {
-            println!(
+            writeln!(
+                out,
                 "max sustainable load for {}: {:.1} qps at >= {:.0}% SLO attainment \
                  ({} probes)",
                 spec.tenants()[0].tenant.label(),
                 estimate.max_qps,
                 target * 100.0,
                 estimate.probes.len()
-            );
+            )?;
             for p in &estimate.probes {
-                println!(
+                writeln!(
+                    out,
                     "  probe {:>8.1} qps -> {:>5.1}% {}",
                     p.qps,
                     p.slo_attainment * 100.0,
                     if p.feasible { "ok" } else { "MISS" }
-                );
+                )?;
             }
         }
         return Ok(());
     }
 
-    let report = spec.run().map_err(|e| e.to_string())?;
+    let report = spec.run()?;
     if args.json {
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?
-        );
+        writeln!(out, "{}", serde_json::to_string_pretty(&report)?)?;
     } else {
-        print!("{report}");
+        write!(out, "{report}")?;
     }
     Ok(())
 }

@@ -11,7 +11,7 @@
 //! for byte.
 
 use jetsim::scenario::{
-    cli_fault_plan, parse_arrival, parse_duration, AutoscaleScenario, ScenarioSpec,
+    cli_fault_plan, parse_arrival, parse_duration, parse_window, AutoscaleScenario, ScenarioSpec,
 };
 use jetsim_des::{ArrivalProcess, SimDuration};
 
@@ -78,14 +78,16 @@ pub fn build_autoscale(a: &AutoscaleScenario) -> Result<AutoscaleSpec, String> {
 /// # Errors
 ///
 /// Returns a message naming the offending field: unknown device, bad
-/// grammar in any duration/arrival/tenant string, or a scenario with no
-/// tenants.
+/// grammar in any duration/arrival/tenant string, a run window past the
+/// simulated clock's end, or a scenario with no tenants.
 pub fn build_serve_spec(sc: &ScenarioSpec) -> Result<ServeSpec, String> {
     let slo = duration_or(&sc.slo, SimDuration::from_millis(50))?;
+    let warmup = duration_or(&sc.warmup, SimDuration::from_millis(500))?;
+    let duration = parse_window(warmup, sc.duration.as_deref(), SimDuration::from_secs(3))?;
     let mut spec = ServeSpec::new(sc.platform()?)
         .slo(slo)
-        .duration(duration_or(&sc.duration, SimDuration::from_secs(3))?)
-        .warmup(duration_or(&sc.warmup, SimDuration::from_millis(500))?)
+        .duration(duration)
+        .warmup(warmup)
         .seed(sc.seed_or_default());
     if let Some(policy) = &sc.gpu_policy {
         spec = spec.gpu_policy(

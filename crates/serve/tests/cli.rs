@@ -1,7 +1,7 @@
 //! Integration tests for the `jetsim-serve` CLI binary: resilience flag
 //! parsing, fault-injection determinism, and flag/file equivalence.
 
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 fn serve(args: &[&str]) -> std::process::Output {
     Command::new(env!("CARGO_BIN_EXE_jetsim-serve"))
@@ -164,6 +164,48 @@ fn flags_and_dumped_scenario_agree_over_seeds() {
         assert_eq!(
             from_flags.stdout, from_file.stdout,
             "seed {seed}: flags and their scenario document diverged"
+        );
+    }
+}
+
+#[test]
+fn closed_stdout_ends_the_run_quietly() {
+    // The reader is gone before the child starts, so its first write
+    // fails with a broken pipe, as under `| true` but without the race.
+    let (reader, writer) = std::io::pipe().expect("pipe");
+    drop(reader);
+    let out = Command::new(env!("CARGO_BIN_EXE_jetsim-serve"))
+        .args([
+            "--tenant",
+            "resnet50:int8:1",
+            "--duration",
+            "200ms",
+            "--json",
+        ])
+        .stdout(writer)
+        .stderr(Stdio::piped())
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{:?}: {stderr}", out.status);
+    assert!(stderr.is_empty(), "{stderr}");
+}
+
+#[test]
+fn window_past_the_clock_is_an_error_not_a_panic() {
+    let path =
+        std::env::temp_dir().join(format!("jetsim_serve_window_{}.toml", std::process::id()));
+    let toml = "duration = \"1e300s\"\n\n[[tenants]]\nspec = \"resnet50:int8:1\"\n";
+    std::fs::write(&path, toml).expect("scenario written");
+    let from_flag = serve(&["--tenant", "resnet50:int8:1", "--duration", "1e300s"]);
+    let from_file = serve(&["--scenario", &path.display().to_string()]);
+    std::fs::remove_file(&path).ok();
+    for out in [from_flag, from_file] {
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{stderr}");
+        assert!(
+            stderr.starts_with("error: ") && stderr.contains("`1e300s`"),
+            "{stderr}"
         );
     }
 }

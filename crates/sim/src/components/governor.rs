@@ -4,7 +4,7 @@
 use jetsim_des::SimTime;
 
 use super::gpu::GpuEngine;
-use super::{Component, Ctx, Event};
+use super::{Ctx, Event};
 
 /// Events consumed by [`Governor`].
 #[derive(Debug, Clone, Copy)]
@@ -24,19 +24,21 @@ pub(crate) struct Governor {
     pub(crate) throttle_lock: Option<(SimTime, usize)>,
 }
 
-impl Component for Governor {
-    type Event = GovernorEvent;
-    type Deps<'d> = &'d mut GpuEngine;
-
+impl Governor {
+    /// Handles one DVFS tick at `now`, moving `gpu` along its ladder.
     #[inline]
-    fn handle(&mut self, ev: GovernorEvent, now: SimTime, ctx: &mut Ctx<'_>, gpu: &mut GpuEngine) {
+    pub(crate) fn handle(
+        &mut self,
+        ev: GovernorEvent,
+        now: SimTime,
+        ctx: &mut Ctx<'_>,
+        gpu: &mut GpuEngine,
+    ) {
         match ev {
             GovernorEvent::Tick => self.on_dvfs_tick(now, ctx, gpu),
         }
     }
-}
 
-impl Governor {
     /// Creates the governor at ambient temperature with no lock.
     pub(crate) fn new(ambient_c: f64) -> Self {
         Governor {

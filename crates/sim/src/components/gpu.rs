@@ -11,7 +11,7 @@ use crate::trace::{KernelEvent, KernelPreempted};
 
 use super::gpu_policy::{make_policy, GpuSchedPolicy, PolicyView, ReadySet};
 use super::sched::{CpuSched, Resume, SchedEvent};
-use super::{Component, Ctx, Event};
+use super::{Ctx, Event};
 
 /// Events consumed by [`GpuEngine`].
 #[derive(Debug, Clone, Copy)]
@@ -241,18 +241,6 @@ pub(crate) struct GpuEngine {
     pub(crate) preemptions: Vec<KernelPreempted>,
 }
 
-impl Component for GpuEngine {
-    type Event = GpuEvent;
-    type Deps<'d> = &'d mut CpuSched;
-
-    #[inline]
-    fn handle(&mut self, ev: GpuEvent, now: SimTime, ctx: &mut Ctx<'_>, sched: &mut CpuSched) {
-        match ev {
-            GpuEvent::Done { gen } => self.on_gpu_done(gen, now, ctx, sched),
-        }
-    }
-}
-
 /// Builds a [`PolicyView`] over `$gpu`'s disjoint fields at `$now`, so a
 /// `&mut` policy call can coexist with the immutable view borrows.
 macro_rules! policy_view {
@@ -271,6 +259,20 @@ macro_rules! policy_view {
 }
 
 impl GpuEngine {
+    /// Handles one GPU completion at `now`; a finished EC may wake `sched`.
+    #[inline]
+    pub(crate) fn handle(
+        &mut self,
+        ev: GpuEvent,
+        now: SimTime,
+        ctx: &mut Ctx<'_>,
+        sched: &mut CpuSched,
+    ) {
+        match ev {
+            GpuEvent::Done { gen } => self.on_gpu_done(gen, now, ctx, sched),
+        }
+    }
+
     /// Creates the GPU engine at the top frequency step with pre-sized
     /// trace storage, running the policy named by `config.gpu_policy`.
     pub(crate) fn new(

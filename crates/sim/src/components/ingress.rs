@@ -34,7 +34,7 @@ use crate::serving::{
 use super::gpu::GpuEngine;
 use super::memory_guard::MemoryGuard;
 use super::sched::{CpuSched, RqThread};
-use super::{Component, Ctx, Event};
+use super::{Ctx, Event};
 
 /// Completed-latency samples kept per group for the hedge p95.
 const LAT_RING_CAP: usize = 128;
@@ -244,12 +244,10 @@ pub(crate) struct Ingress {
     pub(crate) serve_events: Vec<ServeEvent>,
 }
 
-impl Component for Ingress {
-    type Event = IngressEvent;
-    type Deps<'d> = IngressDeps<'d>;
-
+impl Ingress {
+    /// Handles one serving event at `now`, driving the peers in `deps`.
     #[inline]
-    fn handle(
+    pub(crate) fn handle(
         &mut self,
         ev: IngressEvent,
         now: SimTime,
@@ -284,9 +282,7 @@ impl Component for Ingress {
             }
         }
     }
-}
 
-impl Ingress {
     /// Builds the ingress state for `config`'s serve plan (empty state
     /// for closed-loop configs).
     pub(crate) fn new(config: &SimConfig) -> Self {

@@ -11,7 +11,7 @@ use super::governor::Governor;
 use super::gpu::GpuEngine;
 use super::ingress::Ingress;
 use super::sched::CpuSched;
-use super::{Component, Ctx, Event};
+use super::{Ctx, Event};
 
 /// Events consumed by [`MemoryGuard`].
 #[derive(Debug, Clone, Copy)]
@@ -65,19 +65,21 @@ pub(crate) struct MemoryGuard {
     pub(crate) fault_events: Vec<FaultEvent>,
 }
 
-impl Component for MemoryGuard {
-    type Event = MemoryEvent;
-    type Deps<'d> = GuardDeps<'d>;
-
+impl MemoryGuard {
+    /// Handles one injected fault at `now`, driving the peers in `deps`.
     #[inline]
-    fn handle(&mut self, ev: MemoryEvent, now: SimTime, ctx: &mut Ctx<'_>, deps: GuardDeps<'_>) {
+    pub(crate) fn handle(
+        &mut self,
+        ev: MemoryEvent,
+        now: SimTime,
+        ctx: &mut Ctx<'_>,
+        deps: GuardDeps<'_>,
+    ) {
         match ev {
             MemoryEvent::Fault { index } => self.on_fault(index as usize, now, ctx, deps),
         }
     }
-}
 
-impl MemoryGuard {
     /// Flattens the config's fault plan into a timeline of point
     /// actions. Releases sort before arrivals at equal timestamps so a
     /// spike ending exactly when another starts never double-counts.

@@ -1,10 +1,10 @@
 //! Typed simulation components.
 //!
 //! The simulator used to be one god-object: a 2,000-line `Runner` with a
-//! single untyped event match. It is now a set of cohesive components —
-//! each owning one subsystem's state behind the [`Component`] trait with
-//! its own typed event enum — coordinated by a slim `Runner` (in
-//! [`crate::simulation`]) that only routes events and owns the
+//! single untyped event match. It is now six cohesive components, each
+//! owning one subsystem's state and consuming its own typed event enum
+//! through an inherent `handle` method, coordinated by a slim `Runner`
+//! (in [`crate::simulation`]) that only routes events and owns the
 //! `jetsim-des` queue:
 //!
 //! * [`sched::CpuSched`] — host-thread lifecycle: EC arrivals, launch
@@ -16,12 +16,21 @@
 //!   and injected throttle locks (§6.1.2);
 //! * [`memory_guard::MemoryGuard`] — unified-memory footprint
 //!   accounting, fault timeline, and OOM-killer enforcement (§6.2.1);
-//! * [`sampler::Sampler`] — the periodic `jetson-stats`-style sample.
+//! * [`sampler::Sampler`] — the periodic `jetson-stats`-style sample;
+//! * [`ingress::Ingress`] — request arrivals, batching, admission and
+//!   the serving resilience policies.
 //!
 //! Cross-component effects (the paper's actual findings are these
-//! interactions) are expressed as explicit dependencies: each component's
-//! [`Component::Deps`] names exactly the peers an event may drive, so the
-//! coupling that was implicit in the god-object is visible in the types.
+//! interactions) are expressed as explicit dependencies: each `handle`
+//! takes exactly the peers its events may drive, so the coupling that
+//! was implicit in the god-object is visible in the signatures. The
+//! scheduler drives the GPU (launches enqueue kernels) and the GPU
+//! drives the scheduler (completions wake host threads); the governor
+//! drives the GPU's frequency; the memory guard drives the scheduler,
+//! GPU, governor and ingress ([`memory_guard::GuardDeps`]); the sampler
+//! drains the GPU's window and reads the governor
+//! ([`sampler::SamplerDeps`]); and the ingress drives the scheduler,
+//! GPU and memory guard ([`ingress::IngressDeps`]).
 
 pub(crate) mod governor;
 pub(crate) mod gpu;
@@ -83,17 +92,6 @@ pub(crate) struct Ctx<'a> {
     pub n_procs: u32,
     /// End of the warmup window.
     pub warmup_end: SimTime,
-}
-
-/// One simulation subsystem: owns its state, consumes its typed event
-/// stream, and names the peer components its events may drive.
-pub(crate) trait Component {
-    /// The typed event stream this component consumes.
-    type Event;
-    /// Peer components (dependencies) an event handler may call into.
-    type Deps<'d>;
-    /// Handles one event at simulation time `now`.
-    fn handle(&mut self, ev: Self::Event, now: SimTime, ctx: &mut Ctx<'_>, deps: Self::Deps<'_>);
 }
 
 /// Per-process simulation state, shared across components: the scheduler

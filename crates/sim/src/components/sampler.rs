@@ -6,7 +6,7 @@ use crate::trace::PowerSample;
 
 use super::governor::Governor;
 use super::gpu::GpuEngine;
-use super::{Component, Ctx, Event};
+use super::{Ctx, Event};
 
 /// Events consumed by [`Sampler`].
 #[derive(Debug, Clone, Copy)]
@@ -30,19 +30,21 @@ pub(crate) struct Sampler {
     pub(crate) power_samples: Vec<PowerSample>,
 }
 
-impl Component for Sampler {
-    type Event = SamplerEvent;
-    type Deps<'d> = SamplerDeps<'d>;
-
+impl Sampler {
+    /// Handles one sampling tick at `now`, reading the peers in `deps`.
     #[inline]
-    fn handle(&mut self, ev: SamplerEvent, now: SimTime, ctx: &mut Ctx<'_>, deps: SamplerDeps<'_>) {
+    pub(crate) fn handle(
+        &mut self,
+        ev: SamplerEvent,
+        now: SimTime,
+        ctx: &mut Ctx<'_>,
+        deps: SamplerDeps<'_>,
+    ) {
         match ev {
             SamplerEvent::Tick => self.on_sample_tick(now, ctx, deps),
         }
     }
-}
 
-impl Sampler {
     /// Creates an empty sampler.
     pub(crate) fn new() -> Self {
         Sampler {

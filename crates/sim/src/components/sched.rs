@@ -10,7 +10,7 @@ use crate::config::{ArrivalModel, CpuModel};
 use crate::trace::EcRecord;
 
 use super::gpu::GpuEngine;
-use super::{Component, Ctx, Event};
+use super::{Ctx, Event};
 
 /// Events consumed by [`CpuSched`].
 ///
@@ -114,12 +114,16 @@ pub(crate) struct CpuSched {
     ready: VecDeque<usize>,
 }
 
-impl Component for CpuSched {
-    type Event = SchedEvent;
-    type Deps<'d> = &'d mut GpuEngine;
-
+impl CpuSched {
+    /// Handles one host-thread event at `now`; launches feed `gpu`.
     #[inline]
-    fn handle(&mut self, ev: SchedEvent, now: SimTime, ctx: &mut Ctx<'_>, gpu: &mut GpuEngine) {
+    pub(crate) fn handle(
+        &mut self,
+        ev: SchedEvent,
+        now: SimTime,
+        ctx: &mut Ctx<'_>,
+        gpu: &mut GpuEngine,
+    ) {
         match ev {
             SchedEvent::LaunchDone { pid } => self.on_launch_done(pid as usize, now, ctx, gpu),
             SchedEvent::ThreadResume { pid, kind } => match kind {
@@ -129,9 +133,7 @@ impl Component for CpuSched {
             SchedEvent::CpuTick { pid, gen } => self.rq_tick(pid as usize, gen, now, ctx, gpu),
         }
     }
-}
 
-impl CpuSched {
     pub(crate) fn new() -> Self {
         CpuSched {
             running: 0,

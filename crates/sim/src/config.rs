@@ -378,7 +378,8 @@ impl SimConfig {
     }
 
     /// Checks a configuration before it runs, in this order: a
-    /// non-empty process list, a well-formed serve plan (every group has
+    /// non-empty process list, a run window (`warmup + measure`) that
+    /// fits the simulated clock, a well-formed serve plan (every group has
     /// a member, every member names an existing process, no process
     /// serves two groups, `min_replicas` fits the group), in-range
     /// dynamics (MPS overlap efficiency in `[0, 0.6]` for either sharing
@@ -390,6 +391,19 @@ impl SimConfig {
     pub(crate) fn validate(&self) -> Result<(), SimError> {
         if self.processes.is_empty() {
             return Err(SimError::NoProcesses);
+        }
+        if self
+            .warmup
+            .as_nanos()
+            .checked_add(self.measure.as_nanos())
+            .is_none()
+        {
+            return Err(SimError::InvalidConfig {
+                reason: format!(
+                    "warmup {} + measure {} overflows the simulated clock",
+                    self.warmup, self.measure
+                ),
+            });
         }
         if let Some(plan) = &self.serve {
             let n_processes = self.processes.len();
@@ -943,6 +957,28 @@ mod tests {
             .build()
             .unwrap();
         assert_eq!(config.total_time(), SimDuration::from_millis(500));
+    }
+
+    #[test]
+    fn window_past_the_clock_rejected_at_build_and_run() {
+        // `from_secs_f64` saturates, so a huge duration arrives as
+        // u64::MAX ns and warmup + measure would overflow mid-run.
+        let builder = SimConfig::builder(presets::orin_nano())
+            .add_model(&zoo::resnet50(), Precision::Fp16, 1)
+            .unwrap()
+            .warmup(SimDuration::from_millis(500))
+            .measure(SimDuration::from_secs_f64(1e300));
+        let err = builder.clone().build().unwrap_err();
+        assert!(
+            matches!(&err, SimError::InvalidConfig { reason } if reason.contains("overflows")),
+            "{err:?}"
+        );
+        // A config assembled by hand skips the builder; the simulation
+        // checks it again.
+        let mut config = builder.measure(SimDuration::from_secs(1)).build().unwrap();
+        config.measure = SimDuration::from_nanos(u64::MAX);
+        let err = crate::Simulation::new(config).err().expect("rejected");
+        assert!(matches!(err, SimError::InvalidConfig { .. }), "{err:?}");
     }
 
     #[test]

@@ -13,7 +13,7 @@ use crate::components::ingress::{Ingress, IngressDeps};
 use crate::components::memory_guard::{GuardDeps, MemoryGuard};
 use crate::components::sampler::{Sampler, SamplerDeps, SamplerEvent};
 use crate::components::sched::{CpuSched, RqThread};
-use crate::components::{Component, Ctx, Event, Proc};
+use crate::components::{Ctx, Event, Proc};
 use crate::config::SimConfig;
 use crate::error::SimError;
 use crate::trace::{EcRecord, ProcessStats, RunTrace};

@@ -3,27 +3,30 @@
 use jetsim_device::DeviceSpec;
 use jetsim_dnn::{LayerId, LayerKind, ModelGraph, Precision, TensorShape};
 
-use crate::calibration::CalibrationTable;
 use crate::engine::Engine;
 use crate::error::BuildError;
 use crate::kernel::{KernelDesc, KernelKind};
 
+/// The largest batch an engine can be built for.
+const MAX_BATCH: u32 = 256;
+
 /// Builds [`Engine`]s from model graphs for a specific device, mirroring
-/// `trtexec`'s build phase.
+/// `trtexec`'s build phase. A build is a function of the device, model,
+/// precision and batch (plus the [`EngineBuilder::fusion`] ablation
+/// switch), the same inputs [`crate::EngineCache`] keys on.
 ///
 /// # Examples
 ///
 /// ```
 /// use jetsim_device::presets;
 /// use jetsim_dnn::{zoo, Precision};
-/// use jetsim_trt::{CalibrationTable, EngineBuilder};
+/// use jetsim_trt::EngineBuilder;
 ///
 /// let nano = presets::jetson_nano();
 /// // int8 is not native on Maxwell: the engine silently builds with
 /// // fp32 kernels, exactly as TensorRT does on the Jetson Nano.
 /// let engine = EngineBuilder::new(&nano)
 ///     .precision(Precision::Int8)
-///     .calibration(CalibrationTable::default())
 ///     .build(&zoo::resnet50())?;
 /// assert_eq!(engine.requested_precision_flop_fraction(), 0.0);
 /// # Ok::<(), jetsim_trt::BuildError>(())
@@ -33,13 +36,7 @@ pub struct EngineBuilder<'d> {
     device: &'d DeviceSpec,
     precision: Precision,
     batch: u32,
-    calibration: Option<CalibrationTable>,
-    strict_calibration: bool,
     fusion: bool,
-    max_batch: u32,
-    /// Armed fault injection: the next `N` build attempts fail with
-    /// [`BuildError::TransientDriver`] before succeeding.
-    transient_failures: std::cell::Cell<u32>,
 }
 
 impl<'d> EngineBuilder<'d> {
@@ -50,11 +47,7 @@ impl<'d> EngineBuilder<'d> {
             device,
             precision: Precision::Fp32,
             batch: 1,
-            calibration: None,
-            strict_calibration: false,
             fusion: true,
-            max_batch: 256,
-            transient_failures: std::cell::Cell::new(0),
         }
     }
 
@@ -71,19 +64,6 @@ impl<'d> EngineBuilder<'d> {
         self
     }
 
-    /// Supplies an int8 calibration table.
-    pub fn calibration(mut self, table: CalibrationTable) -> Self {
-        self.calibration = Some(table);
-        self
-    }
-
-    /// Requires an explicit calibration table for native int8 builds
-    /// instead of synthesising one like `trtexec --int8` does.
-    pub fn strict_calibration(mut self, strict: bool) -> Self {
-        self.strict_calibration = strict;
-        self
-    }
-
     /// Disables layer fusion, leaving one kernel per operator. Real
     /// TensorRT always fuses; this exists for the ablation benches that
     /// quantify what fusion buys on launch-bound workloads.
@@ -92,60 +72,31 @@ impl<'d> EngineBuilder<'d> {
         self
     }
 
-    /// Arms fault injection: the next `count` calls to
-    /// [`EngineBuilder::build`] fail with
-    /// [`BuildError::TransientDriver`] before builds succeed again.
-    ///
-    /// Real Jetson deployments see such transient failures — CUDA
-    /// context-initialisation hiccups under memory pressure, TensorRT
-    /// tactic timeouts on loaded boards — and profiling harnesses retry
-    /// them. This hook lets resilience tests and supervised sweep
-    /// runners exercise that path deterministically.
-    pub fn transient_failures(self, count: u32) -> Self {
-        self.transient_failures.set(count);
-        self
-    }
-
     /// Compiles `model` into an engine.
     ///
     /// # Errors
     ///
-    /// Returns [`BuildError::InvalidModel`] for malformed graphs,
+    /// Returns [`BuildError::InvalidModel`] for malformed graphs and
     /// [`BuildError::ZeroBatch`] / [`BuildError::BatchTooLarge`] for bad
-    /// batch sizes, [`BuildError::MissingCalibration`] when strict
-    /// calibration is on and a native-int8 build has no table, and
-    /// [`BuildError::TransientDriver`] while injected transient failures
-    /// ([`EngineBuilder::transient_failures`]) remain armed.
+    /// batch sizes.
     pub fn build(&self, model: &ModelGraph) -> Result<Engine, BuildError> {
-        let armed = self.transient_failures.get();
-        if armed > 0 {
-            self.transient_failures.set(armed - 1);
-            return Err(BuildError::TransientDriver {
-                remaining: armed - 1,
-            });
-        }
         model.validate()?;
         if self.batch == 0 {
             return Err(BuildError::ZeroBatch);
         }
-        if self.batch > self.max_batch {
+        if self.batch > MAX_BATCH {
             return Err(BuildError::BatchTooLarge {
                 requested: self.batch,
-                limit: self.max_batch,
+                limit: MAX_BATCH,
             });
-        }
-        let support = &self.device.precision_support;
-        let int8_native = support.effective(Precision::Int8) == Precision::Int8;
-        if self.precision == Precision::Int8
-            && int8_native
-            && self.calibration.is_none()
-            && self.strict_calibration
-        {
-            return Err(BuildError::MissingCalibration);
         }
 
         let fusion = FusionPass::run(model, self.device, self.precision, self.fusion);
-        let activation_element_bytes = support.effective(self.precision).activation_bytes();
+        let activation_element_bytes = self
+            .device
+            .precision_support
+            .effective(self.precision)
+            .activation_bytes();
 
         Ok(Engine {
             name: format!("{}_{}_b{}", model.name(), self.precision, self.batch),
@@ -373,30 +324,6 @@ mod tests {
     }
 
     #[test]
-    fn injected_transient_failures_drain_then_build_succeeds() {
-        let device = orin();
-        let builder = EngineBuilder::new(&device)
-            .precision(Precision::Fp16)
-            .transient_failures(2);
-        let model = zoo::resnet50();
-        assert_eq!(
-            builder.build(&model).unwrap_err(),
-            BuildError::TransientDriver { remaining: 1 }
-        );
-        assert_eq!(
-            builder.build(&model).unwrap_err(),
-            BuildError::TransientDriver { remaining: 0 }
-        );
-        let engine = builder.build(&model).expect("injection drained");
-        // The fault path must not perturb the build itself.
-        let reference = EngineBuilder::new(&device)
-            .precision(Precision::Fp16)
-            .build(&model)
-            .unwrap();
-        assert_eq!(engine, reference);
-    }
-
-    #[test]
     fn fusion_shrinks_resnet_to_kernel_count_range() {
         let model = zoo::resnet50();
         let engine = EngineBuilder::new(&orin())
@@ -472,17 +399,7 @@ mod tests {
     }
 
     #[test]
-    fn strict_int8_requires_calibration_on_orin() {
-        let err = EngineBuilder::new(&orin())
-            .precision(Precision::Int8)
-            .strict_calibration(true)
-            .build(&zoo::resnet50())
-            .unwrap_err();
-        assert_eq!(err, BuildError::MissingCalibration);
-    }
-
-    #[test]
-    fn lenient_int8_synthesises_calibration() {
+    fn int8_builds_natively_on_orin() {
         let engine = EngineBuilder::new(&orin())
             .precision(Precision::Int8)
             .build(&zoo::resnet50());
@@ -494,7 +411,6 @@ mod tests {
         let nano = presets::jetson_nano();
         let engine = EngineBuilder::new(&nano)
             .precision(Precision::Int8)
-            .strict_calibration(true)
             .build(&zoo::resnet50())
             .unwrap();
         assert_eq!(engine.requested_precision_flop_fraction(), 0.0);

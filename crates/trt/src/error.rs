@@ -6,8 +6,8 @@ use jetsim_dnn::GraphError;
 
 /// Errors returned by [`crate::EngineBuilder::build`].
 ///
-/// Marked `#[non_exhaustive]`: fault-injection and future build-failure
-/// modes add variants without breaking downstream matches.
+/// Marked `#[non_exhaustive]`: future build-failure modes add variants
+/// without breaking downstream matches.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum BuildError {
@@ -22,29 +22,6 @@ pub enum BuildError {
         /// The builder's limit.
         limit: u32,
     },
-    /// An int8 engine was requested without a calibration table on a
-    /// device that runs int8 natively.
-    MissingCalibration,
-    /// A transient driver/runtime failure (CUDA init hiccup, tactic
-    /// timeout) aborted this build attempt. Retrying the identical build
-    /// is expected to succeed — supervised sweep runners treat this as
-    /// retryable, unlike the structural errors above. Only produced when
-    /// fault injection is armed via
-    /// [`crate::EngineBuilder::transient_failures`].
-    TransientDriver {
-        /// Injected failures left after this one (for staged fault
-        /// scenarios).
-        remaining: u32,
-    },
-}
-
-impl BuildError {
-    /// Whether a retry of the *same* build could succeed. Structural
-    /// errors (bad model, bad batch, missing calibration) are permanent;
-    /// transient driver failures are not.
-    pub fn is_transient(&self) -> bool {
-        matches!(self, BuildError::TransientDriver { .. })
-    }
 }
 
 impl fmt::Display for BuildError {
@@ -55,14 +32,6 @@ impl fmt::Display for BuildError {
             BuildError::BatchTooLarge { requested, limit } => {
                 write!(f, "batch size {requested} exceeds builder limit {limit}")
             }
-            BuildError::MissingCalibration => {
-                f.write_str("int8 engines require a calibration table")
-            }
-            BuildError::TransientDriver { remaining } => write!(
-                f,
-                "transient driver failure during engine build (retry may succeed; \
-                 {remaining} injected failure(s) remaining)"
-            ),
         }
     }
 }
@@ -89,23 +58,11 @@ mod tests {
     #[test]
     fn display_messages_are_specific() {
         assert!(BuildError::ZeroBatch.to_string().contains("at least 1"));
-        assert!(BuildError::MissingCalibration
-            .to_string()
-            .contains("calibration"));
         let e = BuildError::BatchTooLarge {
             requested: 512,
             limit: 256,
         };
         assert!(e.to_string().contains("512") && e.to_string().contains("256"));
-    }
-
-    #[test]
-    fn transient_errors_are_the_only_retryable_kind() {
-        assert!(BuildError::TransientDriver { remaining: 2 }.is_transient());
-        assert!(!BuildError::ZeroBatch.is_transient());
-        assert!(!BuildError::MissingCalibration.is_transient());
-        let text = BuildError::TransientDriver { remaining: 1 }.to_string();
-        assert!(text.contains("transient") && text.contains("1"), "{text}");
     }
 
     #[test]

@@ -40,14 +40,12 @@
 
 pub mod builder;
 pub mod cache;
-pub mod calibration;
 pub mod engine;
 pub mod error;
 pub mod kernel;
 
 pub use builder::EngineBuilder;
 pub use cache::{CacheStats, EngineCache, EngineKey};
-pub use calibration::CalibrationTable;
 pub use engine::Engine;
 pub use error::BuildError;
 pub use kernel::{KernelDesc, KernelKind};
