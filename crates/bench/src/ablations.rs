@@ -10,7 +10,7 @@ use std::sync::Arc;
 use jetsim::prelude::*;
 use jetsim::report::Table;
 use jetsim_des::SimDuration;
-use jetsim_sim::{CpuModel, GpuSharing};
+use jetsim_sim::{CpuModel, GpuPolicy};
 use jetsim_trt::EngineBuilder;
 
 use crate::FigureResult;
@@ -148,11 +148,11 @@ pub fn ablation_mps() -> FigureResult {
     ]);
     for model in [zoo::resnet50(), zoo::yolov8n()] {
         for procs in [2u32, 4, 8] {
-            for (label, sharing) in [
-                ("time-mux", GpuSharing::TimeMultiplexed),
+            for (label, policy) in [
+                ("time-mux", GpuPolicy::TimesliceRR),
                 (
                     "mps",
-                    GpuSharing::SpatialMps {
+                    GpuPolicy::SpatialMps {
                         overlap_efficiency: 0.3,
                     },
                 ),
@@ -160,7 +160,7 @@ pub fn ablation_mps() -> FigureResult {
                 let config = SimConfig::builder(platform.device().clone())
                     .add_model_processes(&model, Precision::Int8, 1, procs)
                     .expect("builds")
-                    .gpu_sharing(sharing)
+                    .gpu_policy(policy)
                     .warmup(warmup)
                     .measure(measure)
                     .build()

@@ -247,7 +247,9 @@ impl FromStr for ScenarioSpec {
 ///
 /// # Errors
 ///
-/// Returns a message naming the offending literal.
+/// Returns a message naming the offending literal: malformed, negative,
+/// or 2^64 ns (~584 years) and past, which the simulated clock cannot
+/// hold.
 pub fn parse_duration(s: &str) -> Result<SimDuration, String> {
     let (digits, scale) = if let Some(v) = s.strip_suffix("us") {
         (v, 1e-6)
@@ -264,7 +266,16 @@ pub fn parse_duration(s: &str) -> Result<SimDuration, String> {
     if !value.is_finite() || value < 0.0 {
         return Err(format!("bad duration `{s}`: must be non-negative"));
     }
-    Ok(SimDuration::from_secs_f64(value * scale))
+    let secs = value * scale;
+    // The nanosecond count `from_secs_f64` would round to, which it
+    // saturates at `u64::MAX` instead of rejecting.
+    if (secs * 1e9).round() >= 2f64.powi(64) {
+        return Err(format!(
+            "bad duration `{s}`: past the simulated clock's end ({})",
+            SimDuration::from_nanos(u64::MAX)
+        ));
+    }
+    Ok(SimDuration::from_secs_f64(secs))
 }
 
 /// Parses a run's measured `duration` (duration grammar, `default`
@@ -1020,6 +1031,10 @@ min_replicas = 0
         );
         let err = parse_window(warmup, Some("1e300s"), default).unwrap_err();
         assert!(err.contains("`1e300s`"), "{err}");
+        // Fits the clock alone, but not after a one-second warmup.
+        let err =
+            parse_window(SimDuration::from_secs(1), Some("18446744073s"), default).unwrap_err();
+        assert!(err.contains("`18446744073s`"), "{err}");
         let huge = SimDuration::from_nanos(u64::MAX);
         assert!(parse_window(huge, None, default).is_err());
         assert!(parse_window(warmup, Some("fast"), default).is_err());
@@ -1039,6 +1054,13 @@ min_replicas = 0
         assert_eq!(parse_duration("2").unwrap(), SimDuration::from_secs(2));
         assert!(parse_duration("-1s").is_err());
         assert!(parse_duration("fast").is_err());
+        // The clock ends at 2^64 ns (18446744073.709551616 s): a literal
+        // past it is an error naming it, not a saturation.
+        for past in ["1e300s", "18446744074s"] {
+            let err = parse_duration(past).unwrap_err();
+            assert!(err.contains(&format!("`{past}`")), "{err}");
+        }
+        assert!(parse_duration("18446744073s").is_ok());
         assert!(parse_arrival("poisson:100").is_ok());
         assert!(parse_arrival("mmpp:50:400:300:80").is_ok());
         assert!(parse_arrival("poisson:-3").is_err());

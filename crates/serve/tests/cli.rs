@@ -193,18 +193,51 @@ fn closed_stdout_ends_the_run_quietly() {
 
 #[test]
 fn window_past_the_clock_is_an_error_not_a_panic() {
-    let path =
-        std::env::temp_dir().join(format!("jetsim_serve_window_{}.toml", std::process::id()));
+    // The zero-warmup cases matter: saturated to `u64::MAX` ns,
+    // `1e300s` alone would fit the clock exactly and the run would start.
+    let dir = std::env::temp_dir();
+    let path = dir.join(format!("jetsim_serve_window_{}.toml", std::process::id()));
+    let path_w0 = dir.join(format!(
+        "jetsim_serve_window_w0_{}.toml",
+        std::process::id()
+    ));
     let toml = "duration = \"1e300s\"\n\n[[tenants]]\nspec = \"resnet50:int8:1\"\n";
     std::fs::write(&path, toml).expect("scenario written");
-    let from_flag = serve(&["--tenant", "resnet50:int8:1", "--duration", "1e300s"]);
-    let from_file = serve(&["--scenario", &path.display().to_string()]);
+    std::fs::write(&path_w0, format!("warmup = \"0s\"\n{toml}")).expect("scenario written");
+    // A flag is rejected while argv is read, like any malformed
+    // duration; a scenario file's duration when the run is resolved.
+    let outs = [
+        (
+            "bad duration ",
+            serve(&["--tenant", "resnet50:int8:1", "--duration", "1e300s"]),
+        ),
+        (
+            "bad duration ",
+            serve(&[
+                "--tenant",
+                "resnet50:int8:1",
+                "--warmup",
+                "0s",
+                "--duration",
+                "1e300s",
+            ]),
+        ),
+        (
+            "error: ",
+            serve(&["--scenario", &path.display().to_string()]),
+        ),
+        (
+            "error: ",
+            serve(&["--scenario", &path_w0.display().to_string()]),
+        ),
+    ];
     std::fs::remove_file(&path).ok();
-    for out in [from_flag, from_file] {
+    std::fs::remove_file(&path_w0).ok();
+    for (prefix, out) in outs {
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(1), "{stderr}");
         assert!(
-            stderr.starts_with("error: ") && stderr.contains("`1e300s`"),
+            stderr.starts_with(prefix) && stderr.contains("`1e300s`"),
             "{stderr}"
         );
     }

@@ -1,6 +1,8 @@
 //! The GPU engine: kernel dispatch, timeslice affinity, MPS packing,
 //! in-flight power/utilisation accrual and kernel-event tracing.
 
+use std::collections::VecDeque;
+
 use jetsim_des::{SimDuration, SimRng, SimTime};
 use jetsim_device::power::GpuLoad;
 use jetsim_device::{DeviceSpec, GpuArch};
@@ -9,7 +11,7 @@ use jetsim_trt::Engine;
 use crate::config::{CpuModel, GpuPolicy, SimConfig};
 use crate::trace::{KernelEvent, KernelPreempted};
 
-use super::gpu_policy::{make_policy, GpuSchedPolicy, PolicyView, ReadySet};
+use super::gpu_policy::{PolicyView, ReadySet};
 use super::sched::{CpuSched, Resume, SchedEvent};
 use super::{Ctx, Event};
 
@@ -109,11 +111,6 @@ struct KernelTimeCache {
     engine_id: usize,
     /// Frequency step the cache was built at.
     step: usize,
-    /// Bit pattern of the profiler overhead factor the cache was built
-    /// with. Constant per run today, but keyed anyway so a future
-    /// per-policy or per-phase overhead cannot silently serve stale
-    /// timings.
-    overhead_bits: u64,
     /// `exec_time(..) * kernel_overhead_factor`, per kernel.
     exec_scaled: Vec<SimDuration>,
     /// `tc_activity(..)`, per kernel.
@@ -132,7 +129,6 @@ impl KernelTimeCache {
         let mut cache = KernelTimeCache {
             engine_id: engine as *const Engine as usize,
             step,
-            overhead_bits: overhead.to_bits(),
             exec_scaled: Vec::with_capacity(kernels.len()),
             tc: Vec::with_capacity(kernels.len()),
             sm: Vec::with_capacity(kernels.len()),
@@ -156,9 +152,11 @@ impl KernelTimeCache {
 /// batcher toggling batch sizes) hit warm entries instead of re-running
 /// the roofline math. Bounded by the number of distinct
 /// `(engine, step)` pairs a run actually visits — a few kilobytes each.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct KernelTimeCaches {
     entries: Vec<KernelTimeCache>,
+    /// The profiler's kernel overhead factor, fixed for the run.
+    overhead: f64,
 }
 
 impl KernelTimeCaches {
@@ -166,23 +164,16 @@ impl KernelTimeCaches {
     /// sight. The hit entry is swapped to the front so the common
     /// steady-state lookup is one compare.
     #[inline]
-    fn get(
-        &mut self,
-        engine: &Engine,
-        gpu: &GpuArch,
-        step: usize,
-        overhead: f64,
-    ) -> &KernelTimeCache {
+    fn get(&mut self, engine: &Engine, gpu: &GpuArch, step: usize) -> &KernelTimeCache {
         let id = engine as *const Engine as usize;
-        let overhead_bits = overhead.to_bits();
         if let Some(i) = self
             .entries
             .iter()
-            .position(|c| c.engine_id == id && c.step == step && c.overhead_bits == overhead_bits)
+            .position(|c| c.engine_id == id && c.step == step)
         {
             self.entries.swap(0, i);
         } else {
-            let built = KernelTimeCache::build(engine, gpu, step, overhead);
+            let built = KernelTimeCache::build(engine, gpu, step, self.overhead);
             self.entries.insert(0, built);
         }
         &self.entries[0]
@@ -217,12 +208,12 @@ pub(crate) struct GpuEngine {
     /// Memoised kernel timings per `(engine, step)` (see
     /// [`KernelTimeCaches`]).
     ktime: KernelTimeCaches,
-    /// The scheduling discipline deciding dispatch order and preemption.
-    policy: Box<dyn GpuSchedPolicy>,
-    /// Whether the policy can ever preempt — hoisted so the enqueue hot
-    /// path skips the decision machinery entirely for the common
-    /// non-preemptive disciplines.
-    can_preempt: bool,
+    /// The scheduling discipline deciding dispatch order, packing and
+    /// preemption.
+    policy: GpuPolicy,
+    /// Kernel-arrival log, one pid per enqueued kernel in launch order.
+    /// Only [`GpuPolicy::Fifo`] appends to and reads it.
+    fifo_log: VecDeque<u32>,
     /// O(1) occupancy index over the per-process ready queues, kept in
     /// lockstep with `Proc::ready` by the enqueue/pop/clear helpers.
     ready_set: ReadySet,
@@ -241,8 +232,8 @@ pub(crate) struct GpuEngine {
     pub(crate) preemptions: Vec<KernelPreempted>,
 }
 
-/// Builds a [`PolicyView`] over `$gpu`'s disjoint fields at `$now`, so a
-/// `&mut` policy call can coexist with the immutable view borrows.
+/// Builds a [`PolicyView`] over `$gpu`'s disjoint fields at `$now`, so
+/// the view's borrows can coexist with a `&mut` borrow of the FIFO log.
 macro_rules! policy_view {
     ($gpu:expr, $now:expr, $ctx:expr) => {
         PolicyView {
@@ -250,7 +241,6 @@ macro_rules! policy_view {
             affinity: $gpu.affinity,
             slice_start: $gpu.slice_start,
             timeslice: $ctx.config.device.gpu.timeslice,
-            gpu_sharing: $ctx.config.gpu_sharing,
             ready: &$gpu.ready_set,
             priorities: &$gpu.priorities,
             sm_shares: &$gpu.sm_shares,
@@ -291,9 +281,12 @@ impl GpuEngine {
             gpu_busy_measured: SimDuration::ZERO,
             kernel_events: Vec::with_capacity(est_events),
             trace_rng,
-            ktime: KernelTimeCaches::default(),
-            policy: make_policy(&config.gpu_policy),
-            can_preempt: matches!(config.gpu_policy, GpuPolicy::Priority { .. }),
+            ktime: KernelTimeCaches {
+                entries: Vec::new(),
+                overhead: config.profiler.kernel_overhead_factor(),
+            },
+            policy: config.gpu_policy,
+            fifo_log: VecDeque::new(),
             ready_set: ReadySet::new(config.processes.len()),
             priorities: config.processes.iter().map(|p| p.priority).collect(),
             sm_shares: config.processes.iter().map(|p| p.sm_share).collect(),
@@ -305,7 +298,7 @@ impl GpuEngine {
 
     /// Enqueues a newly launched kernel at the back of `pid`'s ready
     /// queue — the single GPU-queue enqueue point, keeping the occupancy
-    /// bitset and the policy's arrival log in lockstep, and giving a
+    /// bitset and the FIFO arrival log in lockstep, and giving a
     /// preemptive policy its chance to cancel the in-flight kernel.
     pub(crate) fn enqueue_ready(
         &mut self,
@@ -316,18 +309,21 @@ impl GpuEngine {
     ) {
         ctx.procs[pid].ready.push_back(kernel_index);
         self.ready_set.set(pid);
-        self.policy.on_ready(pid);
-        if self.can_preempt && self.current.is_some() {
-            self.maybe_preempt(now, ctx);
+        match self.policy {
+            GpuPolicy::Fifo => self.fifo_log.push_back(pid as u32),
+            GpuPolicy::Priority { .. } => self.maybe_preempt(now, ctx),
+            GpuPolicy::TimesliceRR
+            | GpuPolicy::FractionalMps { .. }
+            | GpuPolicy::SpatialMps { .. } => {}
         }
     }
 
     /// Wipes `pid`'s ready queue (OOM kill, replica restart), keeping
-    /// the occupancy bitset and the policy's bookkeeping consistent.
+    /// the occupancy bitset and the FIFO arrival log consistent.
     pub(crate) fn clear_ready(&mut self, pid: usize, ctx: &mut Ctx<'_>) {
         ctx.procs[pid].ready.clear();
         self.ready_set.unset(pid);
-        self.policy.on_cleared(pid);
+        self.fifo_log.retain(|&p| p as usize != pid);
     }
 
     /// Pops the head of `pid`'s ready queue (which the policy guaranteed
@@ -373,15 +369,15 @@ impl GpuEngine {
         if self.current.is_some() || self.ready_set.is_empty() {
             return;
         }
-        // One immutable view serves all three policy questions; the pick
-        // guarantees the chosen queue is non-empty. The hide fraction can
-        // be read before the pop because a process is excluded from its
-        // own contention scan either way.
+        // One immutable view serves the pick and the hide fraction; the
+        // pick guarantees the chosen queue is non-empty. The hide fraction
+        // can be read before the pop because a process is excluded from
+        // its own contention scan either way.
         let view = policy_view!(self, now, ctx);
-        let Some(pid) = self.policy.pick(&view) else {
+        let Some(pid) = self.policy.pick(&view, &mut self.fifo_log) else {
             return;
         };
-        let spatial = self.policy.spatial(&view);
+        let spatial = self.policy.spatial();
         let hide = self.policy.hide_fraction(pid, &view);
         // A preemption charges its context-discard stall to whatever runs
         // next; zero on every non-preemptive path.
@@ -403,8 +399,7 @@ impl GpuEngine {
         let engine = &ctx.procs[pid].engine;
         let batch = engine.batch();
         let gpu_arch = &ctx.config.device.gpu;
-        let overhead = ctx.config.profiler.kernel_overhead_factor();
-        let times = self.ktime.get(engine, gpu_arch, self.freq_step, overhead);
+        let times = self.ktime.get(engine, gpu_arch, self.freq_step);
         let (exec_base, tc) = (times.exec_scaled[kernel_index], times.tc[kernel_index]);
         let mut exec = exec_base.mul_f64(ctx.rng.uniform(0.95, 1.05));
         if let Some(hidden) = hide {
@@ -447,13 +442,14 @@ impl GpuEngine {
             .schedule(end, Event::Gpu(GpuEvent::Done { gen: self.gen }));
     }
 
-    /// Asks a preemptive policy whether the freshly enqueued work should
-    /// cancel the in-flight kernel, and performs the cancellation: the
-    /// partial occupancy is accrued and charged to the victim's EC (the
-    /// work is wasted — the kernel re-runs from scratch), the kernel
-    /// returns to the *front* of its owner's queue, the scheduled `Done`
-    /// is invalidated by bumping the generation, and the policy's
-    /// penalty stalls the next dispatch.
+    /// Asks the policy whether the freshly enqueued work should cancel
+    /// the in-flight kernel, and performs the cancellation: the partial
+    /// occupancy is accrued and charged to the victim's EC (the work is
+    /// wasted — the kernel re-runs from scratch), the kernel returns to
+    /// the *front* of its owner's queue, the scheduled `Done` is
+    /// invalidated by bumping the generation, and the policy's penalty
+    /// stalls the next dispatch. Only `priority` preempts, so the FIFO
+    /// log never sees a front re-queue.
     fn maybe_preempt(&mut self, now: SimTime, ctx: &mut Ctx<'_>) {
         let Some(snapshot) = self.current else {
             return;
@@ -463,7 +459,7 @@ impl GpuEngine {
             return;
         }
         let view = policy_view!(self, now, ctx);
-        let Some(by_pid) = self.policy.preempt(snapshot.pid, &view) else {
+        let Some((by_pid, penalty)) = self.policy.preempt(snapshot.pid, &view) else {
             return;
         };
         self.accrue_gpu(now);
@@ -493,9 +489,8 @@ impl GpuEngine {
             .ready
             .push_front(inflight.kernel_index);
         self.ready_set.set(inflight.pid);
-        self.policy.on_requeue_front(inflight.pid);
         self.gen = self.gen.wrapping_add(1);
-        self.pending_penalty = self.policy.preempt_penalty();
+        self.pending_penalty = penalty;
     }
 
     /// Accrues the in-flight kernel's power/utilisation contribution up
@@ -559,8 +554,7 @@ impl GpuEngine {
             // samples always read the *current* step, exactly as the
             // uncached code did.
             let gpu_arch = &ctx.config.device.gpu;
-            let overhead = ctx.config.profiler.kernel_overhead_factor();
-            let times = self.ktime.get(engine, gpu_arch, self.freq_step, overhead);
+            let times = self.ktime.get(engine, gpu_arch, self.freq_step);
             let (sm_base, issue_base, tc_base) = (
                 times.sm[inflight.kernel_index],
                 times.issue[inflight.kernel_index],

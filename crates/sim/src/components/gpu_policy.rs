@@ -1,27 +1,32 @@
-//! Pluggable GPU scheduling policies.
+//! The GPU scheduling decisions, one `match` on
+//! [`crate::config::GpuPolicy`] per decision.
 //!
-//! The dispatch *decision* — which process's kernel queue the GPU
-//! serves next — used to be hard-wired into `GpuEngine::pick_process`
-//! as timeslice-affinity round-robin. It is now a [`GpuSchedPolicy`]
-//! trait over a narrow [`PolicyView`] (per-process ready occupancy,
-//! priorities, SM shares, the current affinity and slice age, and the
-//! clock), selected by [`crate::config::GpuPolicy`]:
+//! `GpuEngine` asks the configured policy four questions over a narrow
+//! [`PolicyView`] (per-process ready occupancy, priorities, SM shares,
+//! the current affinity and slice age, and the clock), in dispatch
+//! order:
 //!
-//! * [`TimesliceRR`] — the default, bit-for-bit identical to the
-//!   pre-trait behaviour (the golden-parity suite is the referee);
-//! * [`Fifo`] — global kernel-arrival order, no timeslice affinity;
-//! * [`PriorityPreemptive`] — strict priority levels with in-flight
-//!   kernel cancellation (see `GpuEngine::maybe_preempt`);
-//! * [`FractionalMps`] — per-process SM shares with overlap packing
-//!   weighted by the other ready processes' share.
+//! 1. [`GpuPolicy::pick`] names the process to serve (its ready queue
+//!    is non-empty on return);
+//! 2. [`GpuPolicy::spatial`] decides whether crossing processes costs a
+//!    context switch (`false`, Jetson's time multiplexing) or is free
+//!    (`true`, MPS-style spatial sharing);
+//! 3. [`GpuPolicy::hide_fraction`] returns the span fraction hidden by
+//!    co-scheduling, evaluated after the pick;
+//! 4. [`GpuPolicy::preempt`] (asked when a kernel is enqueued while
+//!    another runs) may name a process whose ready work justifies
+//!    cancelling the in-flight kernel — see `GpuEngine::maybe_preempt`
+//!    for the accounting.
 //!
 //! Policies decide *who* runs and *how* kernels pack; the physics —
 //! kernel timing, context-switch costs, power accrual, tracing — stays
 //! in `GpuEngine` and is shared by every policy.
 
+use std::collections::VecDeque;
+
 use jetsim_des::{SimDuration, SimTime};
 
-use crate::config::GpuSharing;
+use crate::config::GpuPolicy;
 
 /// O(1) occupancy index over the per-process ready queues: one bit per
 /// process, set while that process has launched kernels waiting for the
@@ -158,8 +163,6 @@ pub(crate) struct PolicyView<'a> {
     pub slice_start: SimTime,
     /// The device's GPU timeslice length.
     pub timeslice: SimDuration,
-    /// The configured sharing discipline (legacy MPS ablation knob).
-    pub gpu_sharing: GpuSharing,
     /// Per-process ready occupancy.
     pub ready: &'a ReadySet,
     /// Per-process priority levels (higher wins; from the config).
@@ -168,239 +171,125 @@ pub(crate) struct PolicyView<'a> {
     pub sm_shares: &'a [f64],
 }
 
-/// One GPU scheduling discipline. Object-safe; `GpuEngine` holds a
-/// `Box<dyn GpuSchedPolicy>` chosen from [`crate::config::GpuPolicy`].
-///
-/// The contract, in dispatch order:
-///
-/// 1. [`GpuSchedPolicy::pick`] names the process to serve (its ready
-///    queue is guaranteed non-empty on return);
-/// 2. [`GpuSchedPolicy::spatial`] decides whether crossing processes
-///    costs a context switch (`false`, Jetson's time multiplexing) or
-///    is free (`true`, MPS-style spatial sharing);
-/// 3. [`GpuSchedPolicy::hide_fraction`] returns the span fraction
-///    hidden by co-scheduling, evaluated after the kernel is popped;
-/// 4. [`GpuSchedPolicy::preempt`] (consulted while a kernel is in
-///    flight) may name a process whose ready work justifies cancelling
-///    it — see `GpuEngine::maybe_preempt` for the accounting.
-///
-/// The `on_*` hooks mirror every ready-queue mutation so order-keeping
-/// policies ([`Fifo`]) can maintain their own arrival log.
-pub(crate) trait GpuSchedPolicy: std::fmt::Debug + Send {
+impl GpuPolicy {
     /// Chooses which process's queue the GPU serves next.
-    fn pick(&mut self, view: &PolicyView<'_>) -> Option<usize>;
-
-    /// Whether kernels from different processes share the GPU spatially
-    /// (no context-switch cost on crossing). The default mirrors the
-    /// legacy [`GpuSharing`] knob.
-    fn spatial(&self, view: &PolicyView<'_>) -> bool {
-        matches!(view.gpu_sharing, GpuSharing::SpatialMps { .. })
+    ///
+    /// * `rr` and `SpatialMps` keep timeslice affinity: stay with the
+    ///   current process until its queue empties or its timeslice
+    ///   expires while others wait, then rotate.
+    /// * `fifo` drains `fifo_log`, the global kernel-arrival order, with
+    ///   no affinity. `GpuEngine` appends one entry per enqueued kernel
+    ///   and drops a wiped queue's entries; only `fifo` reads the log.
+    /// * `priority` serves the highest-priority ready process; ties
+    ///   rotate round-robin from the last-served one. Saturated
+    ///   high-priority work starves lower levels by design.
+    /// * `mps` rotates on every dispatch (serialising what real hardware
+    ///   runs concurrently).
+    pub(crate) fn pick(
+        &self,
+        view: &PolicyView<'_>,
+        fifo_log: &mut VecDeque<u32>,
+    ) -> Option<usize> {
+        match self {
+            GpuPolicy::TimesliceRR | GpuPolicy::SpatialMps { .. } => {
+                let Some(cur) = view.affinity else {
+                    return view.ready.first();
+                };
+                let slice_ok = view.now.saturating_since(view.slice_start) < view.timeslice;
+                let others_waiting = view.ready.any_other(cur);
+                if view.ready.contains(cur) && (slice_ok || !others_waiting) {
+                    return Some(cur);
+                }
+                view.ready.next_cyclic(cur)
+            }
+            GpuPolicy::Fifo => {
+                // Entries for wiped queues (kills, restarts) are removed
+                // by `GpuEngine::clear_ready`; the occupancy check below
+                // is belt-and-braces.
+                while let Some(pid) = fifo_log.pop_front() {
+                    if view.ready.contains(pid as usize) {
+                        return Some(pid as usize);
+                    }
+                }
+                None
+            }
+            GpuPolicy::Priority { .. } => highest_priority(view),
+            GpuPolicy::FractionalMps { .. } => match view.affinity {
+                Some(cur) => view.ready.next_cyclic(cur),
+                None => view.ready.first(),
+            },
+        }
     }
 
-    /// Fraction of the dispatched kernel's span hidden by co-scheduling
+    /// Whether kernels from different processes share the GPU spatially:
+    /// crossing processes is free under the two MPS variants and costs a
+    /// context switch otherwise (time multiplexing is a hardware
+    /// property, not a dispatch order).
+    pub(crate) fn spatial(&self) -> bool {
+        matches!(
+            self,
+            GpuPolicy::FractionalMps { .. } | GpuPolicy::SpatialMps { .. }
+        )
+    }
+
+    /// Fraction of `pid`'s dispatched kernel span hidden by co-scheduling
     /// against other processes' queued work, or `None` to run it whole.
-    /// The default mirrors the legacy [`GpuSharing::SpatialMps`] shrink.
-    fn hide_fraction(&self, pid: usize, view: &PolicyView<'_>) -> Option<f64> {
-        match view.gpu_sharing {
-            GpuSharing::TimeMultiplexed => None,
-            GpuSharing::SpatialMps { overlap_efficiency } => {
-                if view.ready.any_other(pid) {
-                    Some(overlap_efficiency)
-                } else {
-                    None
-                }
+    ///
+    /// `SpatialMps` hides the flat `overlap_efficiency` whenever another
+    /// process is ready. `mps` weights it by the share mass of the
+    /// *other* ready processes: a process holding most of the SMs leaves
+    /// little room for co-scheduling and packs poorly, a small-share
+    /// tenant overlaps almost fully, and equal shares against one waiter
+    /// hide half of it.
+    pub(crate) fn hide_fraction(&self, pid: usize, view: &PolicyView<'_>) -> Option<f64> {
+        match *self {
+            GpuPolicy::SpatialMps { overlap_efficiency } => {
+                view.ready.any_other(pid).then_some(overlap_efficiency)
             }
+            GpuPolicy::FractionalMps { overlap_efficiency } => {
+                let own = view.sm_shares[pid];
+                let others: f64 = view
+                    .ready
+                    .iter()
+                    .filter(|&q| q != pid)
+                    .map(|q| view.sm_shares[q])
+                    .sum();
+                if others <= 0.0 {
+                    return None;
+                }
+                let contending = others / (own + others);
+                Some(overlap_efficiency * contending)
+            }
+            GpuPolicy::TimesliceRR | GpuPolicy::Fifo | GpuPolicy::Priority { .. } => None,
         }
     }
 
     /// While `inflight_pid`'s kernel runs: the process whose ready work
-    /// should cancel it, if any. Policies returning `Some` must also
-    /// report a [`GpuSchedPolicy::preempt_penalty`].
-    fn preempt(&self, _inflight_pid: usize, _view: &PolicyView<'_>) -> Option<usize> {
-        None
-    }
-
-    /// Stall charged ahead of the next dispatch after a cancellation
-    /// (context save/discard of the cancelled kernel).
-    fn preempt_penalty(&self) -> SimDuration {
-        SimDuration::ZERO
-    }
-
-    /// A kernel of `pid` was enqueued at the back of its ready queue.
-    fn on_ready(&mut self, _pid: usize) {}
-
-    /// A cancelled kernel of `pid` was re-queued at the *front* of its
-    /// ready queue (it is the next kernel its stream must run).
-    fn on_requeue_front(&mut self, _pid: usize) {}
-
-    /// `pid`'s ready queue was wiped (OOM kill or replica restart).
-    fn on_cleared(&mut self, _pid: usize) {}
-}
-
-/// Timeslice-affinity round-robin — the pre-trait behaviour, extracted
-/// decision-for-decision: stay with the current process until its queue
-/// empties or its timeslice expires while others wait, then rotate.
-#[derive(Debug, Default)]
-pub(crate) struct TimesliceRR;
-
-impl GpuSchedPolicy for TimesliceRR {
-    fn pick(&mut self, view: &PolicyView<'_>) -> Option<usize> {
-        if let Some(cur) = view.affinity {
-            let slice_ok = view.now.saturating_since(view.slice_start) < view.timeslice;
-            let others_waiting = view.ready.any_other(cur);
-            if view.ready.contains(cur) && (slice_ok || !others_waiting) {
-                return Some(cur);
-            }
-            view.ready.next_cyclic(cur)
-        } else {
-            view.ready.first()
-        }
-    }
-}
-
-/// Global kernel-arrival order: the GPU drains launches strictly in the
-/// order host threads issued them, with no timeslice affinity. Crossing
-/// processes still costs a context switch (time multiplexing is a
-/// hardware property, not a policy choice).
-#[derive(Debug, Default)]
-pub(crate) struct Fifo {
-    /// One entry per enqueued kernel, in launch order.
-    order: std::collections::VecDeque<u32>,
-}
-
-impl GpuSchedPolicy for Fifo {
-    fn pick(&mut self, view: &PolicyView<'_>) -> Option<usize> {
-        // Entries for wiped queues (kills, restarts) are removed by
-        // `on_cleared`; the occupancy check below is belt-and-braces.
-        while let Some(pid) = self.order.pop_front() {
-            if view.ready.contains(pid as usize) {
-                return Some(pid as usize);
-            }
-        }
-        None
-    }
-
-    fn on_ready(&mut self, pid: usize) {
-        self.order.push_back(pid as u32);
-    }
-
-    fn on_requeue_front(&mut self, pid: usize) {
-        self.order.push_front(pid as u32);
-    }
-
-    fn on_cleared(&mut self, pid: usize) {
-        self.order.retain(|&p| p as usize != pid);
-    }
-}
-
-/// Strict priority levels with preemption: the GPU always serves the
-/// highest-priority process with ready work (ties rotate round-robin
-/// from the last-served process), and a higher-priority arrival cancels
-/// the in-flight kernel — it is re-queued to run again from scratch and
-/// the GPU stalls for `preempt_penalty` (context save/discard) before
-/// the next dispatch. Saturated high-priority work starves lower levels
-/// by design; that is the policy's contract.
-#[derive(Debug)]
-pub(crate) struct PriorityPreemptive {
-    penalty: SimDuration,
-}
-
-impl PriorityPreemptive {
-    pub(crate) fn new(penalty: SimDuration) -> Self {
-        PriorityPreemptive { penalty }
-    }
-
-    /// Highest-priority ready process; ties go to the next such process
-    /// after `affinity` in cyclic order (fair within a level).
-    fn best(view: &PolicyView<'_>) -> Option<usize> {
-        let best_prio = view.ready.iter().map(|p| view.priorities[p]).max()?;
-        let start = view.affinity.unwrap_or(0);
-        let n = view.priorities.len();
-        (1..=n)
-            .map(|offset| (start + offset) % n)
-            .find(|&pid| view.ready.contains(pid) && view.priorities[pid] == best_prio)
-    }
-}
-
-impl GpuSchedPolicy for PriorityPreemptive {
-    fn pick(&mut self, view: &PolicyView<'_>) -> Option<usize> {
-        Self::best(view)
-    }
-
-    fn preempt(&self, inflight_pid: usize, view: &PolicyView<'_>) -> Option<usize> {
-        let best = Self::best(view)?;
-        (view.priorities[best] > view.priorities[inflight_pid]).then_some(best)
-    }
-
-    fn preempt_penalty(&self) -> SimDuration {
-        self.penalty
-    }
-}
-
-/// MPS-style fractional spatial sharing with per-process SM shares:
-/// context switches vanish, dispatch rotates round-robin (serialising
-/// what real hardware runs concurrently), and each kernel's span is
-/// shrunk by the overlap efficiency weighted by the share mass of the
-/// *other* ready processes — a process holding most of the SMs leaves
-/// little room for co-scheduling and packs poorly; a small-share tenant
-/// overlaps almost fully. It does not reproduce
-/// [`GpuSharing::SpatialMps`]: with equal shares and one other process
-/// waiting it hides `0.5 × overlap` of a kernel, not `overlap`, and its
-/// pick rotates on every dispatch where `SpatialMps` under the default
-/// `rr` policy keeps timeslice affinity.
-#[derive(Debug)]
-pub(crate) struct FractionalMps {
-    overlap_efficiency: f64,
-}
-
-impl FractionalMps {
-    pub(crate) fn new(overlap_efficiency: f64) -> Self {
-        FractionalMps { overlap_efficiency }
-    }
-}
-
-impl GpuSchedPolicy for FractionalMps {
-    fn pick(&mut self, view: &PolicyView<'_>) -> Option<usize> {
-        match view.affinity {
-            Some(cur) => view.ready.next_cyclic(cur),
-            None => view.ready.first(),
-        }
-    }
-
-    fn spatial(&self, _view: &PolicyView<'_>) -> bool {
-        true
-    }
-
-    fn hide_fraction(&self, pid: usize, view: &PolicyView<'_>) -> Option<f64> {
-        let own = view.sm_shares[pid];
-        let others: f64 = view
-            .ready
-            .iter()
-            .filter(|&q| q != pid)
-            .map(|q| view.sm_shares[q])
-            .sum();
-        if others <= 0.0 {
+    /// cancels it, and the stall charged ahead of the next dispatch
+    /// (context save/discard). Only `priority` preempts, and only for a
+    /// strictly higher level.
+    pub(crate) fn preempt(
+        &self,
+        inflight_pid: usize,
+        view: &PolicyView<'_>,
+    ) -> Option<(usize, SimDuration)> {
+        let GpuPolicy::Priority { preempt_penalty } = *self else {
             return None;
-        }
-        let contending = others / (own + others);
-        Some(self.overlap_efficiency * contending)
+        };
+        let best = highest_priority(view)?;
+        (view.priorities[best] > view.priorities[inflight_pid]).then_some((best, preempt_penalty))
     }
 }
 
-/// Builds the runtime policy object for a configured
-/// [`crate::config::GpuPolicy`].
-pub(crate) fn make_policy(policy: &crate::config::GpuPolicy) -> Box<dyn GpuSchedPolicy> {
-    use crate::config::GpuPolicy;
-    match *policy {
-        GpuPolicy::TimesliceRR => Box::new(TimesliceRR),
-        GpuPolicy::Fifo => Box::new(Fifo::default()),
-        GpuPolicy::Priority { preempt_penalty } => {
-            Box::new(PriorityPreemptive::new(preempt_penalty))
-        }
-        GpuPolicy::FractionalMps { overlap_efficiency } => {
-            Box::new(FractionalMps::new(overlap_efficiency))
-        }
-    }
+/// Highest-priority ready process; ties go to the next such process
+/// after the affinity in cyclic order (fair within a level).
+fn highest_priority(view: &PolicyView<'_>) -> Option<usize> {
+    let best_prio = view.ready.iter().map(|p| view.priorities[p]).max()?;
+    let start = view.affinity.unwrap_or(0);
+    let n = view.priorities.len();
+    (1..=n)
+        .map(|offset| (start + offset) % n)
+        .find(|&pid| view.ready.contains(pid) && view.priorities[pid] == best_prio)
 }
 
 #[cfg(test)]
@@ -419,7 +308,6 @@ mod tests {
             affinity,
             slice_start: SimTime::from_nanos(1_000_000),
             timeslice: SimDuration::from_micros(500),
-            gpu_sharing: GpuSharing::TimeMultiplexed,
             ready,
             priorities,
             sm_shares: shares,
@@ -463,19 +351,23 @@ mod tests {
         s.set(1);
         let prios = [0u8; 3];
         let shares = [1.0; 3];
-        let mut p = TimesliceRR;
+        let mut log = VecDeque::new();
+        let p = GpuPolicy::TimesliceRR;
         // Within the slice the GPU stays with its process even though
         // another waits.
-        assert_eq!(p.pick(&view(&s, &prios, &shares, Some(0), 0)), Some(0));
+        assert_eq!(
+            p.pick(&view(&s, &prios, &shares, Some(0), 0), &mut log),
+            Some(0)
+        );
         // Slice expired with others waiting: rotate.
         assert_eq!(
-            p.pick(&view(&s, &prios, &shares, Some(0), 600_000)),
+            p.pick(&view(&s, &prios, &shares, Some(0), 600_000), &mut log),
             Some(1)
         );
         // Slice expired but nobody else waits: stay.
         s.unset(1);
         assert_eq!(
-            p.pick(&view(&s, &prios, &shares, Some(0), 600_000)),
+            p.pick(&view(&s, &prios, &shares, Some(0), 600_000), &mut log),
             Some(0)
         );
     }
@@ -485,15 +377,15 @@ mod tests {
         let mut s = ReadySet::new(3);
         let prios = [0u8; 3];
         let shares = [1.0; 3];
-        let mut p = Fifo::default();
+        let mut log = VecDeque::new();
         for pid in [2usize, 0, 2] {
             s.set(pid);
-            p.on_ready(pid);
+            log.push_back(pid as u32);
         }
         let v = view(&s, &prios, &shares, None, 0);
-        assert_eq!(p.pick(&v), Some(2));
-        assert_eq!(p.pick(&v), Some(0));
-        assert_eq!(p.pick(&v), Some(2));
+        assert_eq!(GpuPolicy::Fifo.pick(&v, &mut log), Some(2));
+        assert_eq!(GpuPolicy::Fifo.pick(&v, &mut log), Some(0));
+        assert_eq!(GpuPolicy::Fifo.pick(&v, &mut log), Some(2));
     }
 
     #[test]
@@ -501,15 +393,15 @@ mod tests {
         let mut s = ReadySet::new(2);
         let prios = [0u8; 2];
         let shares = [1.0; 2];
-        let mut p = Fifo::default();
+        let mut log = VecDeque::from([0, 1]);
         s.set(0);
-        p.on_ready(0);
         s.set(1);
-        p.on_ready(1);
-        // Process 0 is killed: its queue is wiped.
+        // Process 0 is killed: its queue is wiped but its log entry
+        // remains. The pick skips and drops it.
         s.unset(0);
-        p.on_cleared(0);
-        assert_eq!(p.pick(&view(&s, &prios, &shares, None, 0)), Some(1));
+        let v = view(&s, &prios, &shares, None, 0);
+        assert_eq!(GpuPolicy::Fifo.pick(&v, &mut log), Some(1));
+        assert!(log.is_empty(), "{log:?}");
     }
 
     #[test]
@@ -517,17 +409,21 @@ mod tests {
         let mut s = ReadySet::new(3);
         let prios = [0u8, 5, 1];
         let shares = [1.0; 3];
-        let mut p = PriorityPreemptive::new(SimDuration::from_micros(20));
+        let penalty = SimDuration::from_micros(20);
+        let p = GpuPolicy::Priority {
+            preempt_penalty: penalty,
+        };
+        let mut log = VecDeque::new();
         s.set(0);
         s.set(2);
         let v = view(&s, &prios, &shares, None, 0);
-        assert_eq!(p.pick(&v), Some(2));
+        assert_eq!(p.pick(&v, &mut log), Some(2));
         // Higher-priority work arrives: it both wins the pick and
         // justifies cancelling an in-flight lower-priority kernel.
         s.set(1);
         let v = view(&s, &prios, &shares, None, 0);
-        assert_eq!(p.pick(&v), Some(1));
-        assert_eq!(p.preempt(0, &v), Some(1));
+        assert_eq!(p.pick(&v, &mut log), Some(1));
+        assert_eq!(p.preempt(0, &v), Some((1, penalty)));
         assert_eq!(p.preempt(1, &v), None, "equal priority never preempts");
     }
 
@@ -535,7 +431,7 @@ mod tests {
         use super::*;
         use proptest::prelude::*;
 
-        /// The exact pre-trait `GpuEngine::pick_process` scan,
+        /// The original `GpuEngine::pick_process` scan,
         /// re-implemented naively as the reference: stay with the
         /// affine process while its queue is non-empty and either its
         /// slice is fresh or nobody else waits, else probe `(cur +
@@ -566,9 +462,10 @@ mod tests {
         }
 
         proptest! {
-            /// [`TimesliceRR`] over the bitset matches the legacy scan
+            /// `rr` over the bitset matches the legacy scan
             /// decision-for-decision on every (occupancy, affinity,
-            /// slice-age) state — including sets wider than one word.
+            /// slice-age) state — including sets wider than one word —
+            /// and `SpatialMps` picks what `rr` picks.
             #[test]
             fn timeslice_rr_matches_legacy(
                 flags in proptest::collection::vec(any::<bool>(), 1..130),
@@ -582,10 +479,18 @@ mod tests {
                 let prios = vec![0u8; n];
                 let shares = vec![1.0; n];
                 let v = view(&s, &prios, &shares, affinity, slice_age_ns);
-                prop_assert_eq!(TimesliceRR.pick(&v), legacy_pick(&flags, &v));
+                for policy in [
+                    GpuPolicy::TimesliceRR,
+                    GpuPolicy::SpatialMps { overlap_efficiency: 0.3 },
+                ] {
+                    prop_assert_eq!(
+                        policy.pick(&v, &mut VecDeque::new()),
+                        legacy_pick(&flags, &v)
+                    );
+                }
             }
 
-            /// [`PriorityPreemptive`] never names a process while some
+            /// `priority` never names a process while some
             /// higher-priority process has ready work — for the pick
             /// and for the preemption question alike.
             #[test]
@@ -602,13 +507,15 @@ mod tests {
                 let shares = vec![1.0; n];
                 let v = view(&s, prios, &shares, affinity, 0);
                 let best_ready = (0..n).filter(|&p| flags[p]).map(|p| prios[p]).max();
-                let mut policy = PriorityPreemptive::new(SimDuration::from_micros(20));
-                if let Some(picked) = policy.pick(&v) {
+                let policy = GpuPolicy::Priority {
+                    preempt_penalty: SimDuration::from_micros(20),
+                };
+                if let Some(picked) = policy.pick(&v, &mut VecDeque::new()) {
                     prop_assert!(flags[picked], "picked a drained queue");
                     prop_assert_eq!(Some(prios[picked]), best_ready);
                 }
                 for inflight in 0..n {
-                    if let Some(by) = policy.preempt(inflight, &v) {
+                    if let Some((by, _)) = policy.preempt(inflight, &v) {
                         prop_assert!(prios[by] > prios[inflight]);
                         prop_assert_eq!(Some(prios[by]), best_ready);
                     } else if let Some(best) = best_ready {
@@ -662,7 +569,12 @@ mod tests {
         s.set(1);
         let prios = [0u8; 2];
         let shares = [3.0, 1.0];
-        let p = FractionalMps::new(0.4);
+        let p = GpuPolicy::FractionalMps {
+            overlap_efficiency: 0.4,
+        };
+        let spatial = GpuPolicy::SpatialMps {
+            overlap_efficiency: 0.4,
+        };
         let v = view(&s, &prios, &shares, None, 0);
         // The big-share process sees little contention mass…
         let big = p.hide_fraction(0, &v).unwrap();
@@ -670,15 +582,18 @@ mod tests {
         // …the small-share one overlaps against three times its mass.
         let small = p.hide_fraction(1, &v).unwrap();
         assert!((small - 0.4 * 0.75).abs() < 1e-12, "{small}");
+        // `SpatialMps` ignores shares and hides the flat overlap.
+        assert_eq!(spatial.hide_fraction(0, &v), Some(0.4));
+        assert_eq!(spatial.hide_fraction(1, &v), Some(0.4));
         // Equal shares against one waiter hide half the overlap, not
-        // all of it as `GpuSharing::SpatialMps` would.
-        let equal = p.hide_fraction(0, &view(&s, &prios, &[1.0, 1.0], None, 0));
-        assert_eq!(equal, Some(0.4 * 0.5));
+        // all of it as `SpatialMps` does.
+        let equal = view(&s, &prios, &[1.0, 1.0], None, 0);
+        assert_eq!(p.hide_fraction(0, &equal), Some(0.4 * 0.5));
+        assert_eq!(spatial.hide_fraction(0, &equal), Some(0.4));
         // Alone, nothing to pack against.
         s.unset(0);
-        assert_eq!(
-            p.hide_fraction(1, &view(&s, &prios, &shares, None, 0)),
-            None
-        );
+        let alone = view(&s, &prios, &shares, None, 0);
+        assert_eq!(p.hide_fraction(1, &alone), None);
+        assert_eq!(spatial.hide_fraction(1, &alone), None);
     }
 }

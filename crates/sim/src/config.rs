@@ -14,43 +14,22 @@ use crate::serving::ServePlan;
 
 /// How concurrent processes share the GPU.
 ///
-/// Jetson boards lack NVIDIA's Multi-Process Service (paper §2), so they
-/// time-multiplex the GPU at kernel granularity — the default here. The
-/// [`GpuSharing::SpatialMps`] variant models what an MPS-capable part
-/// would recover: no inter-process context switches and partial spatial
-/// overlap between small kernels. It exists for the `ablation_mps` bench.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub enum GpuSharing {
-    /// Kernel-granularity time multiplexing with context-switch costs
-    /// (what Jetson hardware actually does).
-    #[default]
-    TimeMultiplexed,
-    /// MPS-style spatial sharing: context switches vanish and kernels
-    /// pack against other processes' work with the given efficiency
-    /// (0 = no overlap benefit, 0.3 ≈ published MPS gains on small
-    /// kernels).
-    SpatialMps {
-        /// Fraction of a kernel's time hidden by co-scheduling when other
-        /// processes have work queued. Must lie in `[0, 0.6]`;
-        /// [`SimConfigBuilder::build`] rejects out-of-range values.
-        overlap_efficiency: f64,
-    },
-}
-
-/// Which scheduling discipline the GPU engine runs.
-///
-/// The discipline decides *which process's kernel queue* the GPU serves
-/// at each dispatch and whether in-flight kernels can be cancelled; the
-/// kernel-timing physics is shared by all of them. The default
-/// reproduces Jetson's observed behaviour and is pinned byte-identical
-/// by the golden-trace parity suite.
+/// The policy decides *which process's kernel queue* the GPU serves at
+/// each dispatch, whether crossing processes costs a context switch,
+/// how much of a kernel co-scheduling hides, and whether in-flight
+/// kernels can be cancelled; the kernel-timing physics is shared by all
+/// of them. Jetson boards lack NVIDIA's Multi-Process Service (paper
+/// §2), so they time-multiplex the GPU at kernel granularity: the
+/// default reproduces that and is pinned byte-identical by the
+/// golden-trace parity suite.
 ///
 /// Parse from the CLI grammar with [`str::parse`]:
 /// `rr | fifo | priority[:PENALTY_US] | mps[:OVERLAP]`.
+/// [`GpuPolicy::SpatialMps`] has no string in it.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum GpuPolicy {
-    /// Timeslice-affinity round-robin — the measured Jetson behaviour
-    /// and the default.
+    /// Timeslice-affinity round-robin with context-switch costs — the
+    /// measured Jetson behaviour and the default.
     #[default]
     TimesliceRR,
     /// Global kernel-arrival order, no timeslice affinity.
@@ -65,14 +44,26 @@ pub enum GpuPolicy {
     },
     /// MPS-style fractional spatial sharing with per-process SM shares
     /// (set via [`SimConfigBuilder::process_sm_share`]). Unlike
-    /// [`GpuSharing::SpatialMps`], the overlap is weighted by the other
+    /// [`GpuPolicy::SpatialMps`], the overlap is weighted by the other
     /// ready processes' share (equal shares, one waiter: half of it) and
     /// dispatch rotates on every kernel instead of keeping timeslice
     /// affinity.
     FractionalMps {
         /// Peak fraction of a kernel's time hidden by co-scheduling,
         /// scaled by the contending processes' share mass. Must lie in
-        /// `[0, 0.6]` like [`GpuSharing::SpatialMps`].
+        /// `[0, 0.6]`.
+        overlap_efficiency: f64,
+    },
+    /// What an MPS-capable part would recover, for the `ablation_mps`
+    /// bench: `rr`'s dispatch order, no inter-process context switches,
+    /// and a flat `overlap_efficiency` of each kernel hidden whenever
+    /// another process has work queued. Code-only: `--gpu-policy` has no
+    /// string for it.
+    SpatialMps {
+        /// Fraction of a kernel's time hidden by co-scheduling (0 = no
+        /// overlap benefit, 0.3 ≈ published MPS gains on small kernels).
+        /// Must lie in `[0, 0.6]`; [`SimConfigBuilder::build`] rejects
+        /// out-of-range values.
         overlap_efficiency: f64,
     },
 }
@@ -83,20 +74,9 @@ impl GpuPolicy {
     pub const DEFAULT_PREEMPT_PENALTY: SimDuration = SimDuration::from_micros(20);
 
     /// Default overlap efficiency for [`GpuPolicy::FractionalMps`],
-    /// matching the published MPS gains used by `GpuSharing::SpatialMps`
-    /// ablations.
+    /// matching the published MPS gains the `ablation_mps` bench gives
+    /// [`GpuPolicy::SpatialMps`].
     pub const DEFAULT_MPS_OVERLAP: f64 = 0.3;
-
-    /// Short stable name for sweep axes and result tables (`rr`,
-    /// `fifo`, `priority`, `mps`).
-    pub fn name(&self) -> &'static str {
-        match self {
-            GpuPolicy::TimesliceRR => "rr",
-            GpuPolicy::Fifo => "fifo",
-            GpuPolicy::Priority { .. } => "priority",
-            GpuPolicy::FractionalMps { .. } => "mps",
-        }
-    }
 }
 
 impl std::fmt::Display for GpuPolicy {
@@ -109,6 +89,9 @@ impl std::fmt::Display for GpuPolicy {
             }
             GpuPolicy::FractionalMps { overlap_efficiency } => {
                 write!(f, "mps:{overlap_efficiency}")
+            }
+            GpuPolicy::SpatialMps { overlap_efficiency } => {
+                write!(f, "spatial:{overlap_efficiency}")
             }
         }
     }
@@ -290,9 +273,8 @@ pub struct SimConfig {
     pub profiler: ProfilerMode,
     /// Sampling period for power/utilisation samples.
     pub sample_period: SimDuration,
-    /// GPU sharing discipline across processes.
-    pub gpu_sharing: GpuSharing,
-    /// GPU scheduling policy (dispatch order, preemption, packing).
+    /// How processes share the GPU (dispatch order, context switches,
+    /// packing, preemption).
     pub gpu_policy: GpuPolicy,
     /// CPU contention model.
     pub cpu_model: CpuModel,
@@ -331,7 +313,6 @@ impl SimConfig {
                 seed: DEFAULT_SEED,
                 profiler: ProfilerMode::Lightweight,
                 sample_period: SimDuration::from_millis(200),
-                gpu_sharing: GpuSharing::TimeMultiplexed,
                 gpu_policy: GpuPolicy::TimesliceRR,
                 cpu_model: CpuModel::Stochastic,
                 record_kernel_events: true,
@@ -382,8 +363,8 @@ impl SimConfig {
     /// fits the simulated clock, a well-formed serve plan (every group has
     /// a member, every member names an existing process, no process
     /// serves two groups, `min_replicas` fits the group), in-range
-    /// dynamics (MPS overlap efficiency in `[0, 0.6]` for either sharing
-    /// knob or policy, positive finite SM shares), and under
+    /// dynamics (MPS overlap efficiency in `[0, 0.6]` for either MPS
+    /// policy, positive finite SM shares), and under
     /// [`OomPolicy::Strict`] a footprint that fits the board. Called by
     /// [`SimConfigBuilder::build`] and again by
     /// [`crate::Simulation::new`], because a config's fields are public
@@ -449,22 +430,14 @@ impl SimConfig {
                 }
             }
         }
-        if let GpuSharing::SpatialMps { overlap_efficiency } = self.gpu_sharing {
+        if let GpuPolicy::FractionalMps { overlap_efficiency }
+        | GpuPolicy::SpatialMps { overlap_efficiency } = self.gpu_policy
+        {
             if !(0.0..=0.6).contains(&overlap_efficiency) {
                 return Err(SimError::InvalidConfig {
                     reason: format!(
-                        "SpatialMps overlap_efficiency must lie in [0, 0.6], got \
-                         {overlap_efficiency}"
-                    ),
-                });
-            }
-        }
-        if let GpuPolicy::FractionalMps { overlap_efficiency } = self.gpu_policy {
-            if !(0.0..=0.6).contains(&overlap_efficiency) {
-                return Err(SimError::InvalidConfig {
-                    reason: format!(
-                        "FractionalMps overlap_efficiency must lie in [0, 0.6], got \
-                         {overlap_efficiency}"
+                        "GPU policy `{}`: overlap_efficiency must lie in [0, 0.6]",
+                        self.gpu_policy
                     ),
                 });
             }
@@ -526,23 +499,6 @@ impl SimConfigBuilder {
         let name = format!("p{}", self.config.processes.len());
         self.config.processes.push(ProcessConfig {
             name,
-            engine,
-            arrivals: ArrivalModel::Saturated,
-            memory_group: group,
-            priority: 0,
-            sm_share: 1.0,
-        });
-        self
-    }
-
-    /// Adds one process with an explicit name (tenant-labelled
-    /// deployments; the default names are `p<N>`). The process runs in
-    /// saturated mode with its own memory group, exactly like
-    /// [`SimConfigBuilder::add_engine`].
-    pub fn add_engine_named(mut self, name: impl Into<String>, engine: Arc<Engine>) -> Self {
-        let group = self.config.processes.len();
-        self.config.processes.push(ProcessConfig {
-            name: name.into(),
             engine,
             arrivals: ArrivalModel::Saturated,
             memory_group: group,
@@ -675,13 +631,7 @@ impl SimConfigBuilder {
         self
     }
 
-    /// Sets the GPU sharing discipline (MPS ablation).
-    pub fn gpu_sharing(mut self, sharing: GpuSharing) -> Self {
-        self.config.gpu_sharing = sharing;
-        self
-    }
-
-    /// Sets the GPU scheduling policy. [`GpuPolicy::TimesliceRR`] (the
+    /// Sets how processes share the GPU. [`GpuPolicy::TimesliceRR`] (the
     /// default) is byte-identical to the pre-policy simulator.
     pub fn gpu_policy(mut self, policy: GpuPolicy) -> Self {
         self.config.gpu_policy = policy;
@@ -1009,7 +959,15 @@ mod tests {
                 overlap_efficiency: 0.5
             })
         );
-        for bad in ["nope", "mps:0.9", "mps:x", "priority:-3", "rr:1"] {
+        // `SpatialMps` is code-only: its `Display` form does not parse.
+        for bad in [
+            "nope",
+            "mps:0.9",
+            "mps:x",
+            "priority:-3",
+            "rr:1",
+            "spatial:0.3",
+        ] {
             assert!(bad.parse::<GpuPolicy>().is_err(), "{bad} should not parse");
         }
     }
@@ -1028,6 +986,10 @@ mod tests {
         ] {
             assert_eq!(p.to_string().parse::<GpuPolicy>(), Ok(p));
         }
+        let spatial = GpuPolicy::SpatialMps {
+            overlap_efficiency: 0.25,
+        };
+        assert_eq!(spatial.to_string(), "spatial:0.25");
     }
 
     #[test]
@@ -1037,7 +999,7 @@ mod tests {
             let err = SimConfig::builder(presets::orin_nano())
                 .add_model(&zoo::resnet50(), Precision::Int8, 1)
                 .unwrap()
-                .gpu_sharing(GpuSharing::SpatialMps {
+                .gpu_policy(GpuPolicy::SpatialMps {
                     overlap_efficiency: oe,
                 })
                 .build()
@@ -1061,7 +1023,7 @@ mod tests {
             let ok = SimConfig::builder(presets::orin_nano())
                 .add_model(&zoo::resnet50(), Precision::Int8, 1)
                 .unwrap()
-                .gpu_sharing(GpuSharing::SpatialMps {
+                .gpu_policy(GpuPolicy::SpatialMps {
                     overlap_efficiency: oe,
                 })
                 .build();

@@ -51,8 +51,8 @@ pub mod simulation;
 pub mod trace;
 
 pub use config::{
-    ArrivalModel, CpuModel, GpuPolicy, GpuSharing, ProcessConfig, ProfilerMode, SimConfig,
-    SimConfigBuilder, DEFAULT_SEED,
+    ArrivalModel, CpuModel, GpuPolicy, ProcessConfig, ProfilerMode, SimConfig, SimConfigBuilder,
+    DEFAULT_SEED,
 };
 pub use error::SimError;
 pub use faults::{FaultEvent, FaultKind, FaultPlan, MemorySpike, OomPolicy, ThrottleLock};

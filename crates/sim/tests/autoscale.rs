@@ -8,7 +8,9 @@ use std::sync::Arc;
 use jetsim_des::{ArrivalProcess, SimDuration, SimTime};
 use jetsim_dnn::{zoo, Precision};
 use jetsim_sim::serving::{AutoscalerPolicy, RecoveryPolicy, ServeEventKind};
-use jetsim_sim::{FaultPlan, OomPolicy, RunTrace, ServeGroup, ServePlan, SimConfig, Simulation};
+use jetsim_sim::{
+    ArrivalModel, FaultPlan, OomPolicy, RunTrace, ServeGroup, ServePlan, SimConfig, Simulation,
+};
 use jetsim_trt::EngineBuilder;
 
 const COLD: SimDuration = SimDuration::from_millis(60);
@@ -34,7 +36,11 @@ fn trace(
     );
     let mut builder = SimConfig::builder(device);
     for i in 0..members {
-        builder = builder.add_engine_named(format!("resnet50/{i}"), Arc::clone(&eng));
+        builder = builder.add_engine_named_with_arrivals(
+            format!("resnet50/{i}"),
+            Arc::clone(&eng),
+            ArrivalModel::Saturated,
+        );
     }
     let g = group(ServeGroup::new("resnet50", arrivals).members(0..members));
     if let Some(plan) = faults {

@@ -276,7 +276,7 @@ proptest! {
 }
 
 use jetsim_sim::serving::{AutoscalerPolicy, ServeEventKind};
-use jetsim_sim::{ServeGroup, ServePlan};
+use jetsim_sim::{ArrivalModel, ServeGroup, ServePlan};
 
 /// A 3-slot autoscaled resnet50 group on the Orin Nano.
 fn autoscaled_run(min: u32, rate: f64, seed: u64) -> jetsim_sim::RunTrace {
@@ -290,7 +290,11 @@ fn autoscaled_run(min: u32, rate: f64, seed: u64) -> jetsim_sim::RunTrace {
     );
     let mut builder = SimConfig::builder(device);
     for i in 0..3 {
-        builder = builder.add_engine_named(format!("resnet50/{i}"), std::sync::Arc::clone(&eng));
+        builder = builder.add_engine_named_with_arrivals(
+            format!("resnet50/{i}"),
+            std::sync::Arc::clone(&eng),
+            ArrivalModel::Saturated,
+        );
     }
     let scaler = AutoscalerPolicy::new(min, 3)
         .target_queue_per_replica(2.0)

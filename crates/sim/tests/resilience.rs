@@ -11,7 +11,8 @@ use jetsim_sim::serving::{
     BreakerPolicy, DropKind, HedgePolicy, RecoveryPolicy, RetryPolicy, ServeEventKind,
 };
 use jetsim_sim::{
-    AdmissionPolicy, FaultPlan, OomPolicy, RunTrace, ServeGroup, ServePlan, SimConfig, Simulation,
+    AdmissionPolicy, ArrivalModel, FaultPlan, OomPolicy, RunTrace, ServeGroup, ServePlan,
+    SimConfig, Simulation,
 };
 use jetsim_trt::EngineBuilder;
 
@@ -36,7 +37,11 @@ fn orin_trace(rate: f64, servers: usize, group: impl FnOnce(ServeGroup) -> Serve
     let eng = engine(&device, Precision::Int8, 1);
     let mut builder = SimConfig::builder(device);
     for i in 0..servers {
-        builder = builder.add_engine_named(format!("resnet50/{i}"), Arc::clone(&eng));
+        builder = builder.add_engine_named_with_arrivals(
+            format!("resnet50/{i}"),
+            Arc::clone(&eng),
+            ArrivalModel::Saturated,
+        );
     }
     let g = group(ServeGroup::new("resnet50", ArrivalProcess::poisson(rate)).members(0..servers));
     let config = builder
@@ -64,8 +69,8 @@ fn nano_oom_trace(group: impl FnOnce(ServeGroup) -> ServeGroup) -> RunTrace {
         )
         .oom_policy(OomPolicy::KillLargest);
     let config = SimConfig::builder(device)
-        .add_engine_named("resnet50/0", Arc::clone(&eng))
-        .add_engine_named("resnet50/1", Arc::clone(&eng))
+        .add_engine_named_with_arrivals("resnet50/0", Arc::clone(&eng), ArrivalModel::Saturated)
+        .add_engine_named_with_arrivals("resnet50/1", Arc::clone(&eng), ArrivalModel::Saturated)
         .serve(ServePlan::new().group(g))
         .warmup(SimDuration::from_millis(100))
         .measure(SimDuration::from_millis(700))

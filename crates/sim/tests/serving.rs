@@ -8,7 +8,7 @@ use jetsim_device::presets;
 use jetsim_dnn::{zoo, Precision};
 use jetsim_sim::serving::ServeEventKind;
 use jetsim_sim::{
-    AdmissionPolicy, RunTrace, ServeGroup, ServePlan, SimConfig, SimError, Simulation,
+    AdmissionPolicy, ArrivalModel, RunTrace, ServeGroup, ServePlan, SimConfig, SimError, Simulation,
 };
 use jetsim_trt::EngineBuilder;
 
@@ -32,7 +32,11 @@ fn serving_trace(rate: f64, servers: usize, cap: usize, admission: AdmissionPoli
     let eng = engine(&device, Precision::Int8, 1);
     let mut builder = SimConfig::builder(device);
     for i in 0..servers {
-        builder = builder.add_engine_named(format!("resnet50/{i}"), Arc::clone(&eng));
+        builder = builder.add_engine_named_with_arrivals(
+            format!("resnet50/{i}"),
+            Arc::clone(&eng),
+            ArrivalModel::Saturated,
+        );
     }
     let config = builder
         .serve(
@@ -146,7 +150,7 @@ fn degrade_policy_switches_engines_under_pressure() {
     let normal = engine(&device, Precision::Fp16, 1);
     let fallback = engine(&device, Precision::Int8, 1);
     let config = SimConfig::builder(device)
-        .add_engine_named("resnet50/0", Arc::clone(&normal))
+        .add_engine_named_with_arrivals("resnet50/0", Arc::clone(&normal), ArrivalModel::Saturated)
         .serve(
             ServePlan::new().group(
                 ServeGroup::new("resnet50", ArrivalProcess::poisson(3000.0))
@@ -181,7 +185,7 @@ fn batches_coalesce_up_to_the_engine_batch() {
     let device = presets::orin_nano();
     let eng = engine(&device, Precision::Int8, 8);
     let config = SimConfig::builder(device)
-        .add_engine_named("resnet50/0", Arc::clone(&eng))
+        .add_engine_named_with_arrivals("resnet50/0", Arc::clone(&eng), ArrivalModel::Saturated)
         .serve(
             ServePlan::new().group(
                 ServeGroup::new("resnet50", ArrivalProcess::poisson(2000.0))
@@ -217,8 +221,8 @@ fn mixed_serving_and_closed_loop_tenants_coexist() {
     let device = presets::orin_nano();
     let eng = engine(&device, Precision::Int8, 1);
     let config = SimConfig::builder(device)
-        .add_engine_named("served/0", Arc::clone(&eng))
-        .add_engine_named("background/0", Arc::clone(&eng))
+        .add_engine_named_with_arrivals("served/0", Arc::clone(&eng), ArrivalModel::Saturated)
+        .add_engine_named_with_arrivals("background/0", Arc::clone(&eng), ArrivalModel::Saturated)
         .serve(
             ServePlan::new()
                 .group(ServeGroup::new("served", ArrivalProcess::poisson(50.0)).members([0])),
@@ -243,7 +247,7 @@ fn serve_plan_validation_rejects_bad_membership() {
     let device = presets::orin_nano();
     let eng = engine(&device, Precision::Int8, 1);
     let bad_index = SimConfig::builder(device.clone())
-        .add_engine_named("a", Arc::clone(&eng))
+        .add_engine_named_with_arrivals("a", Arc::clone(&eng), ArrivalModel::Saturated)
         .serve(
             ServePlan::new()
                 .group(ServeGroup::new("g", ArrivalProcess::poisson(10.0)).members([5])),
@@ -255,7 +259,7 @@ fn serve_plan_validation_rejects_bad_membership() {
     );
 
     let double_claim = SimConfig::builder(device.clone())
-        .add_engine_named("a", Arc::clone(&eng))
+        .add_engine_named_with_arrivals("a", Arc::clone(&eng), ArrivalModel::Saturated)
         .serve(
             ServePlan::new()
                 .group(ServeGroup::new("g1", ArrivalProcess::poisson(10.0)).members([0]))
@@ -268,7 +272,7 @@ fn serve_plan_validation_rejects_bad_membership() {
     );
 
     let empty_group = SimConfig::builder(device)
-        .add_engine_named("a", eng)
+        .add_engine_named_with_arrivals("a", eng, ArrivalModel::Saturated)
         .serve(ServePlan::new().group(ServeGroup::new("g", ArrivalProcess::poisson(10.0))))
         .build();
     assert!(
@@ -305,8 +309,8 @@ fn run_queue_cpu_model_serves_without_leaking_cores() {
     let device = presets::orin_nano();
     let eng = engine(&device, Precision::Int8, 1);
     let config = SimConfig::builder(device)
-        .add_engine_named("resnet50/0", Arc::clone(&eng))
-        .add_engine_named("resnet50/1", Arc::clone(&eng))
+        .add_engine_named_with_arrivals("resnet50/0", Arc::clone(&eng), ArrivalModel::Saturated)
+        .add_engine_named_with_arrivals("resnet50/1", Arc::clone(&eng), ArrivalModel::Saturated)
         .serve(
             ServePlan::new()
                 .group(ServeGroup::new("resnet50", ArrivalProcess::poisson(100.0)).members([0, 1])),

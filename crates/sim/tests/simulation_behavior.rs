@@ -314,7 +314,7 @@ fn mps_sharing_recovers_concurrent_throughput() {
         4,
     );
     let mut mps = base.clone();
-    mps.gpu_sharing = jetsim_sim::config::GpuSharing::SpatialMps {
+    mps.gpu_policy = jetsim_sim::GpuPolicy::SpatialMps {
         overlap_efficiency: 0.3,
     };
     let tm = Simulation::new(base).unwrap().run().total_throughput();

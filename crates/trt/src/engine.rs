@@ -145,17 +145,6 @@ impl Engine {
             .sum()
     }
 
-    /// The idealised single-process throughput in images/s at frequency
-    /// `step` (batch / ideal EC time).
-    pub fn ideal_throughput(&self, gpu: &GpuArch, step: usize) -> f64 {
-        let secs = self.ideal_ec_time(gpu, step).as_secs_f64();
-        if secs == 0.0 {
-            0.0
-        } else {
-            f64::from(self.batch) / secs
-        }
-    }
-
     /// How many kernels run at each precision after fallback, in
     /// [`Precision::ALL`] order (zero-count formats omitted).
     pub fn precision_mix(&self) -> Vec<(Precision, usize)> {
@@ -274,15 +263,17 @@ mod tests {
     }
 
     #[test]
-    fn ideal_throughput_positive_and_batch_helps() {
+    fn ideal_ec_time_positive_and_batch_helps() {
         let device = presets::orin_nano();
         let b1 = build(Precision::Fp16, 1);
         let b16 = build(Precision::Fp16, 16);
         let top = device.gpu.freq.top();
-        let t1 = b1.ideal_throughput(&device.gpu, top);
-        let t16 = b16.ideal_throughput(&device.gpu, top);
-        assert!(t1 > 0.0);
-        assert!(t16 > t1, "batch 16 {t16} vs batch 1 {t1}");
+        let t1 = b1.ideal_ec_time(&device.gpu, top);
+        let t16 = b16.ideal_ec_time(&device.gpu, top);
+        assert!(t1 > SimDuration::ZERO);
+        // One batch-16 EC beats 16 batch-1 ECs: batching raises
+        // throughput.
+        assert!(t16 < t1 * 16, "batch 16 {t16} vs batch 1 {t1}");
     }
 
     #[test]

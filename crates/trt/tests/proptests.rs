@@ -173,8 +173,8 @@ proptest! {
         prop_assert_eq!(fp32.weight_bytes(), model.stats().params * 4);
     }
 
-    /// Ideal throughput scales with frequency: the top step is never
-    /// slower than the bottom one.
+    /// Ideal speed scales with frequency: an EC at the top step never
+    /// takes longer than at the bottom one.
     #[test]
     fn frequency_never_hurts(precision in arb_precision()) {
         let device = presets::orin_nano();
@@ -182,8 +182,8 @@ proptest! {
             .precision(precision)
             .build(&zoo::yolov8n())
             .expect("builds");
-        let top = engine.ideal_throughput(&device.gpu, device.gpu.freq.top());
-        let bottom = engine.ideal_throughput(&device.gpu, 0);
-        prop_assert!(top >= bottom);
+        let top = engine.ideal_ec_time(&device.gpu, device.gpu.freq.top());
+        let bottom = engine.ideal_ec_time(&device.gpu, 0);
+        prop_assert!(top <= bottom);
     }
 }

@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use jetsim::prelude::*;
 use jetsim_profile::chrome_trace;
-use jetsim_sim::{GpuSharing, SimError};
+use jetsim_sim::{GpuPolicy, SimError};
 use jetsim_trt::{BuildError, EngineBuilder};
 
 #[test]
@@ -168,18 +168,18 @@ fn mps_ablation_beats_time_multiplexing_when_gpu_bound() {
             .build(&zoo::fcn_resnet50())
             .unwrap(),
     );
-    let run = |sharing| {
+    let run = |policy| {
         let config = SimConfig::builder(platform.device().clone())
             .add_engines(&engine, 2)
-            .gpu_sharing(sharing)
+            .gpu_policy(policy)
             .warmup(SimDuration::from_millis(200))
             .measure(SimDuration::from_millis(1200))
             .build()
             .unwrap();
         Simulation::new(config).unwrap().run().total_throughput()
     };
-    let tm = run(GpuSharing::TimeMultiplexed);
-    let mps = run(GpuSharing::SpatialMps {
+    let tm = run(GpuPolicy::TimesliceRR);
+    let mps = run(GpuPolicy::SpatialMps {
         overlap_efficiency: 0.3,
     });
     assert!(mps > tm, "mps {mps} vs time-mux {tm}");

@@ -27,10 +27,10 @@ use jetsim_device::presets;
 use jetsim_dnn::{zoo, Precision};
 use jetsim_sim::{
     AdmissionPolicy, ArrivalModel, AutoscalerPolicy, BreakerPolicy, CpuModel, DropKind, DropRecord,
-    EcRecord, FaultEvent, FaultKind, FaultPlan, GpuPolicy, GpuSharing, HedgePolicy, KernelEvent,
+    EcRecord, FaultEvent, FaultKind, FaultPlan, GpuPolicy, HedgePolicy, KernelEvent,
     KernelPreempted, OomPolicy, PowerSample, ProcessStats, ProfilerMode, RecoveryPolicy,
     RequestRecord, RetryPolicy, RunTrace, ServeEvent, ServeEventKind, ServeGroup, ServePlan,
-    SimConfig, Simulation,
+    SimConfig, SimConfigBuilder, Simulation,
 };
 use jetsim_trt::{Engine, EngineBuilder};
 
@@ -482,7 +482,7 @@ fn all_cells() -> Vec<Cell> {
     let config = SimConfig::builder(presets::orin_nano())
         .add_model_processes(&zoo::yolov8n(), Precision::Fp16, 1, 3)
         .expect("engine builds")
-        .gpu_sharing(GpuSharing::SpatialMps {
+        .gpu_policy(GpuPolicy::SpatialMps {
             overlap_efficiency: 0.3,
         })
         .warmup(SimDuration::from_millis(150))
@@ -565,23 +565,22 @@ fn resnet50_engine(
     )
 }
 
-/// `members` named replicas of `engine` serving `group`, kernel events
-/// recorded.
+/// `members` named replicas of `engine` serving `group` on top of
+/// `builder` (device, faults, GPU policy), kernel events recorded.
 fn serve_cell(
     id: &str,
-    device: jetsim_device::DeviceSpec,
+    mut builder: SimConfigBuilder,
     engine: &Arc<Engine>,
     members: usize,
     group: ServeGroup,
-    faults: Option<FaultPlan>,
     seed: u64,
 ) -> Cell {
-    let mut builder = SimConfig::builder(device);
     for i in 0..members {
-        builder = builder.add_engine_named(format!("{}/{i}", group.label), Arc::clone(engine));
-    }
-    if let Some(plan) = faults {
-        builder = builder.faults(plan);
+        builder = builder.add_engine_named_with_arrivals(
+            format!("{}/{i}", group.label),
+            Arc::clone(engine),
+            ArrivalModel::Saturated,
+        );
     }
     let config = builder
         .serve(ServePlan::new().group(group.members(0..members)))
@@ -656,14 +655,14 @@ fn serving_and_policy_cells() -> Vec<Cell> {
         .hedge(HedgePolicy::fixed(SimDuration::from_millis(30)))
         .breaker(BreakerPolicy::new(16, 0.5))
         .recovery(RecoveryPolicy::new(SimDuration::from_millis(200), 2));
+    let nano_fp16 = resnet50_engine(&nano, Precision::Fp16, 1);
     vec![
         serve_cell(
             "serve_batched_orin_2r_s17",
-            orin.clone(),
+            SimConfig::builder(orin.clone()),
             &b4,
             2,
             batched,
-            None,
             17,
         ),
         contended_cell(
@@ -682,21 +681,30 @@ fn serving_and_policy_cells() -> Vec<Cell> {
         ),
         serve_cell(
             "autoscale_zero_orin_2r_s3",
-            orin.clone(),
+            SimConfig::builder(orin.clone()),
             &resnet50_engine(&orin, Precision::Int8, 1),
             2,
             scale_to_zero,
-            None,
             3,
         ),
         serve_cell(
             "resilience_nano_2r_s13",
-            nano.clone(),
-            &resnet50_engine(&nano, Precision::Fp16, 1),
+            SimConfig::builder(nano.clone()).faults(spike.clone()),
+            &nano_fp16,
             2,
-            resilient,
-            Some(spike),
+            resilient.clone(),
             13,
+        ),
+        contended_cell("fifo_orin_4p_s37", GpuPolicy::Fifo, 37),
+        serve_cell(
+            "fifo_resilience_nano_3r_s41",
+            SimConfig::builder(nano)
+                .faults(spike)
+                .gpu_policy(GpuPolicy::Fifo),
+            &nano_fp16,
+            3,
+            resilient,
+            41,
         ),
     ]
 }
@@ -744,6 +752,8 @@ const GOLDEN: &[(&str, u64)] = &[
     ("mps_policy_orin_4p_s29", 0x29ff3a01b91a5687),
     ("autoscale_zero_orin_2r_s3", 0x38b5ab836a697207),
     ("resilience_nano_2r_s13", 0x3571befbf8e37e54),
+    ("fifo_orin_4p_s37", 0x84a585bcfdbdbf0b),
+    ("fifo_resilience_nano_3r_s41", 0xdf48383617e1a6d4),
 ];
 
 #[test]
@@ -829,6 +839,17 @@ fn serving_and_policy_cells_exercise_their_paths() {
     )));
     assert!(resilient.requests.iter().any(|r| r.retry_of.is_some()));
     assert!(resilient.requests.iter().any(|r| r.hedge_of.is_some()));
+    // `fifo` keeps a kernel-arrival log: the kill must drop the dead
+    // replicas' entries and the restart must feed the log again.
+    let fifo_resilient = trace("fifo_resilience_nano_3r_s41");
+    assert!(any_event(fifo_resilient, |k| matches!(
+        k,
+        ServeEventKind::ReplicaDown { .. }
+    )));
+    assert!(any_event(fifo_resilient, |k| matches!(
+        k,
+        ServeEventKind::ReplicaUp { .. }
+    )));
 }
 
 /// The hash itself must be deterministic run-to-run (hardens the suite
