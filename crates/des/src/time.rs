@@ -134,14 +134,14 @@ impl SimDuration {
     /// nanosecond and saturating negative inputs to zero.
     #[inline]
     pub fn from_secs_f64(secs: f64) -> Self {
-        SimDuration((secs.max(0.0) * 1e9).round() as u64)
+        SimDuration(round_nonneg(secs.max(0.0) * 1e9))
     }
 
     /// Creates a duration from fractional microseconds, rounding to the
     /// nearest nanosecond and saturating negative inputs to zero.
     #[inline]
     pub fn from_micros_f64(micros: f64) -> Self {
-        SimDuration((micros.max(0.0) * 1e3).round() as u64)
+        SimDuration(round_nonneg(micros.max(0.0) * 1e3))
     }
 
     /// Returns the span as whole nanoseconds.
@@ -176,7 +176,7 @@ impl SimDuration {
     /// nearest nanosecond. Negative factors saturate to zero.
     #[inline]
     pub fn mul_f64(self, factor: f64) -> SimDuration {
-        SimDuration((self.0 as f64 * factor.max(0.0)).round() as u64)
+        SimDuration(round_nonneg(self.0 as f64 * factor.max(0.0)))
     }
 
     /// Subtracts `other`, saturating at zero.
@@ -193,6 +193,25 @@ impl SimDuration {
         } else {
             other
         }
+    }
+}
+
+/// [`f64::round`] then `as u64`, for a non-negative `x`: the nearest
+/// integer, halves away from zero, saturating at `u64::MAX`, with NaN
+/// (which only `0 × ∞` produces here) mapped to 0. The x86-64 baseline
+/// has no rounding instruction, so `f64::round` is a library call on
+/// every float-to-duration conversion; this costs a truncation and a
+/// compare.
+#[inline]
+fn round_nonneg(x: f64) -> u64 {
+    debug_assert!(x >= 0.0 || x.is_nan(), "round_nonneg({x})");
+    // Below 2^52 the truncation and `x - t` are exact. From 2^52 up
+    // every double is an integer, and `as` saturates as `round` would.
+    if x < 4_503_599_627_370_496.0 {
+        let t = x as i64;
+        (t + i64::from(x - t as f64 >= 0.5)) as u64
+    } else {
+        x as u64
     }
 }
 

@@ -340,6 +340,23 @@ proptest! {
         prop_assert!((scaled.as_nanos() as f64 - expected).abs() <= 1.0);
     }
 
+    /// The float-to-duration conversions round exactly as the plain
+    /// `round() as u64` they replaced, on arbitrary bit patterns (every
+    /// sign, NaN, infinities, subnormals and huge exponents), on
+    /// magnitudes the simulator produces, and on exact halves.
+    #[test]
+    fn float_conversions_match_legacy_rounding(
+        bits in any::<u64>(),
+        nanos in any::<u64>(),
+        small in 0.0f64..1.0e12,
+        whole in 0u64..(1 << 52),
+    ) {
+        let half = whole as f64 + 0.5;
+        for x in [f64::from_bits(bits), small, small * 1e-9, half] {
+            check_against_legacy(x, nanos)?;
+        }
+    }
+
     /// Same seed ⇒ identical stream.
     #[test]
     fn rng_determinism(seed in any::<u64>()) {
@@ -357,6 +374,91 @@ proptest! {
         let hi = lo + width;
         let v = rng.uniform(lo, hi);
         prop_assert!(v >= lo && v <= hi, "v={v} not in [{lo}, {hi}]");
+    }
+}
+
+/// `SimDuration::from_secs_f64`, as first written.
+fn legacy_from_secs(secs: f64) -> u64 {
+    (secs.max(0.0) * 1e9).round() as u64
+}
+
+/// `SimDuration::from_micros_f64`, as first written.
+fn legacy_from_micros(micros: f64) -> u64 {
+    (micros.max(0.0) * 1e3).round() as u64
+}
+
+/// `SimDuration::mul_f64`, as first written.
+fn legacy_mul(nanos: u64, factor: f64) -> u64 {
+    (nanos as f64 * factor.max(0.0)).round() as u64
+}
+
+/// All three conversions at `x` against their legacy forms. Scaling one
+/// nanosecond by `x` is exact, so that line checks the rounding at `x`
+/// itself.
+fn check_against_legacy(x: f64, nanos: u64) -> Result<(), TestCaseError> {
+    prop_assert_eq!(
+        SimDuration::from_secs_f64(x).as_nanos(),
+        legacy_from_secs(x),
+        "from_secs_f64({:e})",
+        x
+    );
+    prop_assert_eq!(
+        SimDuration::from_micros_f64(x).as_nanos(),
+        legacy_from_micros(x),
+        "from_micros_f64({:e})",
+        x
+    );
+    for n in [0, 1, nanos] {
+        prop_assert_eq!(
+            SimDuration::from_nanos(n).mul_f64(x).as_nanos(),
+            legacy_mul(n, x),
+            "{}ns × {:e}",
+            n,
+            x
+        );
+    }
+    Ok(())
+}
+
+/// The rounding edges: halves (which round away from zero), the largest
+/// double below one half, and the neighbours of 2^52 (where every double
+/// becomes an integer), 2^53, 2^63 and 2^64 (where `as u64` saturates).
+#[test]
+fn float_conversion_edges_match_legacy_rounding() {
+    let mut edges = vec![
+        0.0,
+        -0.0,
+        0.49999999999999994,
+        0.5,
+        f64::MIN_POSITIVE,
+        f64::from_bits(1),
+        f64::MAX,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::NAN,
+        -f64::NAN,
+        -0.5,
+        -1.5,
+    ];
+    edges.extend((0..1000).map(|k| k as f64 + 0.5));
+    edges.extend((0..64).map(|k| (1u64 << 51) as f64 - 64.0 + k as f64 + 0.5));
+    for exp in [52, 53, 63, 64] {
+        let p = 2f64.powi(exp);
+        for step in 0..=8u64 {
+            edges.push(f64::from_bits(p.to_bits() + step));
+            edges.push(f64::from_bits(p.to_bits() - step));
+        }
+        for offset in [-1.5, -1.0, -0.5, 0.5, 1.0, 1.5] {
+            edges.push(p + offset);
+        }
+    }
+    let scaled: Vec<f64> = edges.iter().flat_map(|&x| [x / 1e9, x / 1e3]).collect();
+    for x in edges.into_iter().chain(scaled) {
+        for nanos in [2, 3, 1_000_000_007, u64::MAX] {
+            if let Err(e) = check_against_legacy(x, nanos) {
+                panic!("{e}");
+            }
+        }
     }
 }
 

@@ -413,9 +413,11 @@ impl ServeSpec {
     /// group, and [`AdmissionPolicy::Degrade`] tenants get a pre-built
     /// fallback engine one rung down the pressure ladder.
     ///
-    /// The config records no per-kernel events: no serving or fleet
-    /// report reads them, and their jitter draws from a stream of its
-    /// own, so every report is the same bytes without them.
+    /// The config records neither per-kernel stream (kernel events and
+    /// preemption records): no serving or fleet report reads them, the
+    /// kernel-event jitter draws from a stream of its own, and a
+    /// preemption's accounting does not depend on its record, so every
+    /// report is the same bytes without them.
     ///
     /// # Errors
     ///

@@ -13,7 +13,7 @@ use jetsim_serve::{
     FleetScenario, HedgePolicy, OomPolicy, RecoverySpec, ResiliencePolicies, ScenarioSpec,
     ServeEventKind, ServeReport, ServeSpec, ServeTenant, TenantScenario,
 };
-use jetsim_sim::{RunTrace, Simulation};
+use jetsim_sim::{GpuPolicy, RunTrace, Simulation};
 
 /// Collects the first `n` gaps of a stream.
 fn gaps(process: &ArrivalProcess, seed: u64, n: usize) -> Vec<SimDuration> {
@@ -423,9 +423,10 @@ proptest! {
         prop_assert_eq!(a.sim_events, b.sim_events);
     }
 
-    /// Serving configs record no kernel events, and recording them
-    /// changes nothing a report reads: the kernel-event jitter draws
-    /// from a stream of its own.
+    /// Serving configs record neither per-kernel stream (kernel events
+    /// and preemptions), and recording them changes nothing a report
+    /// reads: the kernel-event jitter draws from a stream of its own,
+    /// and a preemption's accounting does not depend on its record.
     #[test]
     fn serve_reports_do_not_depend_on_kernel_recording(
         seed in any::<u64>(),
@@ -438,7 +439,20 @@ proptest! {
             .warmup(SimDuration::from_millis(100))
             .duration(SimDuration::from_millis(400))
             .seed(seed);
-        for spec in [plain, resilient_spec(seed, fault_seed, rate)] {
+        // Mixed-priority tenants under `priority`: the high tenant's
+        // kernels cut the low tenant's.
+        let preempting = ServeSpec::new(Platform::orin_nano())
+            .tenant(ServeTenant::parse("resnet50:int8:1:2:1", ArrivalProcess::poisson(rate)).unwrap())
+            .tenant(ServeTenant::parse("mobilenet_v2:fp16:1:2:0", ArrivalProcess::poisson(100.0)).unwrap())
+            .gpu_policy(GpuPolicy::Priority { preempt_penalty: GpuPolicy::DEFAULT_PREEMPT_PENALTY })
+            .warmup(SimDuration::from_millis(100))
+            .duration(SimDuration::from_millis(400))
+            .seed(seed);
+        for (spec, preempts) in [
+            (plain, false),
+            (resilient_spec(seed, fault_seed, rate), false),
+            (preempting, true),
+        ] {
             let config = spec.build_config().unwrap();
             prop_assert!(!config.record_kernel_events);
             let mut recording = config.clone();
@@ -447,6 +461,8 @@ proptest! {
             let on = Simulation::new(recording).unwrap().run();
             prop_assert!(off.kernel_events.is_empty());
             prop_assert!(!on.kernel_events.is_empty());
+            prop_assert!(off.preemptions.is_empty());
+            prop_assert_eq!(!on.preemptions.is_empty(), preempts);
             let report = |trace: &RunTrace| {
                 ServeReport::from_trace_with_deadline(
                     trace,
@@ -459,6 +475,7 @@ proptest! {
             prop_assert_eq!(&off.requests, &on.requests);
             prop_assert_eq!(&off.serve_events, &on.serve_events);
             prop_assert_eq!(&off.fault_events, &on.fault_events);
+            prop_assert_eq!(off.gpu_busy, on.gpu_busy);
             prop_assert_eq!(off.sim_events, on.sim_events);
         }
     }

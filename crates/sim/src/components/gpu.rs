@@ -11,7 +11,7 @@ use jetsim_trt::Engine;
 use crate::config::{CpuModel, GpuPolicy, SimConfig};
 use crate::trace::{KernelEvent, KernelPreempted};
 
-use super::gpu_policy::{PolicyView, ReadySet};
+use super::gpu_policy::{priority_levels, PolicyView, ReadySet};
 use super::sched::{CpuSched, Resume, SchedEvent};
 use super::{Ctx, Event};
 
@@ -161,7 +161,7 @@ struct KernelTimeCaches {
 
 impl KernelTimeCaches {
     /// The memoised timings for `(engine, step)`, building them on first
-    /// sight. The hit entry is swapped to the front so the common
+    /// sight. A hit past the front is swapped there so the common
     /// steady-state lookup is one compare.
     #[inline]
     fn get(&mut self, engine: &Engine, gpu: &GpuArch, step: usize) -> &KernelTimeCache {
@@ -171,7 +171,9 @@ impl KernelTimeCaches {
             .iter()
             .position(|c| c.engine_id == id && c.step == step)
         {
-            self.entries.swap(0, i);
+            if i != 0 {
+                self.entries.swap(0, i);
+            }
         } else {
             let built = KernelTimeCache::build(engine, gpu, step, self.overhead);
             self.entries.insert(0, built);
@@ -219,6 +221,9 @@ pub(crate) struct GpuEngine {
     ready_set: ReadySet,
     /// Per-process scheduling priorities (from the config; static).
     priorities: Vec<u8>,
+    /// The processes at each distinct priority level, highest first
+    /// (static; only `priority` reads them).
+    levels: Vec<ReadySet>,
     /// Per-process SM share weights (from the config; static).
     sm_shares: Vec<f64>,
     /// Dispatch generation: bumped on preemption so the cancelled
@@ -228,8 +233,12 @@ pub(crate) struct GpuEngine {
     /// consumed — and reset — by `try_dispatch`; zero on every
     /// non-preemptive path).
     pending_penalty: SimDuration,
-    /// Preemption events recorded inside the measured window.
+    /// Preemption events recorded inside the measured window (only
+    /// while `record_kernel_events` is set).
     pub(crate) preemptions: Vec<KernelPreempted>,
+    /// The device's minimum launch gap in seconds (static), the idle
+    /// head of every kernel's span.
+    min_gap_secs: f64,
 }
 
 /// Builds a [`PolicyView`] over `$gpu`'s disjoint fields at `$now`, so
@@ -243,6 +252,7 @@ macro_rules! policy_view {
             timeslice: $ctx.config.device.gpu.timeslice,
             ready: &$gpu.ready_set,
             priorities: &$gpu.priorities,
+            levels: &$gpu.levels,
             sm_shares: &$gpu.sm_shares,
         }
     };
@@ -271,6 +281,7 @@ impl GpuEngine {
         trace_rng: SimRng,
         est_events: usize,
     ) -> Self {
+        let priorities: Vec<u8> = config.processes.iter().map(|p| p.priority).collect();
         GpuEngine {
             current: None,
             affinity: None,
@@ -288,11 +299,13 @@ impl GpuEngine {
             policy: config.gpu_policy,
             fifo_log: VecDeque::new(),
             ready_set: ReadySet::new(config.processes.len()),
-            priorities: config.processes.iter().map(|p| p.priority).collect(),
+            levels: priority_levels(&priorities),
+            priorities,
             sm_shares: config.processes.iter().map(|p| p.sm_share).collect(),
             gen: 0,
             pending_penalty: SimDuration::ZERO,
             preemptions: Vec::new(),
+            min_gap_secs: config.device.gpu.kernel_min_gap.as_secs_f64(),
         }
     }
 
@@ -423,8 +436,7 @@ impl GpuEngine {
             .power
             .precision_coefficient(kernel.precision);
         let exec_secs = exec.as_secs_f64();
-        let work_fraction =
-            1.0 - (gpu_arch.kernel_min_gap.as_secs_f64() / exec_secs.max(f64::EPSILON)).min(1.0);
+        let work_fraction = 1.0 - (self.min_gap_secs / exec_secs.max(f64::EPSILON)).min(1.0);
         let bytes_per_sec = (kernel.bytes * u64::from(batch)) as f64 / exec_secs.max(f64::EPSILON);
         self.current = Some(InFlight {
             pid,
@@ -449,7 +461,8 @@ impl GpuEngine {
     /// the *front* of its owner's queue, the scheduled `Done` is
     /// invalidated by bumping the generation, and the policy's penalty
     /// stalls the next dispatch. Only `priority` preempts, so the FIFO
-    /// log never sees a front re-queue.
+    /// log never sees a front re-queue. The cut is recorded only while
+    /// `record_kernel_events` is set; its accounting never depends on it.
     fn maybe_preempt(&mut self, now: SimTime, ctx: &mut Ctx<'_>) {
         let Some(snapshot) = self.current else {
             return;
@@ -474,14 +487,16 @@ impl GpuEngine {
         if now > ctx.warmup_end {
             let clipped = now.saturating_since(ctx.warmup_end.max_of(inflight.start));
             self.gpu_busy_measured += clipped;
-            self.preemptions.push(KernelPreempted {
-                pid: inflight.pid,
-                ec_seq: inflight.ec_seq,
-                kernel_index: inflight.kernel_index,
-                start: inflight.start,
-                preempted_at: now.max_of(inflight.start),
-                by_pid,
-            });
+            if ctx.config.record_kernel_events {
+                self.preemptions.push(KernelPreempted {
+                    pid: inflight.pid,
+                    ec_seq: inflight.ec_seq,
+                    kernel_index: inflight.kernel_index,
+                    start: inflight.start,
+                    preempted_at: now.max_of(inflight.start),
+                    by_pid,
+                });
+            }
         }
         // The cancelled kernel is still the next thing its stream must
         // run: back to the head of the queue, not the tail.

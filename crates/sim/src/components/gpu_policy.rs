@@ -98,7 +98,8 @@ impl ReadySet {
         if self.nonempty == 0 {
             return None;
         }
-        self.first_in_range(0, self.n)
+        // The cyclic order after the last process starts at process 0.
+        self.cyclic_scan(self.n - 1, None)
     }
 
     /// The first ready process after `cur` in cyclic order, wrapping
@@ -109,29 +110,36 @@ impl ReadySet {
         if self.nonempty == 0 {
             return None;
         }
-        self.first_in_range(cur + 1, self.n)
-            .or_else(|| self.first_in_range(0, (cur + 1).min(self.n)))
+        self.cyclic_scan(cur, None)
     }
 
-    /// First set bit in `[lo, hi)`.
-    fn first_in_range(&self, lo: usize, hi: usize) -> Option<usize> {
-        if lo >= hi {
-            return None;
+    /// [`ReadySet::next_cyclic`] over only the processes also in
+    /// `within`, a set over the same processes.
+    #[inline]
+    pub(crate) fn next_cyclic_in(&self, cur: usize, within: &ReadySet) -> Option<usize> {
+        self.cyclic_scan(cur, Some(within))
+    }
+
+    /// First set bit after `cur` in cyclic order, `cur` itself last,
+    /// counting only bits also in `within` when given: the bits above
+    /// `cur` in its word, the later words, the earlier words, then the
+    /// bits up to and including `cur`. Forced inline: `priority` scans
+    /// twice per kernel, and the call cost more than the scan.
+    #[inline(always)]
+    fn cyclic_scan(&self, cur: usize, within: Option<&ReadySet>) -> Option<usize> {
+        let word = |w: usize| self.words[w] & within.map_or(!0, |m| m.words[w]);
+        let first = |w: usize, bits: u64| w * 64 + bits.trailing_zeros() as usize;
+        let (cur_w, above) = (cur / 64, !1u64 << (cur % 64));
+        let here = word(cur_w);
+        if here & above != 0 {
+            return Some(first(cur_w, here & above));
         }
-        let (lo_w, hi_w) = (lo / 64, (hi - 1) / 64);
-        for w in lo_w..=hi_w {
-            let mut word = self.words[w];
-            if w == lo_w {
-                word &= !0u64 << (lo % 64);
-            }
-            if w == hi_w && !hi.is_multiple_of(64) {
-                word &= !0u64 >> (64 - hi % 64);
-            }
-            if word != 0 {
-                return Some(w * 64 + word.trailing_zeros() as usize);
+        for w in (cur_w + 1..self.words.len()).chain(0..cur_w) {
+            if word(w) != 0 {
+                return Some(first(w, word(w)));
             }
         }
-        None
+        (here & !above != 0).then(|| first(cur_w, here & !above))
     }
 
     /// Iterates the ready process ids in ascending order.
@@ -148,6 +156,25 @@ impl ReadySet {
             })
         })
     }
+}
+
+/// One set per distinct priority level, highest level first, holding
+/// the processes at that level: what `priority` scans, built once from
+/// the static per-process priorities.
+pub(crate) fn priority_levels(priorities: &[u8]) -> Vec<ReadySet> {
+    let mut levels = priorities.to_vec();
+    levels.sort_unstable_by(|a, b| b.cmp(a));
+    levels.dedup();
+    levels
+        .into_iter()
+        .map(|level| {
+            let mut set = ReadySet::new(priorities.len());
+            (0..priorities.len())
+                .filter(|&pid| priorities[pid] == level)
+                .for_each(|pid| set.set(pid));
+            set
+        })
+        .collect()
 }
 
 /// The narrow, read-only window a policy sees at each decision point.
@@ -167,6 +194,9 @@ pub(crate) struct PolicyView<'a> {
     pub ready: &'a ReadySet,
     /// Per-process priority levels (higher wins; from the config).
     pub priorities: &'a [u8],
+    /// The processes at each distinct priority level, highest first
+    /// (see [`priority_levels`]).
+    pub levels: &'a [ReadySet],
     /// Per-process SM share weights (from the config; default 1.0).
     pub sm_shares: &'a [f64],
 }
@@ -276,26 +306,35 @@ impl GpuPolicy {
         let GpuPolicy::Priority { preempt_penalty } = *self else {
             return None;
         };
+        // Nothing outranks a kernel at the top level.
+        if view.levels.first()?.contains(inflight_pid) {
+            return None;
+        }
         let best = highest_priority(view)?;
         (view.priorities[best] > view.priorities[inflight_pid]).then_some((best, preempt_penalty))
     }
 }
 
 /// Highest-priority ready process; ties go to the next such process
-/// after the affinity in cyclic order (fair within a level).
+/// after the affinity (process 0 without one) in cyclic order, fair
+/// within a level. One masked word scan per level from the top.
+#[inline]
 fn highest_priority(view: &PolicyView<'_>) -> Option<usize> {
-    let best_prio = view.ready.iter().map(|p| view.priorities[p]).max()?;
+    if view.ready.is_empty() {
+        return None;
+    }
     let start = view.affinity.unwrap_or(0);
-    let n = view.priorities.len();
-    (1..=n)
-        .map(|offset| (start + offset) % n)
-        .find(|&pid| view.ready.contains(pid) && view.priorities[pid] == best_prio)
+    view.levels
+        .iter()
+        .find_map(|level| view.ready.next_cyclic_in(start, level))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// A view with no priority levels: the `priority` tests set
+    /// `levels` from [`priority_levels`] over the same priorities.
     fn view<'a>(
         ready: &'a ReadySet,
         priorities: &'a [u8],
@@ -310,6 +349,7 @@ mod tests {
             timeslice: SimDuration::from_micros(500),
             ready,
             priorities,
+            levels: &[],
             sm_shares: shares,
         }
     }
@@ -405,9 +445,17 @@ mod tests {
     }
 
     #[test]
+    fn priority_levels_are_highest_first() {
+        let levels = priority_levels(&[1, 5, 1, 0, 5]);
+        let members: Vec<Vec<usize>> = levels.iter().map(|l| l.iter().collect()).collect();
+        assert_eq!(members, vec![vec![1, 4], vec![0, 2], vec![3]]);
+    }
+
+    #[test]
     fn priority_picks_highest_and_preempts_lower() {
         let mut s = ReadySet::new(3);
         let prios = [0u8, 5, 1];
+        let levels = priority_levels(&prios);
         let shares = [1.0; 3];
         let penalty = SimDuration::from_micros(20);
         let p = GpuPolicy::Priority {
@@ -416,12 +464,18 @@ mod tests {
         let mut log = VecDeque::new();
         s.set(0);
         s.set(2);
-        let v = view(&s, &prios, &shares, None, 0);
+        let v = PolicyView {
+            levels: &levels,
+            ..view(&s, &prios, &shares, None, 0)
+        };
         assert_eq!(p.pick(&v, &mut log), Some(2));
         // Higher-priority work arrives: it both wins the pick and
         // justifies cancelling an in-flight lower-priority kernel.
         s.set(1);
-        let v = view(&s, &prios, &shares, None, 0);
+        let v = PolicyView {
+            levels: &levels,
+            ..view(&s, &prios, &shares, None, 0)
+        };
         assert_eq!(p.pick(&v, &mut log), Some(1));
         assert_eq!(p.preempt(0, &v), Some((1, penalty)));
         assert_eq!(p.preempt(1, &v), None, "equal priority never preempts");
@@ -449,6 +503,23 @@ mod tests {
             } else {
                 (0..n).find(|&p| ready[p])
             }
+        }
+
+        /// The original `highest_priority` scan, kept as the reference:
+        /// the best ready level, then the `(start + offset) % n` probe
+        /// for `offset in 1..=n` from the affinity (process 0 without
+        /// one).
+        fn legacy_highest_priority(
+            ready: &[bool],
+            priorities: &[u8],
+            affinity: Option<usize>,
+        ) -> Option<usize> {
+            let n = ready.len();
+            let best = (0..n).filter(|&p| ready[p]).map(|p| priorities[p]).max()?;
+            let start = affinity.unwrap_or(0);
+            (1..=n)
+                .map(|offset| (start + offset) % n)
+                .find(|&p| ready[p] && priorities[p] == best)
         }
 
         fn ready_set(flags: &[bool]) -> ReadySet {
@@ -504,8 +575,9 @@ mod tests {
                 let affinity = (slot < n).then_some(slot);
                 let s = ready_set(&flags);
                 let prios = &prios[..n];
+                let levels = priority_levels(prios);
                 let shares = vec![1.0; n];
-                let v = view(&s, prios, &shares, affinity, 0);
+                let v = PolicyView { levels: &levels, ..view(&s, prios, &shares, affinity, 0) };
                 let best_ready = (0..n).filter(|&p| flags[p]).map(|p| prios[p]).max();
                 let policy = GpuPolicy::Priority {
                     preempt_penalty: SimDuration::from_micros(20),
@@ -524,6 +596,39 @@ mod tests {
                             "declined to preempt {inflight} though priority {best} waits"
                         );
                     }
+                }
+            }
+
+            /// `priority` over the per-level masks matches the legacy
+            /// modulo scan decision-for-decision, for the pick and for
+            /// the preemption question from every in-flight process, on
+            /// every (occupancy, priorities, affinity) state: sets wider
+            /// than one word, one level or up to 256.
+            #[test]
+            fn priority_matches_legacy_scan(
+                flags in proptest::collection::vec(any::<bool>(), 1..150),
+                raw in proptest::collection::vec(any::<u8>(), 150),
+                level_count in 1u16..=256,
+                affinity_seed in any::<usize>(),
+            ) {
+                let n = flags.len();
+                let slot = affinity_seed % (n + 1);
+                let affinity = (slot < n).then_some(slot);
+                let s = ready_set(&flags);
+                let prios: Vec<u8> =
+                    raw[..n].iter().map(|&p| (u16::from(p) % level_count) as u8).collect();
+                let levels = priority_levels(&prios);
+                let shares = vec![1.0; n];
+                let v = PolicyView { levels: &levels, ..view(&s, &prios, &shares, affinity, 0) };
+                let penalty = SimDuration::from_micros(20);
+                let policy = GpuPolicy::Priority { preempt_penalty: penalty };
+                let legacy = legacy_highest_priority(&flags, &prios, affinity);
+                prop_assert_eq!(policy.pick(&v, &mut VecDeque::new()), legacy);
+                for inflight in 0..n {
+                    let legacy_cut = legacy
+                        .filter(|&best| prios[best] > prios[inflight])
+                        .map(|best| (best, penalty));
+                    prop_assert_eq!(policy.preempt(inflight, &v), legacy_cut);
                 }
             }
 
@@ -553,6 +658,11 @@ mod tests {
                 prop_assert_eq!(
                     s.next_cyclic(probe),
                     (1..=n).map(|o| (probe + o) % n).find(|&p| model[p])
+                );
+                let evens = ready_set(&(0..n).map(|p| p % 2 == 0).collect::<Vec<_>>());
+                prop_assert_eq!(
+                    s.next_cyclic_in(probe, &evens),
+                    (1..=n).map(|o| (probe + o) % n).find(|&p| model[p] && p % 2 == 0)
                 );
                 prop_assert_eq!(
                     s.iter().collect::<Vec<_>>(),

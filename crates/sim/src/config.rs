@@ -278,8 +278,11 @@ pub struct SimConfig {
     pub gpu_policy: GpuPolicy,
     /// CPU contention model.
     pub cpu_model: CpuModel,
-    /// Whether to retain per-kernel events (disable for long thermal
-    /// soaks where the event list would dominate memory).
+    /// Whether to retain both per-kernel streams,
+    /// [`crate::RunTrace::kernel_events`] and
+    /// [`crate::RunTrace::preemptions`] (disable for long thermal soaks
+    /// and serving runs, where they would dominate memory). No other
+    /// trace field depends on it.
     pub record_kernel_events: bool,
     /// Fault-injection schedule (empty and [`OomPolicy::Strict`] by
     /// default, which leaves the run byte-identical to a fault-free
@@ -676,8 +679,10 @@ impl SimConfigBuilder {
         self
     }
 
-    /// Disables per-kernel event retention (for multi-minute thermal
-    /// soaks; throughput/power statistics are unaffected).
+    /// Sets whether both per-kernel streams, kernel events and
+    /// preemption records, are retained (on by default; turn it off for
+    /// multi-minute thermal soaks and serving runs; throughput, power,
+    /// request and fault records are unaffected).
     pub fn record_kernel_events(mut self, record: bool) -> Self {
         self.config.record_kernel_events = record;
         self

@@ -172,11 +172,13 @@ pub struct RunTrace {
     pub kernel_names: Vec<Arc<Vec<String>>>,
     /// Per-EC records (measured window only), grouped per process.
     pub ec_records: Vec<Vec<EcRecord>>,
-    /// Per-kernel events (measured window only).
+    /// Per-kernel events (measured window only). Empty when
+    /// [`crate::SimConfig::record_kernel_events`] is off.
     pub kernel_events: Vec<KernelEvent>,
     /// Kernels cancelled mid-flight by a preemptive GPU policy
     /// (measured window only). Empty under every non-preemptive policy,
-    /// including the default.
+    /// including the default, and when
+    /// [`crate::SimConfig::record_kernel_events`] is off.
     pub preemptions: Vec<KernelPreempted>,
     /// Periodic power samples (measured window only).
     pub power_samples: Vec<PowerSample>,

@@ -8,7 +8,8 @@
 //! that exercise the run-queue scheduler, MPS packing, open-loop
 //! arrivals, Nsight instrumentation, fault injection, the serving path
 //! (batching with degrading admission, scale-to-zero autoscaling, the
-//! resilience stack under a fault plan) and the `priority` and `mps` GPU
+//! resilience stack under a fault plan, auto-delay hedging under
+//! `priority` preemption) and the `priority`, `mps` and `fifo` GPU
 //! policies, since each walks a distinct path. It asserts an FNV-1a
 //! hash of the full trace against captured values.
 //!
@@ -618,10 +619,59 @@ fn contended_cell(id: &str, policy: GpuPolicy, seed: u64) -> Cell {
     }
 }
 
+/// Two serve groups on the Orin Nano under `priority`: ResNet50 int8
+/// replicas at priority 1, with auto-delay hedging, a deadline and
+/// retries, preempt the kernels of MobileNetV2 fp16 replicas at
+/// priority 0. Kernel events and preemptions are recorded.
+fn priority_serve_cell(id: &str, hi_rate: f64, lo_rate: f64, seed: u64) -> Cell {
+    let orin = presets::orin_nano();
+    let hi = resnet50_engine(&orin, Precision::Int8, 1);
+    let lo = Arc::new(
+        EngineBuilder::new(&orin)
+            .precision(Precision::Fp16)
+            .batch(1)
+            .build(&zoo::mobilenet_v2())
+            .expect("engine builds"),
+    );
+    let mut builder = SimConfig::builder(orin).gpu_policy(GpuPolicy::Priority {
+        preempt_penalty: GpuPolicy::DEFAULT_PREEMPT_PENALTY,
+    });
+    for (label, engine, priority) in [("resnet50", &hi, 1), ("mobilenet_v2", &lo, 0)] {
+        for i in 0..2 {
+            builder = builder
+                .add_engine_named_with_arrivals(
+                    format!("{label}/{i}"),
+                    Arc::clone(engine),
+                    ArrivalModel::Saturated,
+                )
+                .process_priority(priority);
+        }
+    }
+    let hedged = ServeGroup::new("resnet50", ArrivalProcess::poisson(hi_rate))
+        .deadline(SimDuration::from_millis(100))
+        .retry(RetryPolicy::new(3, SimDuration::from_millis(10)))
+        .hedge(HedgePolicy::auto())
+        .members(0..2);
+    let background =
+        ServeGroup::new("mobilenet_v2", ArrivalProcess::poisson(lo_rate)).members(2..4);
+    let config = builder
+        .serve(ServePlan::new().group(hedged).group(background))
+        .warmup(SimDuration::from_millis(100))
+        .measure(SimDuration::from_millis(700))
+        .seed(seed)
+        .build()
+        .expect("fits");
+    Cell {
+        id: id.into(),
+        trace: Simulation::new(config).expect("valid").run(),
+    }
+}
+
 /// The serving path and the non-default GPU policies, every one with
 /// kernel events recorded: dynamic batching with degrading admission,
 /// preemptive `priority`, fractional `mps`, scale-to-zero autoscaling,
-/// and the whole resilience stack under a fault plan.
+/// the whole resilience stack under a fault plan, `fifo`, and
+/// `priority` through serving with auto-delay hedging.
 fn serving_and_policy_cells() -> Vec<Cell> {
     let orin = presets::orin_nano();
     let nano = presets::jetson_nano();
@@ -706,6 +756,7 @@ fn serving_and_policy_cells() -> Vec<Cell> {
             resilient,
             41,
         ),
+        priority_serve_cell("priority_serve_orin_4r_s43", 80.0, 100.0, 43),
     ]
 }
 
@@ -716,6 +767,7 @@ fn serving_and_policy_cells() -> Vec<Cell> {
 /// fingerprint change (the first 29 cells were first pinned before the
 /// component split; their values moved only because the hasher now
 /// also reads preemptions, requests, serve events and group labels).
+/// Later cells were captured on the tree before the change they guard.
 /// Every refactor must reproduce each one bit-for-bit.
 const GOLDEN: &[(&str, u64)] = &[
     ("orin_Int8_1p_s11", 0x1602f422841b90ab),
@@ -754,6 +806,7 @@ const GOLDEN: &[(&str, u64)] = &[
     ("resilience_nano_2r_s13", 0x3571befbf8e37e54),
     ("fifo_orin_4p_s37", 0x84a585bcfdbdbf0b),
     ("fifo_resilience_nano_3r_s41", 0xdf48383617e1a6d4),
+    ("priority_serve_orin_4r_s43", 0x064656d3328409a3),
 ];
 
 #[test]
@@ -850,6 +903,12 @@ fn serving_and_policy_cells_exercise_their_paths() {
         k,
         ServeEventKind::ReplicaUp { .. }
     )));
+    // `priority` through serving: the high-priority group's kernels
+    // cut the low-priority group's, and its auto-delay hedges fire off
+    // the rolling p95.
+    let priority_serve = trace("priority_serve_orin_4r_s43");
+    assert!(!priority_serve.preemptions.is_empty());
+    assert!(priority_serve.requests.iter().any(|r| r.hedge_of.is_some()));
 }
 
 /// The hash itself must be deterministic run-to-run (hardens the suite
