@@ -44,7 +44,7 @@ use jetsim::scenario::ScenarioSpec;
 use jetsim_des::{
     gaps_from_times, splitmix64, ArrivalProcess, ArrivalStream, SimDuration, SimTime,
 };
-use jetsim_serve::metrics::{chain_roots, percentile_ms};
+use jetsim_serve::metrics::{percentile_ms, roll_up_chains};
 use jetsim_serve::{build_serve_spec, estimate_capacity, ServeReport, ServeSpec};
 use jetsim_sim::serving::group_seed;
 use jetsim_sim::{RunTrace, Simulation};
@@ -92,25 +92,21 @@ struct SiteOutcome {
 
 impl SiteOutcome {
     fn reduce(spec: &ServeSpec, trace: &RunTrace) -> Self {
-        // Earliest chain completion per root, as the serve metrics
-        // compute it.
-        let mut completion: Vec<Option<SimTime>> = vec![None; trace.requests.len()];
-        for (r, &root) in trace.requests.iter().zip(&chain_roots(&trace.requests)) {
-            if let Some(at) = r.completed {
-                completion[root] = Some(completion[root].map_or(at, |b| b.min(at)));
-            }
-        }
+        // One chain roll-up feeds both the site report and the earliest
+        // completion per root.
+        let chains = roll_up_chains(&trace.requests);
         let mut root_completions = vec![Vec::new(); spec.tenants().len()];
-        for (i, r) in trace.requests.iter().enumerate() {
-            if r.retry_of.is_none() && r.hedge_of.is_none() {
-                root_completions[r.group].push(completion[i]);
+        for (r, chain) in trace.requests.iter().zip(&chains) {
+            if r.is_root() {
+                root_completions[r.group].push(chain.completion);
             }
         }
         SiteOutcome {
             device: spec.platform().name().to_string(),
             sim_events: trace.sim_events,
-            report: ServeReport::from_trace_with_deadline(
+            report: ServeReport::from_chains(
                 trace,
+                &chains,
                 spec.slo_target(),
                 spec.warmup_interval(),
                 spec.resilience_policies().deadline,

@@ -9,8 +9,19 @@
 //! unfinished when the run ended with a member still queued or in
 //! flight. Without resilience policies every chain is a single record
 //! and the numbers reduce to the plain per-request accounting.
+//!
+//! The report is one flat pass with no hash table. [`roll_up_chains`]
+//! folds every record into a `Vec` indexed by its chain's root record;
+//! one pass over `requests` folds each group's request counters; one
+//! pass over `serve_events` folds the batch, breaker, recovery and
+//! autoscale counters, keeping per-replica state in pid-indexed `Vec`s.
+//! Memory is linear in the request count: one 24-byte roll-up entry per
+//! record plus one latency per served request, with no table slack.
+//! Each group sees its own events in trace order, so its
+//! replica-seconds float sum has one fixed order; every other aggregate
+//! is an integer count or a sorted latency list, which the order
+//! records are visited in cannot change.
 
-use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 use jetsim_des::{SimDuration, SimTime};
@@ -19,7 +30,7 @@ use jetsim_sim::RunTrace;
 use serde::Serialize;
 
 /// Per-tenant (serve group) request accounting over the measured window.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct GroupReport {
     /// Serve group label (the tenant's `model:precision:bBATCH`).
     pub label: String,
@@ -132,30 +143,136 @@ pub fn percentile_ms(sorted: &[SimDuration], p: f64) -> f64 {
     sorted[rank.clamp(1, sorted.len()) - 1].as_millis_f64()
 }
 
-/// Each request record's chain root: the record itself, or the root of
-/// the retry or hedge parent it duplicates. Parents always precede
-/// their children in arrival order, so one forward pass resolves every
-/// chain.
-pub fn chain_roots(requests: &[RequestRecord]) -> Vec<usize> {
-    let mut roots = Vec::with_capacity(requests.len());
-    for (i, r) in requests.iter().enumerate() {
-        let root = r.retry_of.or(r.hedge_of).map_or(i, |parent| roots[parent]);
-        roots.push(root);
-    }
-    roots
+/// One logical request's roll-up: what its root record does not hold
+/// itself. [`roll_up_chains`] stores it at the root's index.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Chain {
+    /// Earliest completion across the chain's members.
+    pub completion: Option<SimTime>,
+    /// A member is still queued or in flight.
+    pub pending: bool,
+    /// Physical members: the root, its retries and hedge duplicates.
+    pub attempts: u32,
 }
 
-/// Rolled-up outcome of one logical request (chain of attempts).
-struct Chain {
-    group: usize,
-    arrival: SimTime,
-    in_window: bool,
-    /// Earliest completion across members, if any.
-    completion: Option<SimTime>,
-    /// A member is still queued or in flight.
-    pending: bool,
-    /// Physical members.
-    attempts: usize,
+/// The root record of record `i`'s chain: `i` itself, or the root of the
+/// retry or hedge parent it duplicates. A parent always precedes its
+/// children, and a chain is at most one hedge and the retry budget deep.
+fn root_of(requests: &[RequestRecord], mut i: usize) -> usize {
+    while let Some(parent) = requests[i].retry_of.or(requests[i].hedge_of) {
+        debug_assert!(parent < i, "request {i} links forward to {parent}");
+        i = parent;
+    }
+    i
+}
+
+/// Rolls every request chain up in one pass over `requests`: entry `i`
+/// is the roll-up of the chain rooted at record `i`. Entries of records
+/// that are not roots stay at the default.
+pub fn roll_up_chains(requests: &[RequestRecord]) -> Vec<Chain> {
+    let mut chains = vec![Chain::default(); requests.len()];
+    for (i, r) in requests.iter().enumerate() {
+        let chain = &mut chains[root_of(requests, i)];
+        chain.attempts += 1;
+        if let Some(at) = r.completed {
+            chain.completion = Some(chain.completion.map_or(at, |best| best.min(at)));
+        } else if r.dropped.is_none() {
+            chain.pending = true;
+        }
+    }
+    chains
+}
+
+/// One serve group's report under construction: its counters fold in
+/// place, record by record and event by event, beside the running sums
+/// its rates and means come from.
+#[derive(Default)]
+struct GroupAcc {
+    report: GroupReport,
+    within_slo: usize,
+    within_deadline: usize,
+    latencies: Vec<SimDuration>,
+    wait_total: SimDuration,
+    wait_count: usize,
+    batches: usize,
+    batched_requests: u64,
+    recovery_total: SimDuration,
+    cold_tax_total: SimDuration,
+    cold_tax_count: usize,
+    /// Replicas in the serving set (warmed, not reaped, not down).
+    up: usize,
+    /// How far the replica-seconds integral has advanced.
+    last_t: SimTime,
+}
+
+impl GroupAcc {
+    /// Accrues the serving set's replica-seconds from the previous event
+    /// up to `to`, clipped to the measured `window`.
+    fn advance(&mut self, to: SimTime, window: (SimTime, SimTime)) {
+        let from = self.last_t.max(window.0);
+        let until = to.min(window.1);
+        if until > from {
+            self.report.replica_seconds +=
+                self.up as f64 * until.saturating_since(from).as_secs_f64();
+        }
+        self.last_t = to;
+    }
+
+    /// Fills in the rates, percentiles and means.
+    fn finish(mut self, measured_secs: f64) -> GroupReport {
+        let mut g = self.report;
+        debug_assert_eq!(
+            g.served + g.failed + g.unfinished,
+            g.offered,
+            "group {}: served {} + failed {} + unfinished {} != offered {}",
+            g.label,
+            g.served,
+            g.failed,
+            g.unfinished,
+            g.offered
+        );
+        let per_sec = |count: usize| {
+            if measured_secs > 0.0 {
+                count as f64 / measured_secs
+            } else {
+                0.0
+            }
+        };
+        let offered = g.offered;
+        let over_offered = |count: usize| {
+            if offered > 0 {
+                count as f64 / offered as f64
+            } else {
+                0.0
+            }
+        };
+        let mean_ms = |total: SimDuration, count: usize| {
+            if count > 0 {
+                total.as_millis_f64() / count as f64
+            } else {
+                0.0
+            }
+        };
+        self.latencies.sort_unstable();
+        g.retry_amplification = over_offered(g.attempts);
+        g.offered_qps = per_sec(g.offered);
+        g.served_qps = per_sec(g.served);
+        g.goodput_qps = per_sec(self.within_slo);
+        g.slo_attainment = over_offered(self.within_slo);
+        g.deadline_hit_rate = over_offered(self.within_deadline);
+        g.p50_ms = percentile_ms(&self.latencies, 50.0);
+        g.p95_ms = percentile_ms(&self.latencies, 95.0);
+        g.p99_ms = percentile_ms(&self.latencies, 99.0);
+        g.mean_queue_wait_ms = mean_ms(self.wait_total, self.wait_count);
+        g.mean_batch = if self.batches > 0 {
+            self.batched_requests as f64 / self.batches as f64
+        } else {
+            0.0
+        };
+        g.mttr_ms = mean_ms(self.recovery_total, g.replica_restarts);
+        g.cold_start_tax_ms = mean_ms(self.cold_tax_total, self.cold_tax_count);
+        g
+    }
 }
 
 impl ServeReport {
@@ -174,280 +291,176 @@ impl ServeReport {
         warmup: SimDuration,
         deadline: Option<SimDuration>,
     ) -> Self {
-        let window_start = SimTime::ZERO + warmup;
-        let measured_secs = trace.measured.as_secs_f64();
+        let chains = roll_up_chains(&trace.requests);
+        Self::from_chains(trace, &chains, slo, warmup, deadline)
+    }
 
-        // Resolve every physical record to its chain root, then roll
-        // chains up. Physical drop-cause counters stay per-record so the
-        // report still shows *why* attempts died.
-        let roots = chain_roots(&trace.requests);
-        let mut chains: HashMap<usize, Chain> = HashMap::new();
-        let n_groups = trace.serve_group_labels.len();
-        let mut rejected = vec![0usize; n_groups];
-        let mut shed = vec![0usize; n_groups];
-        let mut deadline_expired = vec![0usize; n_groups];
-        let mut killed_inflight = vec![0usize; n_groups];
-        let mut hedge_losers = vec![0usize; n_groups];
-        let mut breaker_rejected = vec![0usize; n_groups];
-        let mut wait_total = vec![SimDuration::ZERO; n_groups];
-        let mut wait_count = vec![0usize; n_groups];
-        for (r, &root) in trace.requests.iter().zip(&roots) {
-            let chain = chains.entry(root).or_insert_with(|| Chain {
-                group: r.group,
-                arrival: r.arrival,
-                in_window: r.arrival >= window_start,
-                completion: None,
-                pending: false,
-                attempts: 0,
-            });
-            chain.attempts += 1;
-            let in_window = chain.in_window;
-            if let Some(at) = r.completed {
-                chain.completion = Some(chain.completion.map_or(at, |best| best.min(at)));
-            } else if r.dropped.is_none() {
-                chain.pending = true;
-            }
-            if !in_window {
+    /// [`ServeReport::from_trace_with_deadline`] over chains already
+    /// rolled up by [`roll_up_chains`]`(&trace.requests)`, for a caller
+    /// that also reads them.
+    pub fn from_chains(
+        trace: &RunTrace,
+        chains: &[Chain],
+        slo: SimDuration,
+        warmup: SimDuration,
+        deadline: Option<SimDuration>,
+    ) -> Self {
+        debug_assert_eq!(
+            chains.len(),
+            trace.requests.len(),
+            "one roll-up entry per record"
+        );
+        let window_start = SimTime::ZERO + warmup;
+        let window = (window_start, window_start + trace.measured);
+        let measured_secs = trace.measured.as_secs_f64();
+        let promise = deadline.unwrap_or(slo);
+        let mut groups: Vec<GroupAcc> = trace
+            .serve_group_labels
+            .iter()
+            .map(|label| GroupAcc {
+                report: GroupReport {
+                    label: label.clone(),
+                    ..GroupReport::default()
+                },
+                ..GroupAcc::default()
+            })
+            .collect();
+
+        // Requests: a record counts when its chain's root arrived inside
+        // the window. Each root settles its logical request; physical
+        // drop causes and queue waits stay per record, so the report
+        // still shows *why* attempts died.
+        for (i, r) in trace.requests.iter().enumerate() {
+            let root = root_of(&trace.requests, i);
+            if trace.requests[root].arrival < window_start {
                 continue;
             }
+            let acc = &mut groups[r.group];
             if let Some(drop) = &r.dropped {
                 match drop.kind {
-                    DropKind::Rejected => rejected[r.group] += 1,
-                    DropKind::Shed => shed[r.group] += 1,
-                    DropKind::DeadlineExpired => deadline_expired[r.group] += 1,
-                    DropKind::Killed => killed_inflight[r.group] += 1,
-                    DropKind::HedgeLoser => hedge_losers[r.group] += 1,
-                    DropKind::BreakerOpen => breaker_rejected[r.group] += 1,
+                    DropKind::Rejected => acc.report.rejected += 1,
+                    DropKind::Shed => acc.report.shed += 1,
+                    DropKind::DeadlineExpired => acc.report.deadline_expired += 1,
+                    DropKind::Killed => acc.report.killed_inflight += 1,
+                    DropKind::HedgeLoser => acc.report.hedge_losers += 1,
+                    DropKind::BreakerOpen => acc.report.breaker_rejected += 1,
                     _ => {}
                 }
             }
             if r.completed.is_some() {
                 if let Some(wait) = r.queue_wait() {
-                    wait_total[r.group] += wait;
-                    wait_count[r.group] += 1;
+                    acc.wait_total += wait;
+                    acc.wait_count += 1;
                 }
+            }
+            if root != i {
+                continue;
+            }
+            let chain = &chains[i];
+            acc.report.offered += 1;
+            acc.report.attempts += chain.attempts as usize;
+            match chain.completion {
+                Some(at) => {
+                    acc.report.served += 1;
+                    let latency = at.saturating_since(r.arrival);
+                    acc.within_slo += usize::from(latency <= slo);
+                    acc.within_deadline += usize::from(latency <= promise);
+                    acc.latencies.push(latency);
+                }
+                None if chain.pending => acc.report.unfinished += 1,
+                None => acc.report.failed += 1,
             }
         }
 
-        let groups = trace
-            .serve_group_labels
-            .iter()
-            .enumerate()
-            .map(|(g, label)| {
-                let mut offered = 0usize;
-                let mut served = 0usize;
-                let mut failed = 0usize;
-                let mut unfinished = 0usize;
-                let mut attempts = 0usize;
-                let mut within_slo = 0usize;
-                let mut within_deadline = 0usize;
-                let mut latencies: Vec<SimDuration> = Vec::new();
-                let promise = deadline.unwrap_or(slo);
-                for chain in chains.values() {
-                    if chain.group != g || !chain.in_window {
-                        continue;
+        // Serve events, in trace order. Batch, breaker and recovery
+        // counters read the window only. The autoscale telemetry replays
+        // the *full* history: the serving set at window start is the
+        // product of warmups, provisions and reaps during warmup, so the
+        // replica-seconds integral cannot start from the in-window events
+        // alone. Static groups emit none of those events and keep zeros.
+        // Per-replica state is indexed by pid; a pid serves one group.
+        let n_pids = trace.processes.len();
+        let mut down_at: Vec<Option<SimTime>> = vec![None; n_pids];
+        let mut up = vec![false; n_pids];
+        let mut serving_at_down = vec![false; n_pids];
+        let mut provisioned_at: Vec<Option<(SimTime, bool)>> = vec![None; n_pids];
+        for e in &trace.serve_events {
+            let acc = &mut groups[e.group];
+            let in_window = e.time >= window_start;
+            match e.kind {
+                ServeEventKind::BatchFormed {
+                    size,
+                    queue_depth,
+                    degraded,
+                    ..
+                } if in_window => {
+                    acc.batches += 1;
+                    acc.batched_requests += u64::from(size);
+                    acc.report.degraded_batches += usize::from(degraded);
+                    acc.report.max_queue_depth =
+                        acc.report.max_queue_depth.max(queue_depth + size as usize);
+                }
+                ServeEventKind::BreakerTrip { .. } if in_window => acc.report.breaker_trips += 1,
+                ServeEventKind::ReplicaDown { pid, .. } => {
+                    if in_window {
+                        down_at[pid] = Some(e.time);
                     }
-                    offered += 1;
-                    attempts += chain.attempts;
-                    match chain.completion {
-                        Some(at) => {
-                            served += 1;
-                            let latency = at.saturating_since(chain.arrival);
-                            if latency <= slo {
-                                within_slo += 1;
-                            }
-                            if latency <= promise {
-                                within_deadline += 1;
-                            }
-                            latencies.push(latency);
+                    acc.advance(e.time, window);
+                    // A kill mid-provision cancels the start; drop the
+                    // pending tax entry too.
+                    provisioned_at[pid] = None;
+                    serving_at_down[pid] = std::mem::take(&mut up[pid]);
+                    acc.up -= usize::from(serving_at_down[pid]);
+                }
+                ServeEventKind::ReplicaUp { pid } => {
+                    if in_window {
+                        acc.report.replica_restarts += 1;
+                        if let Some(down) = down_at[pid].take() {
+                            acc.recovery_total += e.time.saturating_since(down);
                         }
-                        None if chain.pending => unfinished += 1,
-                        None => failed += 1,
+                    }
+                    // Restarts revive the *process*; it rejoins the
+                    // serving set only if it was serving when it went
+                    // down (parked replicas come back parked).
+                    if std::mem::take(&mut serving_at_down[pid]) {
+                        acc.advance(e.time, window);
+                        acc.up += usize::from(!std::mem::replace(&mut up[pid], true));
                     }
                 }
-                latencies.sort_unstable();
+                ServeEventKind::ReplicaEjected { .. } if in_window => {
+                    acc.report.replica_ejected += 1
+                }
+                ServeEventKind::ReplicaProvisioned { pid, cold } => {
+                    provisioned_at[pid] = Some((e.time, cold));
+                    if cold {
+                        acc.report.cold_starts += 1;
+                    } else {
+                        acc.report.warm_starts += 1;
+                    }
+                }
+                ServeEventKind::ReplicaWarmed { pid } => {
+                    acc.advance(e.time, window);
+                    acc.up += usize::from(!std::mem::replace(&mut up[pid], true));
+                    if let Some((at, true)) = provisioned_at[pid].take() {
+                        acc.cold_tax_total += e.time.saturating_since(at);
+                        acc.cold_tax_count += 1;
+                    }
+                }
+                ServeEventKind::ReplicaReaped { pid } => {
+                    acc.advance(e.time, window);
+                    acc.up -= usize::from(std::mem::take(&mut up[pid]));
+                    acc.report.reaps += 1;
+                }
+                ServeEventKind::ParkedToZero => acc.report.scale_to_zero_parks += 1,
+                _ => {}
+            }
+        }
 
-                let mut batches = 0usize;
-                let mut batched_requests = 0u64;
-                let mut degraded_batches = 0usize;
-                let mut max_queue_depth = 0usize;
-                let mut breaker_trips = 0usize;
-                let mut replica_restarts = 0usize;
-                let mut replica_ejected = 0usize;
-                let mut down_at: HashMap<usize, SimTime> = HashMap::new();
-                let mut recovery_total = SimDuration::ZERO;
-                for e in trace
-                    .serve_events
-                    .iter()
-                    .filter(|e| e.group == g && e.time >= window_start)
-                {
-                    match e.kind {
-                        ServeEventKind::BatchFormed {
-                            size,
-                            queue_depth,
-                            degraded,
-                            ..
-                        } => {
-                            batches += 1;
-                            batched_requests += u64::from(size);
-                            degraded_batches += usize::from(degraded);
-                            max_queue_depth = max_queue_depth.max(queue_depth + size as usize);
-                        }
-                        ServeEventKind::BreakerTrip { .. } => breaker_trips += 1,
-                        ServeEventKind::ReplicaDown { pid, .. } => {
-                            down_at.insert(pid, e.time);
-                        }
-                        ServeEventKind::ReplicaUp { pid } => {
-                            replica_restarts += 1;
-                            if let Some(down) = down_at.remove(&pid) {
-                                recovery_total += e.time.saturating_since(down);
-                            }
-                        }
-                        ServeEventKind::ReplicaEjected { .. } => replica_ejected += 1,
-                        _ => {}
-                    }
-                }
-
-                // Autoscaling telemetry replays the *full* event history:
-                // the serving set at window start is the product of
-                // warmups, provisions and reaps during warmup, so the
-                // replica-seconds integral cannot start from the
-                // in-window events alone. Static groups emit none of
-                // these events and fall through with zeros.
-                let window_end = window_start + trace.measured;
-                let mut up_set: HashSet<usize> = HashSet::new();
-                let mut serving_at_down: HashMap<usize, bool> = HashMap::new();
-                let mut provisioned_at: HashMap<usize, (SimTime, bool)> = HashMap::new();
-                let mut cold_starts = 0usize;
-                let mut warm_starts = 0usize;
-                let mut cold_tax_total = SimDuration::ZERO;
-                let mut cold_tax_count = 0usize;
-                let mut reaps = 0usize;
-                let mut scale_to_zero_parks = 0usize;
-                let mut replica_seconds = 0.0f64;
-                let mut last_t = SimTime::ZERO;
-                let advance = |to: SimTime, up: usize, last_t: &mut SimTime, acc: &mut f64| {
-                    let from = (*last_t).max(window_start);
-                    let until = to.min(window_end);
-                    if until > from {
-                        *acc += up as f64 * until.saturating_since(from).as_secs_f64();
-                    }
-                    *last_t = to;
-                };
-                for e in trace.serve_events.iter().filter(|e| e.group == g) {
-                    match e.kind {
-                        ServeEventKind::ReplicaProvisioned { pid, cold } => {
-                            provisioned_at.insert(pid, (e.time, cold));
-                            if cold {
-                                cold_starts += 1;
-                            } else {
-                                warm_starts += 1;
-                            }
-                        }
-                        ServeEventKind::ReplicaWarmed { pid } => {
-                            advance(e.time, up_set.len(), &mut last_t, &mut replica_seconds);
-                            up_set.insert(pid);
-                            if let Some((at, cold)) = provisioned_at.remove(&pid) {
-                                if cold {
-                                    cold_tax_total += e.time.saturating_since(at);
-                                    cold_tax_count += 1;
-                                }
-                            }
-                        }
-                        ServeEventKind::ReplicaReaped { pid } => {
-                            advance(e.time, up_set.len(), &mut last_t, &mut replica_seconds);
-                            up_set.remove(&pid);
-                            reaps += 1;
-                        }
-                        ServeEventKind::ReplicaDown { pid, .. } => {
-                            advance(e.time, up_set.len(), &mut last_t, &mut replica_seconds);
-                            // A kill mid-provision cancels the start;
-                            // drop the pending tax entry too.
-                            provisioned_at.remove(&pid);
-                            serving_at_down.insert(pid, up_set.remove(&pid));
-                        }
-                        // Restarts revive the *process*; it rejoins the
-                        // serving set only if it was serving when it
-                        // went down (parked replicas come back parked).
-                        ServeEventKind::ReplicaUp { pid }
-                            if serving_at_down.remove(&pid).unwrap_or(false) =>
-                        {
-                            advance(e.time, up_set.len(), &mut last_t, &mut replica_seconds);
-                            up_set.insert(pid);
-                        }
-                        ServeEventKind::ParkedToZero => scale_to_zero_parks += 1,
-                        _ => {}
-                    }
-                }
-                advance(window_end, up_set.len(), &mut last_t, &mut replica_seconds);
-
-                let per_sec = |count: usize| {
-                    if measured_secs > 0.0 {
-                        count as f64 / measured_secs
-                    } else {
-                        0.0
-                    }
-                };
-                let over_offered = |count: usize| {
-                    if offered > 0 {
-                        count as f64 / offered as f64
-                    } else {
-                        0.0
-                    }
-                };
-                GroupReport {
-                    label: label.clone(),
-                    offered,
-                    served,
-                    failed,
-                    rejected: rejected[g],
-                    shed: shed[g],
-                    deadline_expired: deadline_expired[g],
-                    killed_inflight: killed_inflight[g],
-                    hedge_losers: hedge_losers[g],
-                    breaker_rejected: breaker_rejected[g],
-                    unfinished,
-                    attempts,
-                    retry_amplification: over_offered(attempts),
-                    offered_qps: per_sec(offered),
-                    served_qps: per_sec(served),
-                    goodput_qps: per_sec(within_slo),
-                    slo_attainment: over_offered(within_slo),
-                    deadline_hit_rate: over_offered(within_deadline),
-                    p50_ms: percentile_ms(&latencies, 50.0),
-                    p95_ms: percentile_ms(&latencies, 95.0),
-                    p99_ms: percentile_ms(&latencies, 99.0),
-                    mean_queue_wait_ms: if wait_count[g] > 0 {
-                        wait_total[g].as_millis_f64() / wait_count[g] as f64
-                    } else {
-                        0.0
-                    },
-                    mean_batch: if batches > 0 {
-                        batched_requests as f64 / batches as f64
-                    } else {
-                        0.0
-                    },
-                    max_queue_depth,
-                    degraded_batches,
-                    breaker_trips,
-                    replica_restarts,
-                    replica_ejected,
-                    mttr_ms: if replica_restarts > 0 {
-                        recovery_total.as_millis_f64() / replica_restarts as f64
-                    } else {
-                        0.0
-                    },
-                    replica_seconds,
-                    cold_starts,
-                    warm_starts,
-                    cold_start_tax_ms: if cold_tax_count > 0 {
-                        cold_tax_total.as_millis_f64() / cold_tax_count as f64
-                    } else {
-                        0.0
-                    },
-                    reaps,
-                    scale_to_zero_parks,
-                }
+        let groups = groups
+            .into_iter()
+            .map(|mut acc| {
+                acc.advance(window.1, window);
+                acc.finish(measured_secs)
             })
             .collect();
         ServeReport {

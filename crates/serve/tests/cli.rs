@@ -1,7 +1,10 @@
 //! Integration tests for the `jetsim-serve` CLI binary: resilience flag
-//! parsing, fault-injection determinism, and flag/file equivalence.
+//! parsing, fault-injection determinism, flag/file equivalence, and a
+//! fresh process against an in-process run.
 
 use std::process::{Command, Stdio};
+
+use jetsim_serve::{build_serve_spec, ScenarioSpec};
 
 fn serve(args: &[&str]) -> std::process::Output {
     Command::new(env!("CARGO_BIN_EXE_jetsim-serve"))
@@ -166,6 +169,41 @@ fn flags_and_dumped_scenario_agree_over_seeds() {
             "seed {seed}: flags and their scenario document diverged"
         );
     }
+}
+
+/// The benchmark's chaos scenario: OOM recovery, auto hedging, a
+/// brownout breaker and a scale-to-zero group.
+const SERVE_CHAOS: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/../../benchmark/workloads/serve_chaos.toml"
+);
+
+/// A fresh `jetsim-serve --scenario serve_chaos.toml --duration 2s
+/// --json` prints exactly the pretty JSON of the same document run in
+/// this process, whose engine cache other tests may already have filled.
+#[test]
+fn cli_run_matches_an_in_process_run() {
+    let out = serve(&["--scenario", SERVE_CHAOS, "--duration", "2s", "--json"]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let mut doc: ScenarioSpec = std::fs::read_to_string(SERVE_CHAOS)
+        .expect("scenario file reads")
+        .parse()
+        .expect("scenario parses");
+    doc.duration = Some("2s".to_string());
+    let report = build_serve_spec(&doc)
+        .expect("scenario resolves")
+        .run()
+        .expect("serve run");
+    let expected = serde_json::to_string_pretty(&report).expect("report serialises") + "\n";
+    assert_eq!(
+        String::from_utf8_lossy(&out.stdout),
+        expected,
+        "the CLI and an in-process run of the same document diverged"
+    );
 }
 
 #[test]

@@ -358,6 +358,42 @@ impl Ingress {
         }
     }
 
+    /// Request conservation at the end of a run, checked in debug
+    /// builds: every record neither completed nor dropped sits in its
+    /// group's queue or in exactly one pid's in-flight list, and every
+    /// queued or in-flight index names such a record.
+    pub(crate) fn debug_check_conservation(&self) {
+        let mut holders = vec![0u32; self.requests.len()];
+        for (g, grp) in self.groups.iter().enumerate() {
+            for &ri in &grp.queue {
+                let r = &self.requests[ri];
+                debug_assert!(
+                    r.group == g && r.dispatched.is_none(),
+                    "request {ri} (group {}, arrival {} ns, dispatched {:?}) is queued at group {g}",
+                    r.group,
+                    r.arrival.as_nanos(),
+                    r.dispatched
+                );
+                holders[ri] += 1;
+            }
+        }
+        for &ri in self.inflight.iter().flatten() {
+            holders[ri] += 1;
+        }
+        for (ri, (r, &held)) in self.requests.iter().zip(&holders).enumerate() {
+            debug_assert!(
+                held == u32::from(r.unfinished()),
+                "request {ri} (group {}, arrival {} ns, dispatched {:?}, completed {:?}, dropped {:?}) \
+                 is held by {held} queues or in-flight lists",
+                r.group,
+                r.arrival.as_nanos(),
+                r.dispatched,
+                r.completed,
+                r.dropped
+            );
+        }
+    }
+
     /// `true` when `pid` is a server (its ECs are driven by ingress, not
     /// the closed loop).
     pub(crate) fn serves(&self, pid: usize) -> bool {

@@ -263,6 +263,9 @@ impl Runner {
             Some(budget) => self.drive::<true>(budget),
             None => self.drive::<false>(u64::MAX),
         }
+        if cfg!(debug_assertions) {
+            self.ingress.debug_check_conservation();
+        }
         self.finalize()
     }
 
