@@ -17,8 +17,8 @@ use jetsim_bench::baseline;
 use jetsim_des::ArrivalProcess;
 use jetsim_fleet::{FleetSpec, NetworkModel, RouterPolicy};
 use jetsim_serve::{
-    chaos_sweep_with_plan, AutoscaleSpec, FaultPlan, HedgePolicy, OomPolicy, RecoverySpec,
-    ResiliencePolicies, RetryPolicy, ScenarioSpec, ServeSpec, ServeTenant,
+    chaos_sweep_with_plan, AutoscaleSpec, FaultPlan, HedgePolicy, OomPolicy, ResiliencePolicies,
+    RetryPolicy, ScenarioSpec, ServeSpec, ServeTenant,
 };
 use jetsim_sim::GpuPolicy;
 use jetsim_trt::EngineCache;
@@ -339,7 +339,7 @@ fn autoscale() -> Value {
                 // 7 GiB squeeze mid-burst while extra replicas are up.
                 let spike_at = ms(AUTOSCALE_WARMUP_MS) + measure.mul_f64(0.3);
                 spec = spec
-                    .resilience(ResiliencePolicies::none().recovery(RecoverySpec::auto(2)))
+                    .resilience(ResiliencePolicies::none().recovery(2))
                     .faults(
                         FaultPlan::new()
                             .memory_spike(

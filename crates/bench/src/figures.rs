@@ -12,7 +12,7 @@ use jetsim::report::Table;
 use jetsim_des::ArrivalProcess;
 use jetsim_profile::metrics;
 use jetsim_serve::{
-    AutoscaleSpec, FaultPlan, OomPolicy, RecoverySpec, ResiliencePolicies, ServeSpec, ServeTenant,
+    AutoscaleSpec, FaultPlan, OomPolicy, ResiliencePolicies, ServeSpec, ServeTenant,
 };
 use jetsim_sim::GpuPolicy;
 
@@ -723,7 +723,7 @@ fn autoscale_cell(
         // mid-window forces the OOM killer for real.
         let spike_at = SimTime::from_nanos((warmup + measure.mul_f64(0.3)).as_nanos());
         spec = spec
-            .resilience(ResiliencePolicies::none().recovery(RecoverySpec::auto(2)))
+            .resilience(ResiliencePolicies::none().recovery(2))
             .faults(
                 FaultPlan::new()
                     .memory_spike(spike_at, measure.mul_f64(0.15), 7 << 30)

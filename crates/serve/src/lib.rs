@@ -59,12 +59,9 @@ pub mod telemetry;
 
 pub use capacity::{find_max_qps, CapacityEstimate, CapacityProbe};
 pub use metrics::{GroupReport, ServeReport};
-pub use resilience::{
-    chaos_sweep_with_plan, ChaosCell, RecoverySpec, ResiliencePolicies, ResilienceReport,
-    RestartCost,
-};
+pub use resilience::{chaos_sweep_with_plan, ChaosCell, ResiliencePolicies, ResilienceReport};
 pub use scenario::{build_autoscale, build_serve_spec};
-pub use spec::{AutoscaleSpec, ServeError, ServeSpec, ServeTenant};
+pub use spec::{AutoscaleSpec, RestartCost, ServeError, ServeSpec, ServeTenant};
 pub use telemetry::{estimate_capacity, GroupCapacity};
 
 // Re-export the serving vocabulary so downstream users need only this

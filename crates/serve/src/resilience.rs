@@ -15,66 +15,11 @@
 use std::fmt;
 
 use jetsim_des::SimDuration;
-use jetsim_sim::serving::{BreakerPolicy, HedgePolicy, RecoveryPolicy, RetryPolicy};
+use jetsim_sim::serving::{BreakerPolicy, HedgePolicy, RetryPolicy};
 use jetsim_sim::FaultPlan;
-use jetsim_trt::Engine;
 use serde::Serialize;
 
 use crate::spec::{ServeError, ServeSpec};
-
-/// How a replica's start or restart time is charged.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum RestartCost {
-    /// The engine's plan file exists from t = 0, as `trtexec` leaves it,
-    /// so every start deserializes it: [`Engine::load_cost_estimate`].
-    Auto,
-    /// A fixed restart cost (clamped ≥ 1 ms by the DES).
-    Fixed(SimDuration),
-}
-
-impl RestartCost {
-    /// What one start or restart of `engine` costs.
-    pub(crate) fn of(self, engine: &Engine) -> SimDuration {
-        match self {
-            RestartCost::Fixed(d) => d,
-            RestartCost::Auto => engine.load_cost_estimate(),
-        }
-    }
-}
-
-/// Replica-recovery spec: how many restarts each replica gets and what
-/// each one costs.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RecoverySpec {
-    /// Restarts allowed per replica before it is ejected for good.
-    pub max_restarts: u32,
-    /// How the restart time is charged.
-    pub cost: RestartCost,
-}
-
-impl RecoverySpec {
-    /// Recovery whose restarts load the engine's plan file.
-    pub fn auto(max_restarts: u32) -> Self {
-        RecoverySpec {
-            max_restarts,
-            cost: RestartCost::Auto,
-        }
-    }
-
-    /// Recovery with a fixed restart cost.
-    pub fn fixed(cost: SimDuration, max_restarts: u32) -> Self {
-        RecoverySpec {
-            max_restarts,
-            cost: RestartCost::Fixed(cost),
-        }
-    }
-
-    /// Resolves this spec against a concrete engine into the
-    /// [`RecoveryPolicy`] the DES enforces.
-    pub(crate) fn resolve(&self, engine: &Engine) -> RecoveryPolicy {
-        RecoveryPolicy::new(self.cost.of(engine), self.max_restarts)
-    }
-}
 
 /// The full per-group resilience bundle applied to every tenant of a
 /// [`ServeSpec`]. Every knob is optional; [`ResiliencePolicies::none`]
@@ -91,8 +36,11 @@ pub struct ResiliencePolicies {
     /// Trip on rolling error rate; shed or brown out until a probe
     /// succeeds.
     pub breaker: Option<BreakerPolicy>,
-    /// Restart OOM-killed replicas instead of leaving them dead.
-    pub recovery: Option<RecoverySpec>,
+    /// Restart each OOM-killed replica up to this many times instead of
+    /// leaving it dead. Every restart loads the engine's plan file
+    /// ([`Engine::load_cost_estimate`](jetsim_trt::Engine::load_cost_estimate)),
+    /// as `trtexec` does.
+    pub recovery: Option<u32>,
 }
 
 impl ResiliencePolicies {
@@ -117,7 +65,7 @@ impl ResiliencePolicies {
             )),
             hedge: None,
             breaker: Some(BreakerPolicy::new(32, 0.5)),
-            recovery: Some(RecoverySpec::auto(2)),
+            recovery: Some(2),
         }
     }
 
@@ -145,9 +93,9 @@ impl ResiliencePolicies {
         self
     }
 
-    /// Sets the replica-recovery spec.
-    pub fn recovery(mut self, recovery: RecoverySpec) -> Self {
-        self.recovery = Some(recovery);
+    /// Restarts each killed replica up to `max_restarts` times.
+    pub fn recovery(mut self, max_restarts: u32) -> Self {
+        self.recovery = Some(max_restarts);
         self
     }
 }

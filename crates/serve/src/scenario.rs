@@ -15,8 +15,8 @@ use jetsim::scenario::{
 };
 use jetsim_des::{ArrivalProcess, SimDuration};
 
-use crate::resilience::{RecoverySpec, ResiliencePolicies, RestartCost};
-use crate::spec::{AutoscaleSpec, ServeSpec, ServeTenant};
+use crate::resilience::ResiliencePolicies;
+use crate::spec::{AutoscaleSpec, RestartCost, ServeSpec, ServeTenant};
 use crate::{AdmissionPolicy, BreakerMode, BreakerPolicy, HedgePolicy, RetryPolicy};
 
 fn duration_or(field: &Option<String>, default: SimDuration) -> Result<SimDuration, String> {
@@ -122,7 +122,7 @@ pub fn build_serve_spec(sc: &ScenarioSpec) -> Result<ServeSpec, String> {
         resilience = resilience.breaker(BreakerPolicy::new(32, 0.5).mode(mode));
     }
     if let Some(restarts) = sc.recovery {
-        resilience = resilience.recovery(RecoverySpec::auto(restarts));
+        resilience = resilience.recovery(restarts);
     }
     spec = spec.resilience(resilience);
     if let Some(fault_seed) = sc.fault_seed {

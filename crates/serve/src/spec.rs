@@ -7,7 +7,9 @@ use jetsim::deployment::{DeploymentError, Tenant};
 use jetsim::platform::Platform;
 use jetsim_des::{ArrivalProcess, SimDuration};
 use jetsim_dnn::Precision;
-use jetsim_sim::serving::{AdmissionPolicy, AutoscalerPolicy, BreakerMode, ServeGroup, ServePlan};
+use jetsim_sim::serving::{
+    AdmissionPolicy, AutoscalerPolicy, BreakerMode, RecoveryPolicy, ServeGroup, ServePlan,
+};
 use jetsim_sim::{
     ArrivalModel, FaultPlan, GpuPolicy, SimConfig, SimError, Simulation, DEFAULT_SEED,
 };
@@ -15,7 +17,17 @@ use jetsim_trt::{BuildError, Engine};
 
 use crate::capacity::{self, CapacityEstimate};
 use crate::metrics::ServeReport;
-use crate::resilience::{ResiliencePolicies, RestartCost};
+use crate::resilience::ResiliencePolicies;
+
+/// How an autoscaled replica's start is charged.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum RestartCost {
+    /// The engine's plan file exists from t = 0, as `trtexec` leaves it,
+    /// so every start deserializes it: [`Engine::load_cost_estimate`].
+    Auto,
+    /// A fixed start cost (clamped ≥ 1 ms by the DES).
+    Fixed(SimDuration),
+}
 
 /// Serverless autoscaling spec for a served tenant: replica bounds, the
 /// scaling knobs, and how replica start costs are charged. Resolved
@@ -124,8 +136,10 @@ impl AutoscaleSpec {
         if self.slo_burn {
             policy = policy.slo_target(slo);
         }
-        let cost = self.cost.of(engine);
-        policy.start_costs(cost, cost)
+        policy.start_cost(match self.cost {
+            RestartCost::Auto => engine.load_cost_estimate(),
+            RestartCost::Fixed(cost) => cost,
+        })
     }
 }
 
@@ -485,8 +499,11 @@ impl ServeSpec {
             if let Some(breaker) = res.breaker {
                 group = group.breaker(breaker);
             }
-            if let Some(recovery) = res.recovery {
-                group = group.recovery(recovery.resolve(&engine));
+            if let Some(max_restarts) = res.recovery {
+                group = group.recovery(RecoveryPolicy::new(
+                    engine.load_cost_estimate(),
+                    max_restarts,
+                ));
             }
             if let Some(aspec) = scaling {
                 group = group.autoscaler(aspec.resolve(&engine, t.instances(), self.slo));
@@ -544,10 +561,11 @@ impl ServeSpec {
     }
 }
 
-/// One rung down the degradation ladder the sweep supervisor uses for
-/// OOM pressure, applied online: drop to the next cheaper precision, or
-/// halve the batch once already at int8. `None` when the tenant is
-/// already at the floor (int8, batch 1).
+/// The fallback engine's variant for degrade admission and a brownout
+/// breaker: drop to the next cheaper precision, or halve the batch once
+/// already at int8. `None` when the tenant is already at the floor
+/// (int8, batch 1). (The sweep's OOM ladder differs: it halves the
+/// batch, then sheds processes, and never changes precision.)
 fn degraded_variant(precision: Precision, batch: u32) -> Option<(Precision, u32)> {
     let idx = Precision::ALL.iter().position(|&p| p == precision)?;
     if idx > 0 {
@@ -634,18 +652,16 @@ mod tests {
             .max_replicas(16)
             .resolve(&engine, 3, slo);
         assert_eq!((policy.min_replicas, policy.max_replicas), (2, 3));
-        // Auto charges the plan load for the first start and every
-        // later one: the plan exists from t = 0.
+        // Auto charges the plan load for every start, the first
+        // included: the plan exists from t = 0.
         let auto = AutoscaleSpec::new(0).resolve(&engine, 2, slo);
-        assert_eq!(auto.cold_start, engine.load_cost_estimate());
-        assert_eq!(auto.warm_start, engine.load_cost_estimate());
-        // Fixed charges a flat cost too; slo_burn wires the SLO.
+        assert_eq!(auto.start_cost, engine.load_cost_estimate());
+        // Fixed charges a flat cost; slo_burn wires the SLO.
         let fixed = AutoscaleSpec::new(0)
             .cost(RestartCost::Fixed(SimDuration::from_millis(33)))
             .slo_burn(true)
             .resolve(&engine, 2, slo);
-        assert_eq!(fixed.cold_start, SimDuration::from_millis(33));
-        assert_eq!(fixed.warm_start, SimDuration::from_millis(33));
+        assert_eq!(fixed.start_cost, SimDuration::from_millis(33));
         assert_eq!(fixed.slo_target, Some(slo));
     }
 }

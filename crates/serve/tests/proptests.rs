@@ -10,8 +10,8 @@ use jetsim::platform::Platform;
 use jetsim_des::{ArrivalProcess, ArrivalStream, SimDuration, SimTime};
 use jetsim_serve::{
     AutoscaleScenario, BatchDecision, BatcherPolicy, BreakerPolicy, DropKind, FaultPlan,
-    FleetScenario, HedgePolicy, OomPolicy, RecoverySpec, ResiliencePolicies, ScenarioSpec,
-    ServeEventKind, ServeReport, ServeSpec, ServeTenant, TenantScenario,
+    FleetScenario, HedgePolicy, OomPolicy, ResiliencePolicies, ScenarioSpec, ServeEventKind,
+    ServeReport, ServeSpec, ServeTenant, TenantScenario,
 };
 use jetsim_sim::{GpuPolicy, RunTrace, Simulation};
 
@@ -379,13 +379,12 @@ proptest! {
 
 /// A resilient two-replica fp16 deployment on the Jetson Nano under a
 /// seeded fault plan (OOM killer armed) — the chaos shape the replay
-/// property runs twice. Recovery uses a *fixed* restart cost so the
-/// config is independent of global engine-cache state (test order).
+/// property runs twice. Each restart loads the engine's plan file, a
+/// price that depends on the engine alone.
 fn resilient_spec(seed: u64, fault_seed: u64, rate: f64) -> ServeSpec {
     let slo = SimDuration::from_millis(100);
-    let policies = ResiliencePolicies::standard(slo)
-        .hedge(HedgePolicy::fixed(SimDuration::from_millis(20)))
-        .recovery(RecoverySpec::fixed(SimDuration::from_millis(80), 2));
+    let policies =
+        ResiliencePolicies::standard(slo).hedge(HedgePolicy::fixed(SimDuration::from_millis(20)));
     let base = ServeSpec::new(Platform::jetson_nano())
         .tenant(
             ServeTenant::parse("resnet50:fp16:1:2", ArrivalProcess::poisson(rate))

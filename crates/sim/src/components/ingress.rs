@@ -104,8 +104,7 @@ pub(crate) enum IngressEvent {
         /// The group to evaluate.
         group: u32,
     },
-    /// A provisioning replica finished its current start phase
-    /// (`Provisioning → Warming`, or `Warming → Up`).
+    /// A provisioning replica paid its start cost.
     ScaleUpDone {
         /// The replica being provisioned.
         pid: u32,
@@ -123,9 +122,7 @@ pub(crate) enum IngressEvent {
 enum ScaleState {
     /// Eligible to serve (the only state non-autoscaled pids ever hold).
     Up,
-    /// Paying the part of the group's first start beyond `warm_start`.
-    Provisioning,
-    /// Paying `warm_start`, the plan-load + first-inference warmup.
+    /// Paying `start_cost`, the plan load + first-inference warmup.
     Warming,
     /// Scaled down (or never scaled up); invisible to dispatch.
     Parked,
@@ -217,9 +214,9 @@ struct GroupRt {
     /// Completions since the last tick that missed the policy's
     /// `slo_target`.
     win_slo_miss: u32,
-    /// `true` once any replica has started, so later provisions pay
-    /// `warm_start`, not `cold_start`.
-    engine_built: bool,
+    /// `true` once any replica has started, so later provisions are
+    /// reported warm, not cold.
+    started: bool,
 }
 
 /// The ingress component: owns every serve group's queue, batcher,
@@ -338,7 +335,7 @@ impl Ingress {
                     autoscaler: sg.autoscaler,
                     win_completions: 0,
                     win_slo_miss: 0,
-                    engine_built: false,
+                    started: false,
                 });
             }
         }
@@ -430,7 +427,7 @@ impl Ingress {
                     for &pid in &alive[initial..] {
                         self.scale[pid] = ScaleState::Parked;
                     }
-                    self.groups[g].engine_built = initial > 0;
+                    self.groups[g].started = initial > 0;
                     ctx.queue.schedule(
                         SimTime::ZERO + policy.evaluate_every,
                         Event::Ingress(IngressEvent::AutoscaleTick { group: g as u32 }),
@@ -560,7 +557,7 @@ impl Ingress {
             .count() as u32
     }
 
-    /// Replicas mid cold/warm start.
+    /// Replicas mid start.
     fn pending_count(&self, g: usize, ctx: &Ctx<'_>) -> u32 {
         self.groups[g]
             .members
@@ -568,10 +565,7 @@ impl Ingress {
             .filter(|&&pid| {
                 ctx.alive[pid]
                     && self.health[pid] == ReplicaHealth::Up
-                    && matches!(
-                        self.scale[pid],
-                        ScaleState::Provisioning | ScaleState::Warming
-                    )
+                    && self.scale[pid] == ScaleState::Warming
             })
             .count() as u32
     }
@@ -587,9 +581,9 @@ impl Ingress {
         }
     }
 
-    /// Provisions up to `k` parked replicas (member order). The group's
-    /// first provision pays `cold_start`; every later one pays
-    /// `warm_start`.
+    /// Provisions up to `k` parked replicas (member order), each paying
+    /// the policy's `start_cost`. The group's first start is reported
+    /// cold.
     fn provision(&mut self, g: usize, k: u32, now: SimTime, ctx: &mut Ctx<'_>) {
         let Some(policy) = self.groups[g].autoscaler else {
             return;
@@ -606,25 +600,17 @@ impl Ingress {
             .take(k as usize)
             .collect();
         for pid in candidates {
-            let cold = !self.groups[g].engine_built;
-            self.groups[g].engine_built = true;
-            self.scale[pid] = ScaleState::Provisioning;
+            let cold = !self.groups[g].started;
+            self.groups[g].started = true;
+            self.scale[pid] = ScaleState::Warming;
             self.scale_gen[pid] = self.scale_gen[pid].wrapping_add(1);
             self.serve_events.push(ServeEvent {
                 time: now,
                 group: g,
                 kind: ServeEventKind::ReplicaProvisioned { pid, cold },
             });
-            // A cold start splits into a Provisioning phase (skipped
-            // warm) and the Warming phase everyone pays; `start_costs`
-            // clamps cold ≥ warm ≥ 1 ms.
-            let build_phase = if cold {
-                policy.cold_start.saturating_sub(policy.warm_start)
-            } else {
-                jetsim_des::SimDuration::ZERO
-            };
             ctx.queue.schedule(
-                now + build_phase,
+                now + policy.start_cost,
                 Event::Ingress(IngressEvent::ScaleUpDone {
                     pid: pid as u32,
                     gen: self.scale_gen[pid],
@@ -633,10 +619,9 @@ impl Ingress {
         }
     }
 
-    /// A provisioning replica finished its current phase: `Provisioning`
-    /// rolls into `Warming` (the plan-load), `Warming` brings it `Up`
-    /// and into the free pool. Stale generations (killed or reaped mid
-    /// start) are ignored.
+    /// A provisioning replica paid its start cost: it comes `Up` and
+    /// joins the free pool. Stale generations (killed mid start) are
+    /// ignored.
     fn on_scale_up_done(
         &mut self,
         pid: usize,
@@ -651,33 +636,23 @@ impl Ingress {
         let Some(g) = self.group_of_pid[pid] else {
             return;
         };
-        let Some(policy) = self.groups[g].autoscaler else {
-            return;
-        };
-        match self.scale[pid] {
-            ScaleState::Provisioning => {
-                self.scale[pid] = ScaleState::Warming;
-                ctx.queue.schedule(
-                    now + policy.warm_start,
-                    Event::Ingress(IngressEvent::ScaleUpDone {
-                        pid: pid as u32,
-                        gen,
-                    }),
-                );
-            }
-            ScaleState::Warming => {
-                self.scale[pid] = ScaleState::Up;
-                self.serve_events.push(ServeEvent {
-                    time: now,
-                    group: g,
-                    kind: ServeEventKind::ReplicaWarmed { pid },
-                });
-                self.idle_since[pid] = now;
-                self.groups[g].free.push_back(pid);
-                self.try_dispatch(g, now, ctx, deps);
-            }
-            _ => {}
-        }
+        // A kill mid start bumps the generation, so a current timer
+        // always finds its replica warming.
+        debug_assert_eq!(
+            self.scale[pid],
+            ScaleState::Warming,
+            "pid {pid}: start timer (generation {gen}) fired at {} ns",
+            now.as_nanos()
+        );
+        self.scale[pid] = ScaleState::Up;
+        self.serve_events.push(ServeEvent {
+            time: now,
+            group: g,
+            kind: ServeEventKind::ReplicaWarmed { pid },
+        });
+        self.idle_since[pid] = now;
+        self.groups[g].free.push_back(pid);
+        self.try_dispatch(g, now, ctx, deps);
     }
 
     /// One autoscaler evaluation: judge the window's signals, provision
@@ -1104,15 +1079,12 @@ impl Ingress {
                 failed_inflight,
             },
         });
-        // A kill mid cold-start cancels the provision (the stale
+        // A kill mid start cancels the provision (the stale
         // `ScaleUpDone` is generation-gated); the replica returns parked
         // and the autoscaler re-provisions on its own signals — recovery
         // restores the *process*, never serving capacity, so the two
         // supervisors cannot double-provision.
-        if matches!(
-            self.scale[pid],
-            ScaleState::Provisioning | ScaleState::Warming
-        ) {
+        if self.scale[pid] == ScaleState::Warming {
             self.scale[pid] = ScaleState::Parked;
             self.scale_gen[pid] = self.scale_gen[pid].wrapping_add(1);
         }

@@ -191,31 +191,15 @@ impl MemoryGuard {
     }
 
     /// Live unified-memory footprint of the alive processes, optionally
-    /// excluding one (to compute how much its death would free). Mirrors
-    /// [`SimConfig::total_footprint_bytes`] including memory-group
-    /// sharing: killing one stream of a shared group frees only its
-    /// per-context buffers unless it was the group's last member.
+    /// excluding one (to compute how much its death would free). The
+    /// same rule as [`SimConfig::total_footprint_bytes`]: killing one
+    /// stream of a shared memory group frees only its per-context
+    /// buffers (and its fallback engine) unless it was the group's last
+    /// member.
     fn footprint_excluding(&self, ctx: &Ctx<'_>, excluded: Option<usize>) -> u64 {
-        use std::collections::HashSet;
-        let memory = &ctx.config.device.memory;
-        let mut seen: HashSet<usize> = HashSet::new();
+        let host = ctx.config.device.memory.per_process_host_bytes;
         ctx.config
-            .processes
-            .iter()
-            .enumerate()
-            .filter(|&(pid, _)| ctx.alive[pid] && Some(pid) != excluded)
-            .map(|(_, p)| {
-                let per_context = p.engine.io_bytes() + p.engine.workspace_bytes();
-                if seen.insert(p.memory_group) {
-                    memory.per_process_host_bytes
-                        + memory.cuda_context_bytes
-                        + p.engine.engine_bytes()
-                        + per_context
-                } else {
-                    per_context
-                }
-            })
-            .sum()
+            .footprint_bytes(host, |pid| ctx.alive[pid] && Some(pid) != excluded)
     }
 
     /// Kills processes (largest memory freed first, ties to the lowest
@@ -265,27 +249,10 @@ impl MemoryGuard {
     /// memory. Consulted by the ingress before a restarted replica
     /// rejoins its group — the board may have tightened since the kill.
     pub(crate) fn revival_fits(&self, ctx: &Ctx<'_>, pid: usize) -> bool {
-        use std::collections::HashSet;
         let memory = &ctx.config.device.memory;
-        let mut seen: HashSet<usize> = HashSet::new();
-        let total: u64 = ctx
+        let total = ctx
             .config
-            .processes
-            .iter()
-            .enumerate()
-            .filter(|&(p, _)| ctx.alive[p] || p == pid)
-            .map(|(_, p)| {
-                let per_context = p.engine.io_bytes() + p.engine.workspace_bytes();
-                if seen.insert(p.memory_group) {
-                    memory.per_process_host_bytes
-                        + memory.cuda_context_bytes
-                        + p.engine.engine_bytes()
-                        + per_context
-                } else {
-                    per_context
-                }
-            })
-            .sum();
+            .footprint_bytes(memory.per_process_host_bytes, |p| ctx.alive[p] || p == pid);
         !memory.would_oom(total.saturating_add(self.spike_bytes))
     }
 

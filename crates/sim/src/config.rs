@@ -332,33 +332,58 @@ impl SimConfig {
     }
 
     /// Combined unified-memory footprint of all processes (host +
-    /// GPU-side allocations). Streams sharing a memory group pay the host
-    /// runtime, CUDA context and engine once.
+    /// GPU-side allocations). The host runtime, CUDA context and engine
+    /// are paid once per memory group; I/O buffers and workspace once
+    /// per process. A serve member with a degraded fallback engine keeps
+    /// both engines loaded, so the swap at a batch boundary costs
+    /// nothing and the fallback counts too.
     pub fn total_footprint_bytes(&self) -> u64 {
-        self.shared_bytes(self.device.memory.per_process_host_bytes)
-            .saturating_add(self.serve_extra_bytes())
+        self.footprint_bytes(self.device.memory.per_process_host_bytes, |_| true)
     }
 
     /// Combined GPU-side allocation (what `jetson-stats` reports).
     pub fn gpu_memory_bytes(&self) -> u64 {
-        self.shared_bytes(0)
-            .saturating_add(self.serve_extra_bytes())
+        self.footprint_bytes(0, |_| true)
     }
 
-    /// Extra resident bytes for serve groups' degraded fallback engines:
-    /// each member keeps both engines loaded so the swap at a batch
-    /// boundary costs nothing — which means both count against the
-    /// board's unified memory for the whole run.
-    fn serve_extra_bytes(&self) -> u64 {
-        let Some(plan) = &self.serve else { return 0 };
-        plan.groups
+    /// [`SimConfig::total_footprint_bytes`]'s rule over the processes
+    /// `live` admits, by pid, with `host_bytes` of host runtime per
+    /// memory group. The one footprint rule: the pre-flight check, the
+    /// reported GPU memory, the OOM killer and the restart-fit check all
+    /// read it, so a fallback engine counts for as long as its member
+    /// lives.
+    pub(crate) fn footprint_bytes(&self, host_bytes: u64, live: impl Fn(usize) -> bool) -> u64 {
+        let mut seen = std::collections::HashSet::new();
+        let shared: u64 = self
+            .processes
+            .iter()
+            .enumerate()
+            .filter(|&(pid, _)| live(pid))
+            .map(|(_, p)| {
+                let per_context = p.engine.io_bytes() + p.engine.workspace_bytes();
+                if seen.insert(p.memory_group) {
+                    host_bytes
+                        + self.device.memory.cuda_context_bytes
+                        + p.engine.engine_bytes()
+                        + per_context
+                } else {
+                    per_context
+                }
+            })
+            .sum();
+        let Some(plan) = &self.serve else {
+            return shared;
+        };
+        let fallbacks: u64 = plan
+            .groups
             .iter()
             .filter_map(|g| {
-                g.degraded_engine.as_ref().map(|e| {
-                    g.members.len() as u64 * (e.engine_bytes() + e.io_bytes() + e.workspace_bytes())
-                })
+                let e = g.degraded_engine.as_ref()?;
+                let members = g.members.iter().filter(|&&pid| live(pid)).count() as u64;
+                Some(members * (e.engine_bytes() + e.io_bytes() + e.workspace_bytes()))
             })
-            .sum()
+            .sum();
+        shared.saturating_add(fallbacks)
     }
 
     /// Checks a configuration before it runs, in this order: a
@@ -467,25 +492,6 @@ impl SimConfig {
             }
         }
         Ok(())
-    }
-
-    fn shared_bytes(&self, per_group_host: u64) -> u64 {
-        use std::collections::HashSet;
-        let mut seen: HashSet<usize> = HashSet::new();
-        self.processes
-            .iter()
-            .map(|p| {
-                let per_context = p.engine.io_bytes() + p.engine.workspace_bytes();
-                if seen.insert(p.memory_group) {
-                    per_group_host
-                        + self.device.memory.cuda_context_bytes
-                        + p.engine.engine_bytes()
-                        + per_context
-                } else {
-                    per_context
-                }
-            })
-            .sum()
     }
 }
 

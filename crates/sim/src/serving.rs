@@ -199,7 +199,7 @@ pub struct ScaleSignals {
     /// Replicas serving or idle-and-eligible (`Up` scale state with
     /// healthy process).
     pub up: u32,
-    /// Replicas mid cold/warm start (`Provisioning` or `Warming`).
+    /// Replicas mid start (provisioned, not yet `Up`).
     pub pending: u32,
     /// Fraction of window completions that missed the policy's
     /// `slo_target` (0.0 when no target or no completions).
@@ -211,7 +211,7 @@ pub struct ScaleSignals {
 pub enum ScaleDecision {
     /// Capacity matches load; idle-reap timers still run.
     Hold,
-    /// Provision this many parked replicas (cold or warm start charged).
+    /// Provision this many parked replicas (each charged a start).
     Up(u32),
 }
 
@@ -220,12 +220,11 @@ pub enum ScaleDecision {
 /// or reaps replicas between `min_replicas` and the group's member
 /// count.
 ///
-/// Scale-up charges a replica **start**: the replica walks
-/// `Provisioning → Warming → Up` before it can serve. The group's first
-/// start (its "cold" start) pays `cold_start` and every later one
-/// `warm_start`; the serve layer prices both as a TensorRT plan load,
-/// so for a serve spec they are equal. Scale-down is driven by the
-/// `keep_alive` idle-reap timer, and `min_replicas == 0` allows
+/// Scale-up charges a replica **start**: the replica warms for
+/// `start_cost` before it can serve. Every start pays the same price,
+/// which the serve layer sets to a TensorRT plan load; the group's first
+/// start is still reported as its "cold" one. Scale-down is driven by
+/// the `keep_alive` idle-reap timer, and `min_replicas == 0` allows
 /// **scale-to-zero** — the group parks until the next arrival, which
 /// then eats a start (the dslab-faas economics, priced with TensorRT
 /// plan loads).
@@ -250,12 +249,9 @@ pub struct AutoscalerPolicy {
     pub evaluate_every: SimDuration,
     /// How long a replica must sit idle before the reaper takes it.
     pub keep_alive: SimDuration,
-    /// Start cost charged to the group's first provision. The serve
-    /// layer sets it equal to `warm_start`.
-    pub cold_start: SimDuration,
     /// Start cost (plan deserialize + context setup) charged to every
-    /// later provision; this is also the `Warming` phase of the first.
-    pub warm_start: SimDuration,
+    /// provision (clamped ≥ 1 ms).
+    pub start_cost: SimDuration,
 }
 
 /// Window burn fraction (completions over the SLO target) that triggers
@@ -265,7 +261,7 @@ pub const BURN_THRESHOLD: f64 = 0.5;
 impl AutoscalerPolicy {
     /// A policy scaling between `min_replicas` and `max_replicas`;
     /// defaults: target queue 4.0 per replica, no SLO-burn criterion,
-    /// 20 ms ticks, 200 ms keep-alive, 500 ms cold / 80 ms warm start.
+    /// 20 ms ticks, 200 ms keep-alive, 80 ms start.
     pub fn new(min_replicas: u32, max_replicas: u32) -> Self {
         AutoscalerPolicy {
             min_replicas: min_replicas.min(max_replicas),
@@ -274,8 +270,7 @@ impl AutoscalerPolicy {
             slo_target: None,
             evaluate_every: SimDuration::from_millis(20),
             keep_alive: SimDuration::from_millis(200),
-            cold_start: SimDuration::from_millis(500),
-            warm_start: SimDuration::from_millis(80),
+            start_cost: SimDuration::from_millis(80),
         }
     }
 
@@ -309,12 +304,10 @@ impl AutoscalerPolicy {
         self
     }
 
-    /// Sets the cold/warm start costs (cold is clamped ≥ warm; both
-    /// clamped ≥ 1 ms so a provisioned replica can never race wakeups
-    /// from an earlier life).
-    pub fn start_costs(mut self, cold: SimDuration, warm: SimDuration) -> Self {
-        self.warm_start = warm.max(SimDuration::from_millis(1));
-        self.cold_start = cold.max(self.warm_start);
+    /// Sets the start cost (clamped ≥ 1 ms so a provisioned replica can
+    /// never race wakeups from an earlier life).
+    pub fn start_cost(mut self, cost: SimDuration) -> Self {
+        self.start_cost = cost.max(SimDuration::from_millis(1));
         self
     }
 
@@ -526,7 +519,7 @@ pub struct ServeGroup {
     /// Replica-recovery discipline for killed members.
     pub recovery: Option<RecoveryPolicy>,
     /// Serverless autoscaling: members beyond the policy's
-    /// `min_replicas` start parked and are provisioned (cold/warm start
+    /// `min_replicas` start parked and are provisioned (start cost
     /// charged) and reaped as load moves. Absent (the default), every
     /// member is up from `t = 0` — the static path stays byte-identical.
     pub autoscaler: Option<AutoscalerPolicy>,
@@ -834,14 +827,13 @@ pub enum ServeEventKind {
         /// The ejected server process.
         pid: usize,
     },
-    /// The autoscaler began provisioning a parked replica; it walks
-    /// `Provisioning → Warming → Up` before serving.
+    /// The autoscaler began provisioning a parked replica; it warms
+    /// for the policy's `start_cost` before serving.
     ReplicaProvisioned {
         /// The replica being provisioned.
         pid: usize,
-        /// `true` for the group's first provision, which pays
-        /// `cold_start`; `false` for every later one, which pays
-        /// `warm_start`.
+        /// `true` for the group's first start, `false` for every later
+        /// one. Both pay the same `start_cost`.
         cold: bool,
     },
     /// A provisioned replica finished warming and joined the free pool.
@@ -1053,11 +1045,10 @@ mod tests {
         assert_eq!(p.min_replicas, 4, "min clamped to max");
         let p = AutoscalerPolicy::new(0, 2)
             .target_queue_per_replica(0.0)
-            .start_costs(SimDuration::ZERO, SimDuration::from_millis(40))
+            .start_cost(SimDuration::ZERO)
             .evaluate_every(SimDuration::ZERO);
         assert_eq!(p.target_queue_per_replica, 1.0);
-        assert_eq!(p.warm_start, SimDuration::from_millis(40));
-        assert_eq!(p.cold_start, SimDuration::from_millis(40), "cold ≥ warm");
+        assert_eq!(p.start_cost, SimDuration::from_millis(1));
         assert_eq!(p.evaluate_every, SimDuration::from_millis(1));
     }
 

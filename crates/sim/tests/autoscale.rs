@@ -1,5 +1,5 @@
 //! Behaviour of the serverless autoscaling layer at the DES level:
-//! burst-driven scale-up with cold starts, idle reaping, scale-to-zero
+//! burst-driven scale-up with paid starts, idle reaping, scale-to-zero
 //! parking, and interaction with the OOM-recovery machinery.
 
 use std::collections::HashSet;
@@ -13,8 +13,7 @@ use jetsim_sim::{
 };
 use jetsim_trt::EngineBuilder;
 
-const COLD: SimDuration = SimDuration::from_millis(60);
-const WARM: SimDuration = SimDuration::from_millis(12);
+const START: SimDuration = SimDuration::from_millis(12);
 
 /// A resnet50 group on the Orin Nano with `members` replica slots,
 /// shaped by `group` and run for `measure_ms`.
@@ -61,7 +60,7 @@ fn scaler(min: u32, max: u32) -> AutoscalerPolicy {
         .target_queue_per_replica(2.0)
         .evaluate_every(SimDuration::from_millis(10))
         .keep_alive(SimDuration::from_millis(80))
-        .start_costs(COLD, WARM)
+        .start_cost(START)
 }
 
 #[test]
@@ -92,8 +91,7 @@ fn burst_scales_up_and_charges_the_start_cost() {
         provisioned.iter().all(|(_, _, cold)| !cold),
         "a floor replica started at t=0, so every scale-up is a warm start"
     );
-    // Every provision's Warmed event lands exactly the configured start
-    // cost later (cold = the group's first start, warm = every later one).
+    // Every provision's Warmed event lands exactly the start cost later.
     for (pid, at, cold) in &provisioned {
         let warmed = t
             .serve_events
@@ -104,10 +102,9 @@ fn burst_scales_up_and_charges_the_start_cost() {
             })
             .map(|e| e.time);
         if let Some(warmed) = warmed {
-            let cost = if *cold { COLD } else { WARM };
             assert_eq!(
                 warmed.saturating_since(*at),
-                cost,
+                START,
                 "pid {pid} cold={cold}: provision -> serving must take the start cost"
             );
         }
@@ -166,7 +163,7 @@ fn scale_to_zero_parks_and_the_next_arrival_pays_the_start() {
         .target_queue_per_replica(1.0)
         .evaluate_every(SimDuration::from_millis(5))
         .keep_alive(SimDuration::from_millis(20))
-        .start_costs(COLD, WARM);
+        .start_cost(START);
     let t = trace(ArrivalProcess::poisson(15.0), 2, 1200, 3, None, |g| {
         g.queue_cap(64).autoscaler(scaler)
     });
@@ -178,7 +175,7 @@ fn scale_to_zero_parks_and_the_next_arrival_pays_the_start() {
         .collect();
     assert!(!parks.is_empty(), "min_replicas=0 must park the idle group");
     // With no floor replica, nothing started at t=0: the very first
-    // provision pays the cold start, later ones the warm one.
+    // provision is the group's cold start.
     let first_provision = t
         .serve_events
         .iter()
@@ -190,7 +187,7 @@ fn scale_to_zero_parks_and_the_next_arrival_pays_the_start() {
     assert!(first_provision, "first provision from zero is cold");
     // After each park the group has no live replica, so the next
     // provision comes strictly later and the unpark request waits at
-    // least the (warm) start cost before dispatch.
+    // least the start cost before dispatch.
     let first_park = parks[0];
     let reprovision = t
         .serve_events
@@ -207,8 +204,8 @@ fn scale_to_zero_parks_and_the_next_arrival_pays_the_start() {
         })
         .expect("the re-provisioned replica warms");
     assert!(
-        warmed_after.time.saturating_since(reprovision.time) >= WARM,
-        "unparking costs at least the warm start"
+        warmed_after.time.saturating_since(reprovision.time) >= START,
+        "unparking costs at least the start cost"
     );
     let unpark_request = t
         .requests
@@ -217,7 +214,7 @@ fn scale_to_zero_parks_and_the_next_arrival_pays_the_start() {
         .find(|r| r.dispatched.is_some());
     if let Some(r) = unpark_request {
         assert!(
-            r.dispatched.unwrap().saturating_since(r.arrival) >= WARM,
+            r.dispatched.unwrap().saturating_since(r.arrival) >= START,
             "the arrival that wakes a parked group eats the start cost"
         );
     }

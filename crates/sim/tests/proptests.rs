@@ -300,7 +300,7 @@ fn autoscaled_run(min: u32, rate: f64, seed: u64) -> jetsim_sim::RunTrace {
         .target_queue_per_replica(2.0)
         .evaluate_every(SimDuration::from_millis(10))
         .keep_alive(SimDuration::from_millis(40))
-        .start_costs(SimDuration::from_millis(50), SimDuration::from_millis(10));
+        .start_cost(SimDuration::from_millis(10));
     let group = ServeGroup::new("resnet50", jetsim_des::ArrivalProcess::poisson(rate))
         .members(0..3)
         .queue_cap(128)

@@ -11,8 +11,8 @@ use jetsim_sim::serving::{
     BreakerPolicy, DropKind, HedgePolicy, RecoveryPolicy, RetryPolicy, ServeEventKind,
 };
 use jetsim_sim::{
-    AdmissionPolicy, ArrivalModel, FaultPlan, OomPolicy, RunTrace, ServeGroup, ServePlan,
-    SimConfig, Simulation,
+    AdmissionPolicy, ArrivalModel, FaultKind, FaultPlan, OomPolicy, RunTrace, ServeGroup,
+    ServePlan, SimConfig, Simulation,
 };
 use jetsim_trt::EngineBuilder;
 
@@ -100,6 +100,53 @@ fn deadline_expires_stale_queued_requests() {
             "a deadline drop fires exactly `deadline` after arrival"
         );
     }
+}
+
+/// The OOM killer sizes the board with the same rule as the pre-flight
+/// footprint: a serve member's degraded fallback engine stays resident
+/// beside its main one, so it counts while the member lives and is
+/// freed with it. A spike one byte past the headroom left by the whole
+/// footprint must kill a replica, and the kill frees half of it.
+#[test]
+fn oom_killer_counts_fallback_engines() {
+    let device = presets::orin_nano();
+    let eng = engine(&device, Precision::Fp16, 1);
+    let g = ServeGroup::new("resnet50", ArrivalProcess::poisson(60.0))
+        .members(0..2)
+        .admission(AdmissionPolicy::Degrade)
+        .degraded_engine(engine(&device, Precision::Int8, 1));
+    let mut config = SimConfig::builder(device)
+        .add_engine_named_with_arrivals("resnet50/0", Arc::clone(&eng), ArrivalModel::Saturated)
+        .add_engine_named_with_arrivals("resnet50/1", Arc::clone(&eng), ArrivalModel::Saturated)
+        .serve(ServePlan::new().group(g))
+        .warmup(SimDuration::from_millis(100))
+        .measure(SimDuration::from_millis(300))
+        .seed(5)
+        .build()
+        .unwrap();
+    let footprint = config.total_footprint_bytes();
+    let spike = config.device.memory.usable_bytes() - footprint + 1;
+    config.faults = FaultPlan::new()
+        .memory_spike(
+            SimTime::from_nanos(200_000_000),
+            SimDuration::from_millis(50),
+            spike,
+        )
+        .oom_policy(OomPolicy::KillLargest);
+    let trace = Simulation::new(config).unwrap().run();
+    let freed: Vec<u64> = trace
+        .fault_events
+        .iter()
+        .filter_map(|e| match e.kind {
+            FaultKind::ProcessKilled { freed_bytes, .. } => Some(freed_bytes),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(
+        freed,
+        [footprint / 2],
+        "one of two equal replicas dies, taking its fallback engine"
+    );
 }
 
 #[test]

@@ -685,7 +685,7 @@ fn serving_and_policy_cells() -> Vec<Cell> {
         .target_queue_per_replica(1.0)
         .evaluate_every(SimDuration::from_millis(5))
         .keep_alive(SimDuration::from_millis(20))
-        .start_costs(SimDuration::from_millis(60), SimDuration::from_millis(12));
+        .start_cost(SimDuration::from_millis(60));
     let scale_to_zero = ServeGroup::new("resnet50", ArrivalProcess::poisson(15.0))
         .queue_cap(64)
         .autoscaler(scaler);
@@ -768,7 +768,11 @@ fn serving_and_policy_cells() -> Vec<Cell> {
 /// component split; their values moved only because the hasher now
 /// also reads preemptions, requests, serve events and group labels).
 /// Later cells were captured on the tree before the change they guard.
-/// Every refactor must reproduce each one bit-for-bit.
+/// `autoscale_zero_orin_2r_s3` was re-pinned when a replica start became
+/// one phase with one price: hashed with `sim_events` masked it equals
+/// the earlier tree run with both start prices at 60 ms, and it counts
+/// one event fewer per provision. Every refactor must reproduce each one
+/// bit-for-bit.
 const GOLDEN: &[(&str, u64)] = &[
     ("orin_Int8_1p_s11", 0x1602f422841b90ab),
     ("orin_Int8_2p_s11", 0xeb05a0ab1536f8e4),
@@ -802,7 +806,7 @@ const GOLDEN: &[(&str, u64)] = &[
     ("serve_batched_orin_2r_s17", 0xa3a550a63a3c2bef),
     ("priority_orin_4p_s19", 0xfa9de86c6d2f3e0e),
     ("mps_policy_orin_4p_s29", 0x29ff3a01b91a5687),
-    ("autoscale_zero_orin_2r_s3", 0x38b5ab836a697207),
+    ("autoscale_zero_orin_2r_s3", 0xb286bd9e816ce774),
     ("resilience_nano_2r_s13", 0x3571befbf8e37e54),
     ("fifo_orin_4p_s37", 0x84a585bcfdbdbf0b),
     ("fifo_resilience_nano_3r_s41", 0xdf48383617e1a6d4),

@@ -5,12 +5,13 @@
 //! and hashes the [`ServeReport`]'s JSON with FNV-1a, so a rewrite of
 //! the roll-up (chain accounting, percentiles, replica-seconds replay,
 //! recovery and scaling counters) must reproduce every byte. The grid
-//! covers the benchmark's two serve workloads, shortened, plus three
+//! covers the benchmark's two serve workloads, shortened, plus four
 //! specs that each fire a family of report fields: retries, hedges,
 //! deadlines, a brownout breaker and degraded batches; scale-to-zero
-//! autoscaling with cold and warm starts, reaps and parks; and an OOM
-//! fault plan with restarts and an ejection. Every spec runs under the
-//! `rr` and `priority` GPU policies at two seeds.
+//! autoscaling with cold and warm starts, reaps and parks; an OOM fault
+//! plan with restarts and an ejection; and fixed-price starts beside
+//! OOM restarts. Every spec runs under the `rr` and `priority` GPU
+//! policies at two seeds.
 //!
 //! To re-capture (only legitimate when the simulation *model* or the
 //! report's definition changes, never for a pure refactor):
@@ -90,6 +91,33 @@ spec = "yolov8n:fp16:1:2:0"
 arrival = "poisson:60"
 "#;
 
+/// Fixed start prices beside restarts: a scale-to-zero group whose
+/// every start costs a flat 40 ms, next to a group the OOM killer hits
+/// under [`oom_plan`], with one restart per replica.
+const START_COST: &str = r#"
+device = "orin-nano"
+duration = "3s"
+warmup = "200ms"
+slo = "50ms"
+recovery = 1
+
+[[tenants]]
+spec = "mobilenet_v2:fp16:1:2:1"
+arrival = "mmpp:5:400:400:250"
+
+[tenants.autoscale]
+min_replicas = 0
+max_replicas = 2
+target_queue = 1.0
+keep_alive = "50ms"
+evaluate_every = "10ms"
+start_cost = "40ms"
+
+[[tenants]]
+spec = "resnet50:fp16:1:3:0"
+arrival = "poisson:120"
+"#;
+
 /// Memory spikes under the OOM killer, large enough to kill replicas,
 /// spaced so the restarted ones are killed again.
 fn oom_plan() -> FaultPlan {
@@ -123,7 +151,7 @@ fn run(spec: &str, toml: &str, policy: &str, seed: u64) -> Cell {
         sc.fault_seed = Some(seed + 1);
     }
     let mut serve = build_serve_spec(&sc).expect("scenario resolves");
-    if spec == "oom" {
+    if matches!(spec, "oom" | "start_cost") {
         serve = serve.faults(oom_plan());
     }
     Cell {
@@ -139,6 +167,7 @@ fn cells() -> Vec<Cell> {
         ("resilience", RESILIENCE),
         ("scale_to_zero", SCALE_TO_ZERO),
         ("oom", OOM),
+        ("start_cost", START_COST),
     ];
     let mut cells = Vec::new();
     for (spec, toml) in specs {
@@ -160,8 +189,9 @@ fn digest(report: &ServeReport) -> u64 {
 }
 
 /// Captured with `JETSIM_REPORT_CAPTURE=1` on the tree before the
-/// report became one flat pass. Every refactor of the report must
-/// reproduce each one bit for bit.
+/// report became one flat pass; the `start_cost` cells on the tree
+/// before a replica start became one plan-load phase. Every refactor of
+/// the report must reproduce each one bit for bit.
 const PINNED: &[(&str, u64)] = &[
     ("serve_steady_rr_s7", 0xa3af7629d8176572),
     ("serve_steady_rr_s19", 0x21131f4b4fdd84d0),
@@ -183,6 +213,10 @@ const PINNED: &[(&str, u64)] = &[
     ("oom_rr_s19", 0x01cffd02c1cacd10),
     ("oom_priority_s7", 0x99228260887cb8f9),
     ("oom_priority_s19", 0x8e45040ec8de9766),
+    ("start_cost_rr_s7", 0x764415af7e05ab77),
+    ("start_cost_rr_s19", 0xd9f7e4b0fff11611),
+    ("start_cost_priority_s7", 0x34fb72702a4eb638),
+    ("start_cost_priority_s19", 0x86408e6560110082),
 ];
 
 #[test]
@@ -258,6 +292,14 @@ fn report_cells_exercise_their_paths() {
             assert!(sum(r, |g| g.replica_restarts) > 0, "{id}: restarts");
             assert!(sum(r, |g| g.replica_ejected) > 0, "{id}: ejections");
             assert!(sum(r, |g| g.killed_inflight) > 0, "{id}: killed in flight");
+        }
+        if id.starts_with("start_cost") {
+            let (scaled, restarted) = (&r.groups[0], &r.groups[1]);
+            assert!(scaled.cold_starts > 0, "{id}: cold starts");
+            assert!(scaled.warm_starts > 0, "{id}: warm starts");
+            assert_eq!(scaled.cold_start_tax_ms, 40.0, "{id}: fixed start price");
+            assert!(restarted.replica_restarts > 0, "{id}: restarts");
+            assert!(restarted.replica_ejected > 0, "{id}: ejections");
         }
     }
 }
