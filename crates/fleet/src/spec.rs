@@ -98,7 +98,7 @@ impl SiteOutcome {
         let mut root_completions = vec![Vec::new(); spec.tenants().len()];
         for (r, chain) in trace.requests.iter().zip(&chains) {
             if r.is_root() {
-                root_completions[r.group].push(chain.completion);
+                root_completions[r.group()].push(chain.completion);
             }
         }
         SiteOutcome {

@@ -148,7 +148,7 @@ pub fn to_chrome_trace(trace: &RunTrace) -> String {
         .expect("write to String");
     }
     for r in &trace.requests {
-        let Some(dispatched) = r.dispatched else {
+        let Some(wait) = r.queue_wait() else {
             continue;
         };
         if !first {
@@ -160,18 +160,18 @@ pub fn to_chrome_trace(trace: &RunTrace) -> String {
             "{{\"name\":\"queue_wait\",\"cat\":\"serve\",\"ph\":\"X\",\"pid\":{},\
              \"tid\":0,\"ts\":{:.3},\"dur\":{:.3},\"args\":{{\"seq\":{},\
              \"batch_size\":{},\"server_pid\":{},\"degraded\":{}}}}}",
-            SERVE_PID_BASE + r.group,
+            SERVE_PID_BASE + r.group(),
             r.arrival.as_micros_f64(),
-            dispatched.since(r.arrival).as_micros_f64(),
-            r.seq,
+            wait.as_micros_f64(),
+            r.seq(),
             r.batch_size,
-            r.pid.map(|p| p as i64).unwrap_or(-1),
+            r.pid().map(|p| p as i64).unwrap_or(-1),
             r.degraded,
         )
         .expect("write to String");
     }
     for r in &trace.requests {
-        let Some(drop) = &r.dropped else { continue };
+        let Some(drop) = r.dropped() else { continue };
         if !first {
             out.push_str(",\n");
         }
@@ -185,9 +185,9 @@ pub fn to_chrome_trace(trace: &RunTrace) -> String {
             out,
             "{{\"name\":\"request_dropped\",\"cat\":\"serve\",\"ph\":\"i\",\"s\":\"t\",\
              \"pid\":{},\"tid\":0,\"ts\":{:.3},\"args\":{{\"seq\":{},\"kind\":\"{kind}\"}}}}",
-            SERVE_PID_BASE + r.group,
+            SERVE_PID_BASE + r.group(),
             drop.at.as_micros_f64(),
-            r.seq,
+            r.seq(),
         )
         .expect("write to String");
     }

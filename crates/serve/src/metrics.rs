@@ -159,7 +159,7 @@ pub struct Chain {
 /// retry or hedge parent it duplicates. A parent always precedes its
 /// children, and a chain is at most one hedge and the retry budget deep.
 fn root_of(requests: &[RequestRecord], mut i: usize) -> usize {
-    while let Some(parent) = requests[i].retry_of.or(requests[i].hedge_of) {
+    while let Some(parent) = requests[i].retry_of().or(requests[i].hedge_of()) {
         debug_assert!(parent < i, "request {i} links forward to {parent}");
         i = parent;
     }
@@ -174,9 +174,9 @@ pub fn roll_up_chains(requests: &[RequestRecord]) -> Vec<Chain> {
     for (i, r) in requests.iter().enumerate() {
         let chain = &mut chains[root_of(requests, i)];
         chain.attempts += 1;
-        if let Some(at) = r.completed {
+        if let Some(at) = r.completed() {
             chain.completion = Some(chain.completion.map_or(at, |best| best.min(at)));
-        } else if r.dropped.is_none() {
+        } else if r.dropped().is_none() {
             chain.pending = true;
         }
     }
@@ -335,8 +335,8 @@ impl ServeReport {
             if trace.requests[root].arrival < window_start {
                 continue;
             }
-            let acc = &mut groups[r.group];
-            if let Some(drop) = &r.dropped {
+            let acc = &mut groups[r.group()];
+            if let Some(drop) = r.dropped() {
                 match drop.kind {
                     DropKind::Rejected => acc.report.rejected += 1,
                     DropKind::Shed => acc.report.shed += 1,
@@ -347,7 +347,7 @@ impl ServeReport {
                     _ => {}
                 }
             }
-            if r.completed.is_some() {
+            if r.served() {
                 if let Some(wait) = r.queue_wait() {
                     acc.wait_total += wait;
                     acc.wait_count += 1;
@@ -362,7 +362,7 @@ impl ServeReport {
             match chain.completion {
                 Some(at) => {
                     acc.report.served += 1;
-                    let latency = at.saturating_since(r.arrival);
+                    let latency = r.since_arrival(at);
                     acc.within_slo += usize::from(latency <= slo);
                     acc.within_deadline += usize::from(latency <= promise);
                     acc.latencies.push(latency);

@@ -280,3 +280,41 @@ fn window_past_the_clock_is_an_error_not_a_panic() {
         );
     }
 }
+
+#[test]
+fn a_centuries_long_window_is_refused_before_it_runs() {
+    // The window fits the clock after the 500 ms warmup, but its ~1.8e12
+    // expected requests overflow the `u32` index a request record
+    // carries, so the plan is refused before the run starts. Were it
+    // not, the run would allocate until killed: the child gets a
+    // deadline.
+    let mut child = Command::new(env!("CARGO_BIN_EXE_jetsim-serve"))
+        .args([
+            "--tenant",
+            "resnet50:int8:1:2",
+            "--duration",
+            "18446744073s",
+        ])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+    while child.try_wait().expect("child state").is_none() {
+        if std::time::Instant::now() > deadline {
+            child.kill().ok();
+            child.wait().ok();
+            panic!("the centuries-long window started running");
+        }
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    }
+    let out = child.wait_with_output().expect("child output");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert_eq!(stderr.lines().count(), 1, "{stderr}");
+    assert!(
+        stderr.starts_with("error: invalid serve plan: ") && stderr.contains("request records"),
+        "{stderr}"
+    );
+    assert!(out.stdout.is_empty());
+}

@@ -423,9 +423,10 @@ proptest! {
     }
 
     /// Serving configs record neither per-kernel stream (kernel events
-    /// and preemptions), and recording them changes nothing a report
-    /// reads: the kernel-event jitter draws from a stream of its own,
-    /// and a preemption's accounting does not depend on its record.
+    /// and preemptions) nor the per-EC log, and recording them changes
+    /// nothing a report reads: the kernel-event jitter draws from a
+    /// stream of its own, a preemption's accounting does not depend on
+    /// its record, and process statistics come from running sums.
     #[test]
     fn serve_reports_do_not_depend_on_kernel_recording(
         seed in any::<u64>(),
@@ -462,6 +463,12 @@ proptest! {
             prop_assert!(!on.kernel_events.is_empty());
             prop_assert!(off.preemptions.is_empty());
             prop_assert_eq!(!on.preemptions.is_empty(), preempts);
+            prop_assert!(off.ec_records.iter().all(Vec::is_empty));
+            prop_assert!(on.ec_records.iter().any(|log| !log.is_empty()));
+            for (log, p) in on.ec_records.iter().zip(&on.processes) {
+                prop_assert_eq!(log.len() as u64, p.completed_ecs);
+            }
+            prop_assert_eq!(&off.processes, &on.processes);
             let report = |trace: &RunTrace| {
                 ServeReport::from_trace_with_deadline(
                     trace,
@@ -570,7 +577,7 @@ proptest! {
             for r in &trace.requests {
                 if r.arrival > trip && r.arrival < until {
                     prop_assert_eq!(
-                        r.dropped.map(|d| d.kind),
+                        r.dropped().map(|d| d.kind),
                         Some(DropKind::BreakerOpen),
                         "request at {:?} slipped through an open breaker",
                         r.arrival

@@ -27,7 +27,7 @@ use jetsim_trt::Engine;
 use crate::config::SimConfig;
 use crate::serving::{
     group_seed, AdmissionPolicy, AutoscalerPolicy, BatchDecision, BatcherPolicy, BreakerMode,
-    BreakerPolicy, DropKind, DropRecord, HedgePolicy, RecoveryPolicy, ReplicaHealth, RequestRecord,
+    BreakerPolicy, DropKind, HedgePolicy, RecoveryPolicy, ReplicaHealth, RequestRecord,
     RetryPolicy, ScaleDecision, ScaleSignals, ServeEvent, ServeEventKind, RETRY_JITTER,
 };
 
@@ -38,6 +38,10 @@ use super::{Ctx, Event};
 
 /// Completed-latency samples kept per group for the hedge p95.
 const LAT_RING_CAP: usize = 128;
+
+/// Most request records (and serve events) the logs reserve up front;
+/// a longer run regrows past it.
+const MAX_PRESIZED_RECORDS: usize = 1 << 22;
 
 /// The p95 of a non-empty latency ring: its `ceil(0.95 n)`-th smallest
 /// sample (1-based, clamped to `[1, n]`). Selection on a stack copy
@@ -179,7 +183,7 @@ struct GroupRt {
     exhausted: bool,
     /// Arrival counter (request sequence numbers; retries and hedges
     /// share it).
-    seq: u64,
+    seq: u32,
     // --- resilience (all optional; absent policies cost nothing) -------
     /// Queueing deadline.
     deadline: Option<jetsim_des::SimDuration>,
@@ -339,6 +343,18 @@ impl Ingress {
                 });
             }
         }
+        // Room for the expected arrivals with 25% slack, so neither log
+        // regrows by doubling: a serve run writes about one record per
+        // arrival (more with retries and hedges) and one batch event per
+        // dispatch. Unwritten capacity is never touched.
+        let window = config.total_time();
+        let expected: f64 = config
+            .serve
+            .iter()
+            .flat_map(|plan| &plan.groups)
+            .map(|g| g.expected_arrivals(window))
+            .sum();
+        let records = ((expected * 1.25) as usize).min(MAX_PRESIZED_RECORDS);
         Ingress {
             groups,
             group_of_pid,
@@ -350,8 +366,8 @@ impl Ingress {
             scale_gen: vec![0; n],
             idle_since: vec![SimTime::ZERO; n],
             hedge_peer: HashMap::new(),
-            requests: Vec::new(),
-            serve_events: Vec::new(),
+            requests: Vec::with_capacity(records),
+            serve_events: Vec::with_capacity(records),
         }
     }
 
@@ -365,11 +381,8 @@ impl Ingress {
             for &ri in &grp.queue {
                 let r = &self.requests[ri];
                 debug_assert!(
-                    r.group == g && r.dispatched.is_none(),
-                    "request {ri} (group {}, arrival {} ns, dispatched {:?}) is queued at group {g}",
-                    r.group,
-                    r.arrival.as_nanos(),
-                    r.dispatched
+                    r.group() == g && r.dispatched().is_none(),
+                    "request {ri} ({r:?}) is queued at group {g}"
                 );
                 holders[ri] += 1;
             }
@@ -380,13 +393,7 @@ impl Ingress {
         for (ri, (r, &held)) in self.requests.iter().zip(&holders).enumerate() {
             debug_assert!(
                 held == u32::from(r.unfinished()),
-                "request {ri} (group {}, arrival {} ns, dispatched {:?}, completed {:?}, dropped {:?}) \
-                 is held by {held} queues or in-flight lists",
-                r.group,
-                r.arrival.as_nanos(),
-                r.dispatched,
-                r.completed,
-                r.dropped
+                "request {ri} ({r:?}) is held by {held} queues or in-flight lists"
             );
         }
     }
@@ -464,23 +471,40 @@ impl Ingress {
         ctx: &mut Ctx<'_>,
         deps: &mut IngressDeps<'_>,
     ) {
-        let seq = self.groups[g].seq;
-        self.groups[g].seq += 1;
-        let ri = self.requests.len();
-        self.requests.push(RequestRecord::arrived(g, seq, now));
+        let arrival = RequestRecord::arrived(g, self.next_seq(g), now);
+        let ri = self.push_request(arrival);
         self.admit(g, ri, now, ctx);
         self.try_dispatch(g, now, ctx, deps);
         self.schedule_next_arrival(g, now, ctx);
+    }
+
+    /// The group's next arrival sequence number (retries and hedges
+    /// share the counter).
+    fn next_seq(&mut self, g: usize) -> u32 {
+        let seq = self.groups[g].seq;
+        self.groups[g].seq += 1;
+        seq
+    }
+
+    /// Appends a request record and returns its index. Event payloads
+    /// and record links carry the index as a `u32`, which
+    /// `SimConfig::validate` keeps lossless by bounding the plan's
+    /// worst-case record count.
+    fn push_request(&mut self, r: RequestRecord) -> usize {
+        let ri = self.requests.len();
+        debug_assert!(
+            ri < u32::MAX as usize,
+            "request index {ri} overflows the u32 index space"
+        );
+        self.requests.push(r);
+        ri
     }
 
     /// Runs one freshly recorded request through the breaker gate and
     /// the admission policy. Returns `true` when it ended up queued.
     fn admit(&mut self, g: usize, ri: usize, now: SimTime, ctx: &mut Ctx<'_>) -> bool {
         if !self.breaker_gate(g, ri, now) {
-            self.requests[ri].dropped = Some(DropRecord {
-                at: now,
-                kind: DropKind::BreakerOpen,
-            });
+            self.requests[ri].drop_at(now, DropKind::BreakerOpen);
             self.unlink_hedge(ri);
             return false;
         }
@@ -527,7 +551,7 @@ impl Ingress {
             );
         }
         if let Some(hp) = self.groups[g].hedge {
-            if self.requests[ri].hedge_of.is_none() {
+            if self.requests[ri].hedge_of().is_none() {
                 if let Some(delay) = self.hedge_delay(g, hp) {
                     ctx.queue.schedule(
                         now + delay,
@@ -785,7 +809,7 @@ impl Ingress {
         now: SimTime,
         ctx: &mut Ctx<'_>,
     ) {
-        self.requests[ri].dropped = Some(DropRecord { at: now, kind });
+        self.requests[ri].drop_at(now, kind);
         self.unlink_hedge(ri);
         let exempt = matches!(kind, DropKind::HedgeLoser | DropKind::BreakerOpen);
         if exempt {
@@ -794,7 +818,7 @@ impl Ingress {
         }
         self.breaker_record(g, false, now);
         self.resolve_probe(g, ri, false, now);
-        if self.requests[ri].hedge_of.is_none() {
+        if self.requests[ri].hedge_of().is_none() {
             self.maybe_retry(g, ri, now, ctx);
         }
     }
@@ -828,15 +852,10 @@ impl Ingress {
         ctx: &mut Ctx<'_>,
         deps: &mut IngressDeps<'_>,
     ) {
-        let g = self.requests[parent].group;
-        let seq = self.groups[g].seq;
-        self.groups[g].seq += 1;
-        let ri = self.requests.len();
-        self.requests.push(RequestRecord {
-            attempt: self.requests[parent].attempt + 1,
-            retry_of: Some(parent),
-            ..RequestRecord::arrived(g, seq, now)
-        });
+        let g = self.requests[parent].group();
+        let attempt = self.requests[parent].attempt + 1;
+        let retry = RequestRecord::arrived(g, self.next_seq(g), now).retry(parent, attempt);
+        let ri = self.push_request(retry);
         self.admit(g, ri, now, ctx);
         self.try_dispatch(g, now, ctx, deps);
     }
@@ -852,10 +871,10 @@ impl Ingress {
         deps: &mut IngressDeps<'_>,
     ) {
         let r = &self.requests[ri];
-        if r.dispatched.is_some() || !r.unfinished() {
+        if r.dispatched().is_some() || !r.unfinished() {
             return;
         }
-        let g = r.group;
+        let g = r.group();
         self.groups[g].queue.retain(|&q| q != ri);
         self.drop_request(g, ri, DropKind::DeadlineExpired, now, ctx);
         self.try_dispatch(g, now, ctx, deps);
@@ -871,17 +890,12 @@ impl Ingress {
         deps: &mut IngressDeps<'_>,
     ) {
         let p = &self.requests[primary];
-        if p.dispatched.is_none() || !p.unfinished() || self.hedge_peer.contains_key(&primary) {
+        if p.dispatched().is_none() || !p.unfinished() || self.hedge_peer.contains_key(&primary) {
             return;
         }
-        let g = p.group;
-        let seq = self.groups[g].seq;
-        self.groups[g].seq += 1;
-        let ri = self.requests.len();
-        self.requests.push(RequestRecord {
-            hedge_of: Some(primary),
-            ..RequestRecord::arrived(g, seq, now)
-        });
+        let g = p.group();
+        let hedge = RequestRecord::arrived(g, self.next_seq(g), now).hedge(primary);
+        let ri = self.push_request(hedge);
         self.hedge_peer.insert(primary, ri);
         self.hedge_peer.insert(ri, primary);
         if !self.admit(g, ri, now, ctx) {
@@ -907,12 +921,9 @@ impl Ingress {
         };
         self.hedge_peer.remove(&peer);
         let twin = &mut self.requests[peer];
-        if twin.dispatched.is_none() && twin.unfinished() {
+        if twin.dispatched().is_none() && twin.unfinished() {
             self.groups[g].queue.retain(|&q| q != peer);
-            twin.dropped = Some(DropRecord {
-                at: now,
-                kind: DropKind::HedgeLoser,
-            });
+            twin.drop_at(now, DropKind::HedgeLoser);
             self.resolve_probe_neutral(g, peer);
         }
     }
@@ -1005,8 +1016,8 @@ impl Ingress {
         let was_busy = std::mem::replace(&mut self.busy[pid], false);
         for ri in std::mem::take(&mut self.inflight[pid]) {
             let r = &mut self.requests[ri];
-            r.completed = Some(now);
-            let latency = now.saturating_since(r.arrival);
+            r.complete(now);
+            let latency = r.since_arrival(now);
             if let Some(policy) = self.groups[g].autoscaler {
                 self.groups[g].win_completions += 1;
                 if policy.slo_target.is_some_and(|target| latency > target) {
@@ -1240,11 +1251,7 @@ impl Ingress {
                         .collect();
                     let queue_depth = grp.queue.len();
                     for &ri in &batch {
-                        let r = &mut self.requests[ri];
-                        r.dispatched = Some(now);
-                        r.pid = Some(pid);
-                        r.batch_size = k;
-                        r.degraded = degraded;
+                        self.requests[ri].dispatch(now, pid, k, degraded);
                     }
                     self.inflight[pid] = batch;
                     self.busy[pid] = true;

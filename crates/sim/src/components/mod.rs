@@ -47,7 +47,7 @@ use jetsim_des::{CalendarQueue, SimDuration, SimRng, SimTime};
 use jetsim_trt::Engine;
 
 use crate::config::{ArrivalModel, SimConfig};
-use crate::trace::EcRecord;
+use crate::trace::EcStats;
 
 use sched::RqThread;
 
@@ -96,7 +96,7 @@ pub(crate) struct Ctx<'a> {
 
 /// Per-process simulation state, shared across components: the scheduler
 /// drives the host-thread fields, the GPU drains `ready`, and the
-/// finaliser aggregates `ecs`.
+/// finaliser turns `ecs` into the process's statistics.
 pub(crate) struct Proc {
     /// Process name.
     pub name: String,
@@ -132,9 +132,8 @@ pub(crate) struct Proc {
     pub cpu: RqThread,
     /// Kernels launched and ready for the GPU, FIFO.
     pub ready: VecDeque<usize>,
-    /// Completed EC records (all; filtered to the measured window at
-    /// finalize).
-    pub ecs: Vec<EcRecord>,
+    /// Statistics of the ECs completed inside the measured window.
+    pub ecs: EcStats,
 }
 
 #[cfg(test)]
@@ -152,6 +151,19 @@ mod tests {
             "Event grew to {} bytes; keep payloads u32 so the calendar \
              entries stay two words + payload",
             std::mem::size_of::<Event>()
+        );
+    }
+
+    /// A serve trace keeps one request record per request, so its size
+    /// is a budget: a new field must fit the 2 bytes of padding or pack
+    /// into an existing one. This stands in for the golden-parity
+    /// destructuring that the record's private fields rule out.
+    #[test]
+    fn request_record_fits_in_64_bytes() {
+        assert!(
+            std::mem::size_of::<crate::serving::RequestRecord>() <= 64,
+            "RequestRecord grew to {} bytes",
+            std::mem::size_of::<crate::serving::RequestRecord>()
         );
     }
 }

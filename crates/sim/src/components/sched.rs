@@ -490,8 +490,8 @@ impl CpuSched {
         }
     }
 
-    /// The thread returned from synchronize: record the EC and start the
-    /// next one.
+    /// The thread returned from synchronize: count the EC (when it ends
+    /// inside the measured window) and start the next one.
     fn on_sync_return(&mut self, pid: usize, now: SimTime, ctx: &mut Ctx<'_>, gpu: &mut GpuEngine) {
         if !ctx.alive[pid] {
             return; // wakeup raced the OOM killer
@@ -525,7 +525,9 @@ impl CpuSched {
             record.blocking_time.as_nanos(),
             record.sync_time.as_nanos(),
         );
-        proc.ecs.push(record);
+        if now > ctx.warmup_end {
+            proc.ecs.add(record, ctx.config.record_kernel_events);
+        }
         proc.ec_seq += 1;
         proc.next_launch = 0;
         proc.cur_launch = SimDuration::ZERO;

@@ -280,9 +280,11 @@ pub struct SimConfig {
     pub cpu_model: CpuModel,
     /// Whether to retain both per-kernel streams,
     /// [`crate::RunTrace::kernel_events`] and
-    /// [`crate::RunTrace::preemptions`] (disable for long thermal soaks
-    /// and serving runs, where they would dominate memory). No other
-    /// trace field depends on it.
+    /// [`crate::RunTrace::preemptions`], and the per-EC log,
+    /// [`crate::RunTrace::ec_records`] (disable for sweeps, long thermal
+    /// soaks and serving runs, where they would dominate memory). No
+    /// other trace field depends on it: [`crate::ProcessStats`] are
+    /// accumulated as each EC finishes.
     pub record_kernel_events: bool,
     /// Fault-injection schedule (empty and [`OomPolicy::Strict`] by
     /// default, which leaves the run byte-identical to a fault-free
@@ -298,6 +300,11 @@ pub struct SimConfig {
     /// simulator without serving machinery.
     pub serve: Option<ServePlan>,
 }
+
+/// Most request records a serve plan may be expected to write: half
+/// the `u32` index space [`crate::RequestRecord`] links and event
+/// payloads carry, so an unlucky draw past the expectation still fits.
+const MAX_SERVE_RECORDS: u32 = u32::MAX / 2;
 
 /// The seed every jetsim entry point defaults to (`b"jets"`): the
 /// config builder, sweeps, the profiler, serving specs and all three
@@ -456,6 +463,31 @@ impl SimConfig {
                         });
                     }
                 }
+            }
+            // Request records pack their instants with the clock's last
+            // nanosecond as "unset", and their indices as `u32`.
+            let window = self.total_time();
+            if window.as_nanos() == u64::MAX {
+                return Err(SimError::InvalidServePlan {
+                    reason: format!(
+                        "the {window} run window reaches the clock's last nanosecond, \
+                         which request records reserve for an unset time"
+                    ),
+                });
+            }
+            let records: f64 = plan
+                .groups
+                .iter()
+                .map(|g| g.worst_case_records(window))
+                .sum();
+            if records > f64::from(MAX_SERVE_RECORDS) {
+                return Err(SimError::InvalidServePlan {
+                    reason: format!(
+                        "the plan may write {records:.3e} request records over its {window} \
+                         run window (expected arrivals x retry budget x 2 when hedging), \
+                         more than the {MAX_SERVE_RECORDS} a trace indexes"
+                    ),
+                });
             }
         }
         if let GpuPolicy::FractionalMps { overlap_efficiency }
@@ -686,9 +718,10 @@ impl SimConfigBuilder {
     }
 
     /// Sets whether both per-kernel streams, kernel events and
-    /// preemption records, are retained (on by default; turn it off for
-    /// multi-minute thermal soaks and serving runs; throughput, power,
-    /// request and fault records are unaffected).
+    /// preemption records, and the per-EC log are retained (on by
+    /// default; turn it off for sweeps, multi-minute thermal soaks and
+    /// serving runs; process statistics, throughput, power, request and
+    /// fault records are unaffected).
     pub fn record_kernel_events(mut self, record: bool) -> Self {
         self.config.record_kernel_events = record;
         self

@@ -17,6 +17,7 @@
 //! extra randomness: closed-loop runs stay byte-identical to a simulator
 //! without any serving machinery.
 
+use std::fmt;
 use std::sync::Arc;
 
 use jetsim_des::{ArrivalProcess, SimDuration, SimTime};
@@ -613,6 +614,27 @@ impl ServeGroup {
         self.autoscaler = Some(autoscaler);
         self
     }
+
+    /// Arrivals expected over a run `window` long: the mean rate times
+    /// the window, or a finite trace's length (infinite for a cycling
+    /// trace whose gaps sum to zero).
+    pub(crate) fn expected_arrivals(&self, window: SimDuration) -> f64 {
+        match &self.arrivals {
+            ArrivalProcess::Trace { gaps, cycle: false } => gaps.len() as f64,
+            arrivals => arrivals
+                .mean_rate()
+                .map_or(f64::INFINITY, |rate| rate * window.as_secs_f64()),
+        }
+    }
+
+    /// The most request records the group is expected to write over
+    /// `window`: every expected arrival retried to its attempt budget,
+    /// and every attempt hedged once.
+    pub(crate) fn worst_case_records(&self, window: SimDuration) -> f64 {
+        let attempts = self.retry.map_or(1, |r| r.max_attempts);
+        let hedges = if self.hedge.is_some() { 2.0 } else { 1.0 };
+        self.expected_arrivals(window) * f64::from(attempts) * hedges
+    }
 }
 
 /// The full serving configuration of one run: a list of groups.
@@ -677,88 +699,231 @@ pub struct DropRecord {
     pub kind: DropKind,
 }
 
+/// The packed "unset" instant of a [`RequestRecord`] time: the clock's
+/// last nanosecond. [`crate::SimConfig::validate`] rejects a serve
+/// window that reaches it, so no real dispatch or completion packs to it.
+const UNSET_TIME: u64 = u64::MAX;
+
+/// The packed "none" of a [`RequestRecord`] index. `SimConfig::validate`
+/// bounds a serve plan's worst-case record count to half the `u32` index
+/// space, so no real request index or pid packs to it.
+const NO_INDEX: u32 = u32::MAX;
+
+/// Packs a set instant into one word.
+fn pack_time(t: SimTime) -> u64 {
+    debug_assert!(
+        t.as_nanos() != UNSET_TIME,
+        "instant {t} is the unset sentinel"
+    );
+    t.as_nanos()
+}
+
+fn unpack_time(t: u64) -> Option<SimTime> {
+    (t != UNSET_TIME).then(|| SimTime::from_nanos(t))
+}
+
+/// Packs a set index into a `u32`.
+fn pack_index(i: usize) -> u32 {
+    debug_assert!(i < NO_INDEX as usize, "index {i} does not fit a packed u32");
+    i as u32
+}
+
+fn unpack_index(i: u32) -> Option<usize> {
+    (i != NO_INDEX).then_some(i as usize)
+}
+
 /// The full lifecycle of one request, as recorded in
 /// [`crate::RunTrace::requests`].
-#[derive(Debug, Clone, PartialEq)]
+///
+/// A serve trace holds one record per request, so the record is packed
+/// into 64 bytes: indices are `u32`, and the optional instants are one
+/// word each with the clock's last nanosecond meaning "unset". The packed
+/// fields are read through accessors; only the simulator writes them.
+#[derive(Clone, Copy, PartialEq, Eq)]
 pub struct RequestRecord {
-    /// Index of the serve group the request arrived at.
-    pub group: usize,
-    /// Arrival sequence number within the group.
-    pub seq: u64,
     /// When the request arrived.
     pub arrival: SimTime,
-    /// When it was dispatched in a batch (`None` if dropped or still
-    /// queued at the end of the run).
-    pub dispatched: Option<SimTime>,
-    /// When its batch's execution context completed (`None` if dropped
-    /// or unfinished).
-    pub completed: Option<SimTime>,
-    /// Set when the admission policy dropped the request.
-    pub dropped: Option<DropRecord>,
-    /// The server process that ran it, once dispatched.
-    pub pid: Option<usize>,
+    dispatched: u64,
+    completed: u64,
+    dropped_at: SimTime,
+    group: u32,
+    seq: u32,
+    pid: u32,
+    retry_of: u32,
+    hedge_of: u32,
     /// How many requests shared its batch (0 until dispatched).
     pub batch_size: u32,
-    /// Whether it ran on the group's degraded engine.
-    pub degraded: bool,
     /// Attempt index within the logical request: 0 for the original
     /// submission, `n` for its n-th retry.
     pub attempt: u32,
-    /// Index (into [`crate::RunTrace::requests`]) of the attempt this
-    /// record retries, `None` for original submissions.
-    pub retry_of: Option<usize>,
-    /// Index of the in-flight attempt this record hedges, `None` for
-    /// non-hedge records.
-    pub hedge_of: Option<usize>,
+    /// Whether it ran on the group's degraded engine.
+    pub degraded: bool,
+    drop_kind: Option<DropKind>,
 }
 
 impl RequestRecord {
     /// A request that just arrived at `group`: not yet dispatched,
     /// dropped or linked to another attempt.
-    pub(crate) fn arrived(group: usize, seq: u64, arrival: SimTime) -> Self {
+    pub(crate) fn arrived(group: usize, seq: u32, arrival: SimTime) -> Self {
         RequestRecord {
-            group,
-            seq,
             arrival,
-            dispatched: None,
-            completed: None,
-            dropped: None,
-            pid: None,
+            dispatched: UNSET_TIME,
+            completed: UNSET_TIME,
+            dropped_at: SimTime::ZERO,
+            group: pack_index(group),
+            seq,
+            pid: NO_INDEX,
+            retry_of: NO_INDEX,
+            hedge_of: NO_INDEX,
             batch_size: 0,
-            degraded: false,
             attempt: 0,
-            retry_of: None,
-            hedge_of: None,
+            degraded: false,
+            drop_kind: None,
         }
+    }
+
+    /// Attempt `attempt` of the logical request, retrying record
+    /// `parent`.
+    pub(crate) fn retry(mut self, parent: usize, attempt: u32) -> Self {
+        self.retry_of = pack_index(parent);
+        self.attempt = attempt;
+        self
+    }
+
+    /// A hedge duplicate racing record `primary`.
+    pub(crate) fn hedge(mut self, primary: usize) -> Self {
+        self.hedge_of = pack_index(primary);
+        self
+    }
+
+    /// Records the dispatch of the request at `at` to server `pid` in a
+    /// batch of `batch_size`.
+    pub(crate) fn dispatch(&mut self, at: SimTime, pid: usize, batch_size: u32, degraded: bool) {
+        self.dispatched = pack_time(at);
+        self.pid = pack_index(pid);
+        self.batch_size = batch_size;
+        self.degraded = degraded;
+    }
+
+    /// Records the completion of the request's batch at `at`.
+    pub(crate) fn complete(&mut self, at: SimTime) {
+        self.completed = pack_time(at);
+    }
+
+    /// Records the request's drop at `at` for cause `kind`.
+    pub(crate) fn drop_at(&mut self, at: SimTime, kind: DropKind) {
+        self.dropped_at = at;
+        self.drop_kind = Some(kind);
+    }
+
+    /// Index of the serve group the request arrived at.
+    pub fn group(&self) -> usize {
+        self.group as usize
+    }
+
+    /// Arrival sequence number within the group (retries and hedges
+    /// share the counter).
+    pub fn seq(&self) -> u64 {
+        u64::from(self.seq)
+    }
+
+    /// When it was dispatched in a batch (`None` if dropped or still
+    /// queued at the end of the run).
+    pub fn dispatched(&self) -> Option<SimTime> {
+        unpack_time(self.dispatched)
+    }
+
+    /// When its batch's execution context completed (`None` if dropped
+    /// or unfinished).
+    pub fn completed(&self) -> Option<SimTime> {
+        unpack_time(self.completed)
+    }
+
+    /// When and why the request was dropped, if it was.
+    pub fn dropped(&self) -> Option<DropRecord> {
+        self.drop_kind.map(|kind| DropRecord {
+            at: self.dropped_at,
+            kind,
+        })
+    }
+
+    /// The server process that ran it, once dispatched.
+    pub fn pid(&self) -> Option<usize> {
+        unpack_index(self.pid)
+    }
+
+    /// Index (into [`crate::RunTrace::requests`]) of the attempt this
+    /// record retries, `None` for original submissions.
+    pub fn retry_of(&self) -> Option<usize> {
+        unpack_index(self.retry_of)
+    }
+
+    /// Index of the in-flight attempt this record hedges, `None` for
+    /// non-hedge records.
+    pub fn hedge_of(&self) -> Option<usize> {
+        unpack_index(self.hedge_of)
+    }
+
+    /// The span from the request's arrival to `at`, which a later step
+    /// of its chain never precedes. It saturates at zero in release
+    /// builds; a debug build asserts instead, naming the record.
+    pub fn since_arrival(&self, at: SimTime) -> SimDuration {
+        debug_assert!(
+            at >= self.arrival,
+            "request group {} seq {}: {} ns is before its arrival at {} ns",
+            self.group,
+            self.seq,
+            at.as_nanos(),
+            self.arrival.as_nanos()
+        );
+        at.saturating_since(self.arrival)
     }
 
     /// End-to-end latency (arrival → completion), for served requests.
     pub fn latency(&self) -> Option<SimDuration> {
-        self.completed
-            .map(|done| done.saturating_since(self.arrival))
+        self.completed().map(|done| self.since_arrival(done))
     }
 
     /// Time spent queued before dispatch, for dispatched requests.
     pub fn queue_wait(&self) -> Option<SimDuration> {
-        self.dispatched.map(|at| at.saturating_since(self.arrival))
+        self.dispatched().map(|at| self.since_arrival(at))
     }
 
     /// `true` when the request completed service.
     pub fn served(&self) -> bool {
-        self.completed.is_some()
+        self.completed != UNSET_TIME
     }
 
     /// `true` when the request was neither served nor dropped — still
     /// queued or in flight when the simulation ended.
     pub fn unfinished(&self) -> bool {
-        self.completed.is_none() && self.dropped.is_none()
+        !self.served() && self.drop_kind.is_none()
     }
 
     /// `true` when this record is the root of its logical request — not
     /// a retry and not a hedge duplicate. Reports count logical requests
     /// by their roots so retries and hedges never double-count goodput.
     pub fn is_root(&self) -> bool {
-        self.retry_of.is_none() && self.hedge_of.is_none()
+        self.retry_of == NO_INDEX && self.hedge_of == NO_INDEX
+    }
+}
+
+impl fmt::Debug for RequestRecord {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("RequestRecord")
+            .field("group", &self.group())
+            .field("seq", &self.seq())
+            .field("arrival", &self.arrival)
+            .field("dispatched", &self.dispatched())
+            .field("completed", &self.completed())
+            .field("dropped", &self.dropped())
+            .field("pid", &self.pid())
+            .field("batch_size", &self.batch_size)
+            .field("degraded", &self.degraded)
+            .field("attempt", &self.attempt)
+            .field("retry_of", &self.retry_of())
+            .field("hedge_of", &self.hedge_of())
+            .finish()
     }
 }
 
@@ -894,50 +1059,81 @@ mod tests {
 
     #[test]
     fn request_record_accessors() {
-        let r = RequestRecord {
-            group: 0,
-            seq: 4,
-            arrival: SimTime::from_nanos(100),
-            dispatched: Some(SimTime::from_nanos(300)),
-            completed: Some(SimTime::from_nanos(1_100)),
-            dropped: None,
-            pid: Some(1),
-            batch_size: 2,
-            degraded: false,
-            attempt: 0,
-            retry_of: None,
-            hedge_of: None,
-        };
+        let mut r = RequestRecord::arrived(0, 4, SimTime::from_nanos(100));
+        assert_eq!((r.group(), r.seq()), (0, 4));
+        assert_eq!(
+            (r.dispatched(), r.completed(), r.dropped()),
+            (None, None, None)
+        );
+        assert_eq!((r.pid(), r.retry_of(), r.hedge_of()), (None, None, None));
+        assert!(r.unfinished() && !r.served() && r.is_root());
+        r.dispatch(SimTime::from_nanos(300), 1, 2, false);
+        r.complete(SimTime::from_nanos(1_100));
+        assert_eq!(r.pid(), Some(1));
+        assert_eq!(r.batch_size, 2);
         assert_eq!(r.queue_wait(), Some(SimDuration::from_nanos(200)));
         assert_eq!(r.latency(), Some(SimDuration::from_nanos(1_000)));
         assert!(r.served() && !r.unfinished());
         assert!(r.is_root());
 
-        let dropped = RequestRecord {
-            dispatched: None,
-            completed: None,
-            pid: None,
-            batch_size: 0,
-            dropped: Some(DropRecord {
-                at: SimTime::from_nanos(100),
-                kind: DropKind::Rejected,
-            }),
-            ..r
-        };
+        let mut dropped = RequestRecord::arrived(0, 4, SimTime::from_nanos(100));
+        dropped.drop_at(SimTime::from_nanos(100), DropKind::Rejected);
         assert!(!dropped.served() && !dropped.unfinished());
         assert_eq!(dropped.latency(), None);
+        assert_eq!(
+            dropped.dropped(),
+            Some(DropRecord {
+                at: SimTime::from_nanos(100),
+                kind: DropKind::Rejected,
+            })
+        );
 
-        let retry = RequestRecord {
-            retry_of: Some(0),
-            attempt: 1,
-            ..r.clone()
-        };
+        let retry = r.retry(0, 1);
+        assert_eq!((retry.retry_of(), retry.attempt), (Some(0), 1));
         assert!(!retry.is_root());
-        let hedge = RequestRecord {
-            hedge_of: Some(0),
-            ..r
-        };
+        let hedge = r.hedge(0);
+        assert_eq!(hedge.hedge_of(), Some(0));
         assert!(!hedge.is_root());
+
+        // Each packed time round-trips `SimTime::ZERO` and the last
+        // instant before the unset sentinel, and each packed index the
+        // last one before its "none".
+        let last = SimTime::from_nanos(UNSET_TIME - 1);
+        let top = NO_INDEX as usize - 1;
+        for at in [SimTime::ZERO, last] {
+            let mut r = RequestRecord::arrived(top, u32::MAX, SimTime::ZERO)
+                .retry(top, 3)
+                .hedge(top);
+            r.dispatch(at, top, 1, true);
+            r.complete(at);
+            r.drop_at(at, DropKind::Killed);
+            assert_eq!((r.group(), r.seq()), (top, u64::from(u32::MAX)));
+            assert_eq!((r.dispatched(), r.completed()), (Some(at), Some(at)));
+            assert_eq!(
+                r.dropped(),
+                Some(DropRecord {
+                    at,
+                    kind: DropKind::Killed
+                })
+            );
+            assert_eq!(
+                (r.pid(), r.retry_of(), r.hedge_of()),
+                (Some(top), Some(top), Some(top))
+            );
+            assert_eq!(r.latency(), Some(at.since(SimTime::ZERO)));
+            assert!(r.degraded && !r.is_root());
+        }
+    }
+
+    /// A span that ends before its request arrived is a bug upstream:
+    /// release builds saturate it to zero, debug builds name the record.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "request group 3 seq 9: 50 ns is before its arrival at 100 ns")]
+    fn a_span_before_arrival_names_the_record() {
+        let mut r = RequestRecord::arrived(3, 9, SimTime::from_nanos(100));
+        r.dispatch(SimTime::from_nanos(50), 0, 1, false);
+        let _ = r.queue_wait();
     }
 
     #[test]

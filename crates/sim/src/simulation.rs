@@ -16,7 +16,7 @@ use crate::components::sched::{CpuSched, RqThread};
 use crate::components::{Ctx, Event, Proc};
 use crate::config::SimConfig;
 use crate::error::SimError;
-use crate::trace::{EcRecord, ProcessStats, RunTrace};
+use crate::trace::{EcStats, RunTrace};
 
 /// A configured, runnable simulation.
 ///
@@ -126,8 +126,8 @@ impl Runner {
         );
         let top = config.device.gpu.freq.top();
         // Expected per-process EC iterations at the top clock: used to
-        // pre-size the per-process EC records and the kernel-event trace
-        // so the hot loop never regrows them.
+        // pre-size the per-process EC statistics and the kernel-event
+        // trace so the hot loop never regrows them.
         let total_secs = config.total_time().as_secs_f64();
         let n = config.processes.len().max(1) as f64;
         let est_ecs: Vec<usize> = config
@@ -185,7 +185,7 @@ impl Runner {
                 serve_group: group,
                 cpu: RqThread::new(),
                 ready: VecDeque::new(),
-                ecs: Vec::with_capacity(ecs),
+                ecs: EcStats::with_capacity(ecs, config.record_kernel_events),
             })
             .collect::<Vec<_>>();
         let n_procs = procs.len() as u32;
@@ -344,50 +344,16 @@ impl Runner {
         let measure_secs = self.config.measure.as_secs_f64();
         let mut processes = Vec::with_capacity(self.procs.len());
         let mut ec_records = Vec::with_capacity(self.procs.len());
-        for (pid, proc) in self.procs.iter_mut().enumerate() {
-            let mut measured = std::mem::take(&mut proc.ecs);
-            measured.retain(|r| r.end > self.warmup_end);
-            let completed = measured.len() as u64;
-            let images = completed * u64::from(proc.engine.batch());
-            let mean = |f: fn(&EcRecord) -> SimDuration| -> SimDuration {
-                if completed == 0 {
-                    SimDuration::ZERO
-                } else {
-                    measured.iter().map(f).sum::<SimDuration>() / completed
-                }
-            };
-            let mut durations: Vec<SimDuration> = measured.iter().map(|r| r.duration()).collect();
-            durations.sort_unstable();
-            let percentile = |q: f64| -> SimDuration {
-                if durations.is_empty() {
-                    SimDuration::ZERO
-                } else {
-                    durations[((durations.len() - 1) as f64 * q).round() as usize]
-                }
-            };
-            processes.push(ProcessStats {
-                name: proc.name.clone(),
-                engine_name: proc.engine.name().to_string(),
-                batch: proc.engine.batch(),
-                completed_ecs: completed,
-                images,
-                throughput: if measure_secs == 0.0 {
-                    0.0
-                } else {
-                    images as f64 / measure_secs
-                },
-                mean_ec_time: mean(|r| r.duration()),
-                p50_ec_time: percentile(0.5),
-                p95_ec_time: percentile(0.95),
-                p99_ec_time: percentile(0.99),
-                mean_launch_time: mean(|r| r.launch_time),
-                mean_blocking_time: mean(|r| r.blocking_time),
-                mean_sync_time: mean(|r| r.sync_time),
-                mean_gpu_time: mean(|r| r.gpu_time),
-                mean_queue_delay: mean(|r| r.queue_delay),
-                killed_at: self.killed_at[pid],
-            });
-            ec_records.push(measured);
+        for (proc, &killed_at) in self.procs.iter_mut().zip(&self.killed_at) {
+            let (stats, log) = std::mem::take(&mut proc.ecs).finish(
+                proc.name.clone(),
+                proc.engine.name().to_string(),
+                proc.engine.batch(),
+                measure_secs,
+                killed_at,
+            );
+            processes.push(stats);
+            ec_records.push(log);
         }
         let gpu_memory_bytes = self.config.gpu_memory_bytes();
         // Intern one name table per distinct engine: processes sharing an

@@ -115,6 +115,112 @@ impl EcRecord {
     }
 }
 
+/// One process's measured-window EC statistics, accumulated as each EC
+/// finishes: the integer sums behind [`ProcessStats`]' means and one
+/// wall duration per EC for its percentiles. The per-EC log is kept only
+/// while [`crate::SimConfig::record_kernel_events`] is set, and no
+/// statistic reads it.
+#[derive(Debug, Default)]
+pub(crate) struct EcStats {
+    /// Wall duration of each measured EC, in completion order.
+    durations: Vec<SimDuration>,
+    /// Σ wall duration.
+    wall: SimDuration,
+    /// Σ launch CPU time.
+    launch: SimDuration,
+    /// Σ blocking time.
+    blocking: SimDuration,
+    /// Σ synchronisation wait.
+    sync: SimDuration,
+    /// Σ GPU time.
+    gpu: SimDuration,
+    /// Σ queueing delay.
+    queue: SimDuration,
+    /// Every measured EC, when recording.
+    log: Vec<EcRecord>,
+}
+
+impl EcStats {
+    /// Room for `ecs` ECs, with the log only when `record` is set.
+    pub(crate) fn with_capacity(ecs: usize, record: bool) -> Self {
+        EcStats {
+            durations: Vec::with_capacity(ecs),
+            log: Vec::with_capacity(if record { ecs } else { 0 }),
+            ..EcStats::default()
+        }
+    }
+
+    /// Counts one measured EC, logging it when `record` is set.
+    pub(crate) fn add(&mut self, r: EcRecord, record: bool) {
+        let wall = r.duration();
+        self.durations.push(wall);
+        self.wall += wall;
+        self.launch += r.launch_time;
+        self.blocking += r.blocking_time;
+        self.sync += r.sync_time;
+        self.gpu += r.gpu_time;
+        self.queue += r.queue_delay;
+        if record {
+            self.log.push(r);
+        }
+    }
+
+    /// The process's statistics over a `measure_secs` window, and the
+    /// per-EC log (empty unless recorded). Means are integer sums over
+    /// the EC count; percentiles index the sorted durations at
+    /// `round((n - 1) q)`.
+    pub(crate) fn finish(
+        mut self,
+        name: String,
+        engine_name: String,
+        batch: u32,
+        measure_secs: f64,
+        killed_at: Option<SimTime>,
+    ) -> (ProcessStats, Vec<EcRecord>) {
+        let completed = self.durations.len() as u64;
+        let images = completed * u64::from(batch);
+        let mean = |sum: SimDuration| {
+            if completed == 0 {
+                SimDuration::ZERO
+            } else {
+                sum / completed
+            }
+        };
+        let durations = &mut self.durations;
+        durations.sort_unstable();
+        let percentile = |q: f64| {
+            if durations.is_empty() {
+                SimDuration::ZERO
+            } else {
+                durations[((durations.len() - 1) as f64 * q).round() as usize]
+            }
+        };
+        let stats = ProcessStats {
+            name,
+            engine_name,
+            batch,
+            completed_ecs: completed,
+            images,
+            throughput: if measure_secs == 0.0 {
+                0.0
+            } else {
+                images as f64 / measure_secs
+            },
+            mean_ec_time: mean(self.wall),
+            p50_ec_time: percentile(0.5),
+            p95_ec_time: percentile(0.95),
+            p99_ec_time: percentile(0.99),
+            mean_launch_time: mean(self.launch),
+            mean_blocking_time: mean(self.blocking),
+            mean_sync_time: mean(self.sync),
+            mean_gpu_time: mean(self.gpu),
+            mean_queue_delay: mean(self.queue),
+            killed_at,
+        };
+        (stats, self.log)
+    }
+}
+
 /// Aggregated statistics for one process over the measured window.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProcessStats {
@@ -171,6 +277,9 @@ pub struct RunTrace {
     /// sharing an engine share one interned table behind the `Arc`.
     pub kernel_names: Vec<Arc<Vec<String>>>,
     /// Per-EC records (measured window only), grouped per process.
+    /// Each process's list is empty when
+    /// [`crate::SimConfig::record_kernel_events`] is off;
+    /// [`RunTrace::processes`] never depend on it.
     pub ec_records: Vec<Vec<EcRecord>>,
     /// Per-kernel events (measured window only). Empty when
     /// [`crate::SimConfig::record_kernel_events`] is off.

@@ -112,7 +112,11 @@ fn burst_scales_up_and_charges_the_start_cost() {
     // The cold start is visible to requests: something completed after
     // the scale-up, i.e. the burst was actually absorbed.
     assert!(
-        t.requests.iter().filter(|r| r.completed.is_some()).count() > 0,
+        t.requests
+            .iter()
+            .filter(|r| r.completed().is_some())
+            .count()
+            > 0,
         "scaled-up group serves"
     );
 }
@@ -211,10 +215,10 @@ fn scale_to_zero_parks_and_the_next_arrival_pays_the_start() {
         .requests
         .iter()
         .filter(|r| r.arrival > first_park && r.arrival <= reprovision.time)
-        .find(|r| r.dispatched.is_some());
+        .find(|r| r.dispatched().is_some());
     if let Some(r) = unpark_request {
         assert!(
-            r.dispatched.unwrap().saturating_since(r.arrival) >= START,
+            r.dispatched().unwrap().saturating_since(r.arrival) >= START,
             "the arrival that wakes a parked group eats the start cost"
         );
     }
@@ -311,7 +315,7 @@ fn absent_autoscaler_is_static_and_byte_identical() {
     );
     for (x, y) in a.requests.iter().zip(&b.requests) {
         assert_eq!(x.arrival, y.arrival);
-        assert_eq!(x.dispatched, y.dispatched);
-        assert_eq!(x.completed, y.completed);
+        assert_eq!(x.dispatched(), y.dispatched());
+        assert_eq!(x.completed(), y.completed());
     }
 }

@@ -5,10 +5,10 @@
 
 use proptest::prelude::*;
 
-use jetsim_des::SimDuration;
+use jetsim_des::{SimDuration, SimTime};
 use jetsim_device::presets;
 use jetsim_dnn::{zoo, Precision};
-use jetsim_sim::{FaultPlan, SimConfig, Simulation};
+use jetsim_sim::{EcRecord, FaultPlan, OomPolicy, ProcessStats, RunTrace, SimConfig, Simulation};
 
 fn arb_precision() -> impl Strategy<Value = Precision> {
     prop::sample::select(Precision::ALL.to_vec())
@@ -66,6 +66,27 @@ proptest! {
                 );
             }
         }
+    }
+
+    /// `ProcessStats` come from running sums, never from the per-EC log:
+    /// with recording on they equal what the log gives under the formula
+    /// that once read it, closed loop, serving, and with the OOM killer
+    /// taking a process mid-run.
+    #[test]
+    fn process_stats_match_the_ec_log(
+        precision in arb_precision(),
+        batch in 1u32..8,
+        procs in 1u32..5,
+        seed in any::<u64>(),
+    ) {
+        stats_match_ec_log(&run(precision, batch, procs, seed))?;
+        stats_match_ec_log(&autoscaled_run(1, 300.0, seed))?;
+        let culled = oom_run(precision, seed);
+        prop_assert!(
+            culled.processes.iter().any(|p| p.killed_at.is_some() && p.completed_ecs > 0),
+            "the spike must kill a process that had run"
+        );
+        stats_match_ec_log(&culled)?;
     }
 
     /// Identical seeds reproduce identical traces; the simulator is a
@@ -277,6 +298,87 @@ proptest! {
 
 use jetsim_sim::serving::{AutoscalerPolicy, ServeEventKind};
 use jetsim_sim::{ArrivalModel, ServeGroup, ServePlan};
+
+/// The oracle for [`ProcessStats`]: every field recomputed from the
+/// trace's per-EC log with the formula the finaliser applied when it
+/// kept every EC (integer means over the measured ECs, percentiles at
+/// `round((n - 1) q)` of the sorted wall durations).
+fn stats_match_ec_log(trace: &RunTrace) -> Result<(), TestCaseError> {
+    prop_assert_eq!(trace.ec_records.len(), trace.processes.len());
+    prop_assert!(trace.ec_records.iter().any(|records| !records.is_empty()));
+    let measure_secs = trace.measured.as_secs_f64();
+    for (p, records) in trace.processes.iter().zip(&trace.ec_records) {
+        let completed = records.len() as u64;
+        let images = completed * u64::from(p.batch);
+        let mean = |f: fn(&EcRecord) -> SimDuration| {
+            if completed == 0 {
+                SimDuration::ZERO
+            } else {
+                records.iter().map(f).sum::<SimDuration>() / completed
+            }
+        };
+        let mut durations: Vec<SimDuration> = records.iter().map(EcRecord::duration).collect();
+        durations.sort_unstable();
+        let percentile = |q: f64| {
+            if durations.is_empty() {
+                SimDuration::ZERO
+            } else {
+                durations[((durations.len() - 1) as f64 * q).round() as usize]
+            }
+        };
+        let oracle = ProcessStats {
+            name: p.name.clone(),
+            engine_name: p.engine_name.clone(),
+            batch: p.batch,
+            completed_ecs: completed,
+            images,
+            throughput: if measure_secs == 0.0 {
+                0.0
+            } else {
+                images as f64 / measure_secs
+            },
+            mean_ec_time: mean(EcRecord::duration),
+            p50_ec_time: percentile(0.5),
+            p95_ec_time: percentile(0.95),
+            p99_ec_time: percentile(0.99),
+            mean_launch_time: mean(|r| r.launch_time),
+            mean_blocking_time: mean(|r| r.blocking_time),
+            mean_sync_time: mean(|r| r.sync_time),
+            mean_gpu_time: mean(|r| r.gpu_time),
+            mean_queue_delay: mean(|r| r.queue_delay),
+            killed_at: p.killed_at,
+        };
+        prop_assert_eq!(p, &oracle);
+    }
+    Ok(())
+}
+
+/// Two closed-loop ResNet50 processes on the Orin Nano. A memory spike
+/// at 250 ms, one byte past what the board can hold beside them, makes
+/// the OOM killer take one mid-run.
+fn oom_run(precision: Precision, seed: u64) -> RunTrace {
+    let config = |faults: FaultPlan| {
+        SimConfig::builder(presets::orin_nano())
+            .add_model_processes(&zoo::resnet50(), precision, 1, 2)
+            .expect("builds")
+            .faults(faults)
+            .warmup(SimDuration::from_millis(100))
+            .measure(SimDuration::from_millis(400))
+            .seed(seed)
+            .build()
+            .expect("fits")
+    };
+    let fitted = config(FaultPlan::new());
+    let headroom = fitted.device.memory.usable_bytes() - fitted.total_footprint_bytes();
+    let spike = FaultPlan::new()
+        .memory_spike(
+            SimTime::from_nanos(250_000_000),
+            SimDuration::from_millis(100),
+            headroom + 1,
+        )
+        .oom_policy(OomPolicy::KillLargest);
+    Simulation::new(config(spike)).expect("valid").run()
+}
 
 /// A 3-slot autoscaled resnet50 group on the Orin Nano.
 fn autoscaled_run(min: u32, rate: f64, seed: u64) -> jetsim_sim::RunTrace {

@@ -88,12 +88,15 @@ fn deadline_expires_stale_queued_requests() {
     let expired: Vec<_> = trace
         .requests
         .iter()
-        .filter(|r| matches!(r.dropped, Some(d) if d.kind == DropKind::DeadlineExpired))
+        .filter(|r| matches!(r.dropped(), Some(d) if d.kind == DropKind::DeadlineExpired))
         .collect();
     assert!(!expired.is_empty(), "overload must expire queued requests");
     for r in &expired {
-        assert!(r.dispatched.is_none(), "expired requests never dispatched");
-        let drop_at = r.dropped.unwrap().at;
+        assert!(
+            r.dispatched().is_none(),
+            "expired requests never dispatched"
+        );
+        let drop_at = r.dropped().unwrap().at;
         assert_eq!(
             drop_at.saturating_since(r.arrival),
             deadline,
@@ -155,15 +158,15 @@ fn killed_replicas_fail_their_inflight_requests() {
     let killed: Vec<_> = trace
         .requests
         .iter()
-        .filter(|r| matches!(r.dropped, Some(d) if d.kind == DropKind::Killed))
+        .filter(|r| matches!(r.dropped(), Some(d) if d.kind == DropKind::Killed))
         .collect();
     assert!(
         !killed.is_empty(),
         "requests in flight on an OOM-killed replica must be failed"
     );
     for r in &killed {
-        assert!(r.dispatched.is_some(), "Killed means it was in flight");
-        assert!(r.completed.is_none(), "Killed means it never completed");
+        assert!(r.dispatched().is_some(), "Killed means it was in flight");
+        assert!(r.completed().is_none(), "Killed means it never completed");
     }
     let reported: usize = trace
         .serve_events
@@ -185,12 +188,16 @@ fn killed_replicas_fail_their_inflight_requests() {
         .serve_events
         .iter()
         .all(|e| !matches!(e.kind, ServeEventKind::ReplicaUp { .. })));
-    let last_kill = killed.iter().map(|r| r.dropped.unwrap().at).max().unwrap();
+    let last_kill = killed
+        .iter()
+        .map(|r| r.dropped().unwrap().at)
+        .max()
+        .unwrap();
     assert!(
         !trace
             .requests
             .iter()
-            .any(|r| matches!(r.completed, Some(at) if at > last_kill)),
+            .any(|r| matches!(r.completed(), Some(at) if at > last_kill)),
         "nothing completes after the last replica dies"
     );
 }
@@ -228,7 +235,7 @@ fn recovery_restarts_replicas_and_resumes_serving() {
         trace
             .requests
             .iter()
-            .any(|r| matches!(r.completed, Some(at) if at > first_up)),
+            .any(|r| matches!(r.completed(), Some(at) if at > first_up)),
         "serving resumes after the first replica recovers"
     );
 }
@@ -265,15 +272,15 @@ fn retries_resubmit_dropped_requests_after_backoff() {
     let retries: Vec<_> = trace
         .requests
         .iter()
-        .filter(|r| r.retry_of.is_some())
+        .filter(|r| r.retry_of().is_some())
         .collect();
     assert!(!retries.is_empty(), "rejects under overload must retry");
     for r in &retries {
-        let parent = &trace.requests[r.retry_of.unwrap()];
-        assert_eq!(parent.group, r.group);
+        let parent = &trace.requests[r.retry_of().unwrap()];
+        assert_eq!(parent.group(), r.group());
         assert_eq!(r.attempt, parent.attempt + 1, "attempts count up the chain");
         assert!(r.attempt < policy.max_attempts, "attempt budget respected");
-        let failed_at = parent.dropped.expect("only failed attempts retry").at;
+        let failed_at = parent.dropped().expect("only failed attempts retry").at;
         assert!(
             r.arrival > failed_at,
             "a retry arrives strictly after its parent's failure (backoff > 0)"
@@ -290,29 +297,29 @@ fn hedges_duplicate_slow_inflight_requests() {
     let hedges: Vec<_> = trace
         .requests
         .iter()
-        .filter(|r| r.hedge_of.is_some())
+        .filter(|r| r.hedge_of().is_some())
         .collect();
     assert!(!hedges.is_empty(), "a 1 ms hedge delay must fire");
     for h in &hedges {
-        let primary = &trace.requests[h.hedge_of.unwrap()];
+        let primary = &trace.requests[h.hedge_of().unwrap()];
         assert!(
-            primary.dispatched.is_some(),
+            primary.dispatched().is_some(),
             "only in-flight requests are hedged"
         );
-        assert_eq!(primary.group, h.group);
+        assert_eq!(primary.group(), h.group());
         assert!(h.arrival > primary.arrival);
     }
     // A cancelled twin was still queued — it never ran.
     for r in trace
         .requests
         .iter()
-        .filter(|r| matches!(r.dropped, Some(d) if d.kind == DropKind::HedgeLoser))
+        .filter(|r| matches!(r.dropped(), Some(d) if d.kind == DropKind::HedgeLoser))
     {
         assert!(
-            r.dispatched.is_none(),
+            r.dispatched().is_none(),
             "hedge losers are cancelled in-queue"
         );
-        assert!(r.completed.is_none());
+        assert!(r.completed().is_none());
     }
 }
 
@@ -341,7 +348,7 @@ fn tripped_breaker_blocks_admissions_until_the_probe() {
     for r in &trace.requests {
         if r.arrival > trip.time && r.arrival < half_open.time {
             assert_eq!(
-                r.dropped.map(|d| d.kind),
+                r.dropped().map(|d| d.kind),
                 Some(DropKind::BreakerOpen),
                 "an open breaker admits nothing (request at {:?})",
                 r.arrival

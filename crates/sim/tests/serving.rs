@@ -8,7 +8,8 @@ use jetsim_device::presets;
 use jetsim_dnn::{zoo, Precision};
 use jetsim_sim::serving::ServeEventKind;
 use jetsim_sim::{
-    AdmissionPolicy, ArrivalModel, RunTrace, ServeGroup, ServePlan, SimConfig, SimError, Simulation,
+    AdmissionPolicy, ArrivalModel, HedgePolicy, RetryPolicy, RunTrace, ServeGroup, ServePlan,
+    SimConfig, SimError, Simulation,
 };
 use jetsim_trt::EngineBuilder;
 
@@ -70,7 +71,7 @@ fn serving_run_serves_requests() {
         let latency = r.latency().unwrap();
         assert!(!latency.is_zero());
         assert!(r.queue_wait().unwrap() <= latency);
-        assert!(r.pid.is_some() && r.batch_size >= 1);
+        assert!(r.pid().is_some() && r.batch_size >= 1);
     }
     assert!(
         trace
@@ -112,12 +113,12 @@ fn overload_with_reject_drops_newcomers() {
     let dropped = trace
         .requests
         .iter()
-        .filter(|r| r.dropped.is_some())
+        .filter(|r| r.dropped().is_some())
         .count();
     assert!(dropped > 0, "overload must drop requests");
     // Rejected newcomers never carry dispatch state.
-    for r in trace.requests.iter().filter(|r| r.dropped.is_some()) {
-        assert!(r.dispatched.is_none() && r.pid.is_none());
+    for r in trace.requests.iter().filter(|r| r.dropped().is_some()) {
+        assert!(r.dispatched().is_none() && r.pid().is_none());
     }
 }
 
@@ -127,7 +128,7 @@ fn shed_keeps_the_freshest_requests() {
     let shed = trace
         .requests
         .iter()
-        .filter(|r| r.dropped.is_some())
+        .filter(|r| r.dropped().is_some())
         .count();
     assert!(shed > 0);
     // Under shedding, the served requests skew fresh: queue waits stay
@@ -279,6 +280,56 @@ fn serve_plan_validation_rejects_bad_membership() {
         matches!(empty_group, Err(SimError::InvalidServePlan { .. })),
         "{empty_group:?}"
     );
+}
+
+#[test]
+fn serve_plan_validation_bounds_the_request_index() {
+    let device = presets::orin_nano();
+    let eng = engine(&device, Precision::Int8, 1);
+    let build = |group: ServeGroup, warmup: SimDuration, measure: SimDuration| {
+        SimConfig::builder(device.clone())
+            .add_engine_named_with_arrivals("a", Arc::clone(&eng), ArrivalModel::Saturated)
+            .serve(ServePlan::new().group(group.members([0])))
+            .warmup(warmup)
+            .measure(measure)
+            .build()
+    };
+    let refused = |config: Result<SimConfig, SimError>, why: &str| match config {
+        Err(err @ SimError::InvalidServePlan { .. }) => err.to_string().contains(why),
+        _ => false,
+    };
+    let zero = SimDuration::ZERO;
+    let secs = SimDuration::from_secs;
+    let poisson = || ServeGroup::new("g", ArrivalProcess::poisson(100.0));
+    // At 100 requests/s, 2.1e9 expected records fit half the u32 index
+    // space and 2.2e9 do not.
+    assert!(build(poisson(), zero, secs(21_000_000)).is_ok());
+    assert!(refused(
+        build(poisson(), zero, secs(22_000_000)),
+        "request records"
+    ));
+    // The retry budget and hedging multiply the count: 5e8 arrivals x 3
+    // attempts fit, and x 2 for hedges do not.
+    let retried = || poisson().retry(RetryPolicy::new(3, SimDuration::from_millis(10)));
+    assert!(build(retried(), zero, secs(5_000_000)).is_ok());
+    assert!(refused(
+        build(retried().hedge(HedgePolicy::auto()), zero, secs(5_000_000)),
+        "request records"
+    ));
+    // A finite trace counts its length, so only the clock bounds its
+    // window, and the clock's last nanosecond is a record's unset time.
+    let one = || {
+        ServeGroup::new(
+            "g",
+            ArrivalProcess::trace([SimDuration::from_millis(1)], false),
+        )
+    };
+    let last = SimDuration::from_nanos(u64::MAX - 1);
+    assert!(build(one(), zero, last).is_ok());
+    assert!(refused(
+        build(one(), SimDuration::from_nanos(1), last),
+        "last nanosecond"
+    ));
 }
 
 #[test]
