@@ -10,7 +10,7 @@ use std::sync::Arc;
 use jetsim::prelude::*;
 use jetsim::report::Table;
 use jetsim_des::SimDuration;
-use jetsim_sim::{CpuModel, GpuPolicy};
+use jetsim_sim::{ArrivalModel, CpuModel, GpuPolicy};
 use jetsim_trt::EngineBuilder;
 
 use crate::FigureResult;
@@ -53,8 +53,8 @@ pub fn ablation_dvfs() -> FigureResult {
             let mut device = Platform::orin_nano().device().clone();
             device.dvfs.enabled = enabled;
             let budget = device.power.budget_w;
-            let config = SimConfig::builder(device)
-                .add_model(&model, precision, 4)
+            let config = Deployment::homogeneous(&model, precision, 4, 1)
+                .config_builder(&Platform::from_spec(device), ArrivalModel::Saturated)
                 .expect("builds")
                 .warmup(warmup)
                 .measure(measure)
@@ -96,7 +96,7 @@ pub fn ablation_fusion() -> FigureResult {
         "throughput_b1",
         "throughput_b8",
     ]);
-    for model in zoo::all() {
+    for model in zoo::all().into_iter().map(Arc::new) {
         for fused in [true, false] {
             let mut row = vec![
                 model.name().to_string(),
@@ -114,8 +114,10 @@ pub fn ablation_fusion() -> FigureResult {
                         .expect("builds"),
                 );
                 kernels = engine.kernel_count();
-                let config = SimConfig::builder(platform.device().clone())
-                    .add_engine(engine)
+                let tenant = Tenant::new(Arc::clone(&model), Precision::Int8, batch);
+                let builder = SimConfig::builder(platform.device().clone());
+                let config = tenant
+                    .add_processes(builder, &engine, ArrivalModel::Saturated)
                     .warmup(warmup)
                     .measure(measure)
                     .build()
@@ -157,8 +159,8 @@ pub fn ablation_mps() -> FigureResult {
                     },
                 ),
             ] {
-                let config = SimConfig::builder(platform.device().clone())
-                    .add_model_processes(&model, Precision::Int8, 1, procs)
+                let config = Deployment::homogeneous(&model, Precision::Int8, 1, procs)
+                    .config_builder(&platform, ArrivalModel::Saturated)
                     .expect("builds")
                     .gpu_policy(policy)
                     .warmup(warmup)
@@ -191,8 +193,8 @@ pub fn ablation_timeslice() -> FigureResult {
     for slice_ms in [1u64, 2, 4, 8, 16] {
         let mut device = Platform::orin_nano().device().clone();
         device.gpu.timeslice = SimDuration::from_millis(slice_ms);
-        let config = SimConfig::builder(device)
-            .add_model_processes(&zoo::resnet50(), Precision::Int8, 1, 2)
+        let config = Deployment::homogeneous(&zoo::resnet50(), Precision::Int8, 1, 2)
+            .config_builder(&Platform::from_spec(device), ArrivalModel::Saturated)
             .expect("builds")
             .warmup(warmup)
             .measure(measure)
@@ -233,8 +235,8 @@ pub fn ablation_cpu_model() -> FigureResult {
             ("stochastic", CpuModel::Stochastic),
             ("run-queue", CpuModel::RunQueue),
         ] {
-            let config = SimConfig::builder(platform.device().clone())
-                .add_model_processes(&zoo::resnet50(), Precision::Int8, 1, procs)
+            let config = Deployment::homogeneous(&zoo::resnet50(), Precision::Int8, 1, procs)
+                .config_builder(&platform, ArrivalModel::Saturated)
                 .expect("builds")
                 .cpu_model(model)
                 .warmup(warmup)

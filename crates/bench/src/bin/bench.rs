@@ -20,7 +20,7 @@ use jetsim_serve::{
     chaos_sweep_with_plan, AutoscaleSpec, FaultPlan, HedgePolicy, OomPolicy, ResiliencePolicies,
     RetryPolicy, ScenarioSpec, ServeSpec, ServeTenant,
 };
-use jetsim_sim::GpuPolicy;
+use jetsim_sim::{ArrivalModel, GpuPolicy};
 use jetsim_trt::EngineCache;
 use serde_json::{json, Value};
 
@@ -86,24 +86,21 @@ fn des_cell<E: std::fmt::Debug>(
 /// hard-coded, so it is the canary for the policy seam itself).
 fn des() -> Value {
     let platform = Platform::orin_nano();
-    let engine = platform
-        .build_engine(&zoo::resnet50(), Precision::Int8, 4)
-        .expect("builds");
-    let closed = |measure| {
-        SimConfig::builder(platform.device().clone())
+    let resnet = Tenant::new(zoo::resnet50(), Precision::Int8, 4);
+    let closed = |deployment: Deployment, measure| {
+        deployment
+            .config_builder(&platform, ArrivalModel::Saturated)
+            .expect("builds")
             .warmup(ms(100))
             .measure(measure)
             .record_kernel_events(false)
     };
+    let processes = |count| Deployment::new().tenant(resnet.clone().count(count));
     let serving = ServeTenant::parse("resnet50:int8:1:2", ArrivalProcess::poisson(200.0))
         .expect("valid spec");
     let mut cells = vec![
-        des_cell("sweep_cell_2p", || {
-            closed(ms(1_000)).add_engines(&engine, 2).build()
-        }),
-        des_cell("closed_loop_8p", || {
-            closed(ms(2_000)).add_engines(&engine, 8).build()
-        }),
+        des_cell("sweep_cell_2p", || closed(processes(2), ms(1_000)).build()),
+        des_cell("closed_loop_8p", || closed(processes(8), ms(2_000)).build()),
         des_cell("serving", || {
             ServeSpec::new(platform.clone())
                 .tenant(serving.clone())
@@ -114,25 +111,26 @@ fn des() -> Value {
                 .build_config()
         }),
         des_cell("fault_heavy", || {
-            closed(ms(2_000))
+            closed(processes(4), ms(2_000))
                 .faults(FaultPlan::seeded(11, ms(100 + 2_000), 24, 12))
-                .add_engines(&engine, 4)
                 .build()
         }),
     ];
     // Half the processes at priority 5 with a double SM share, so the
     // preemption and MPS weighting paths actually fire.
+    let contended = (0..8).fold(Deployment::new(), |d, i| {
+        d.tenant(if i % 2 == 0 {
+            resnet.clone().priority(5).sm_share(2.0)
+        } else {
+            resnet.clone()
+        })
+    });
     for policy in ["rr", "fifo", "priority", "mps"] {
         let gpu_policy: GpuPolicy = policy.parse().expect("known policy");
         cells.push(des_cell(&format!("{policy}_8p"), || {
-            let mut builder = closed(ms(2_000)).gpu_policy(gpu_policy);
-            for i in 0..8u8 {
-                builder = builder
-                    .add_engine(engine.clone())
-                    .process_priority(if i % 2 == 0 { 5 } else { 0 })
-                    .process_sm_share(if i % 2 == 0 { 2.0 } else { 1.0 });
-            }
-            builder.build()
+            closed(contended.clone(), ms(2_000))
+                .gpu_policy(gpu_policy)
+                .build()
         }));
     }
     json!({

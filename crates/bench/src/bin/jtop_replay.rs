@@ -3,14 +3,14 @@
 //! lives in.
 use jetsim::prelude::*;
 use jetsim_profile::NsightReport;
+use jetsim_sim::ArrivalModel;
 
 fn main() {
-    let platform = Platform::orin_nano();
-    let config = SimConfig::builder(platform.device().clone())
-        .add_model(&zoo::resnet50(), Precision::Int8, 4)
-        .expect("engine builds")
-        .add_model(&zoo::yolov8n(), Precision::Int8, 1)
-        .expect("engine builds")
+    let config = Deployment::new()
+        .tenant(Tenant::new(zoo::resnet50(), Precision::Int8, 4))
+        .tenant(Tenant::new(zoo::yolov8n(), Precision::Int8, 1))
+        .config_builder(&Platform::orin_nano(), ArrivalModel::Saturated)
+        .expect("engines build")
         .warmup(SimDuration::from_millis(400))
         .measure(SimDuration::from_secs(3))
         .sample_period(SimDuration::from_millis(250))

@@ -7,12 +7,13 @@
 //! and the governor starts throttling for temperature even though power
 //! is within budget.
 use jetsim::prelude::*;
+use jetsim_sim::ArrivalModel;
 
 fn main() {
     let mut device = Platform::orin_nano().device().clone();
     device.thermal.ambient_c = 60.0;
-    let config = SimConfig::builder(device)
-        .add_model(&zoo::fcn_resnet50(), Precision::Fp32, 4)
+    let config = Deployment::homogeneous(&zoo::fcn_resnet50(), Precision::Fp32, 4, 1)
+        .config_builder(&Platform::from_spec(device), ArrivalModel::Saturated)
         .expect("engine builds")
         .warmup(SimDuration::from_secs(2))
         .measure(SimDuration::from_secs(600))

@@ -22,6 +22,7 @@
 use std::error::Error;
 use std::io::Write;
 use std::process::ExitCode;
+use std::sync::Arc;
 
 use jetsim::deployment::Tenant;
 use jetsim::prelude::*;
@@ -29,7 +30,7 @@ use jetsim::scenario::{
     cli_fault_plan, cli_main, parse_window, FlagCursor, ScenarioFlags, ScenarioSpec,
 };
 use jetsim_profile::chrome_trace;
-use jetsim_sim::{FaultKind, GpuPolicy};
+use jetsim_sim::{ArrivalModel, FaultKind, GpuPolicy, ProcessConfig};
 
 #[derive(Debug)]
 struct Args {
@@ -180,18 +181,7 @@ fn run(args: Args, out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
 
     let warmup = SimDuration::from_millis(500);
     let measure = parse_window(warmup, sc.duration.as_deref(), SimDuration::from_secs(2))?;
-    let mut builder = SimConfig::builder(platform.device().clone())
-        .warmup(warmup)
-        .measure(measure)
-        .seed(sc.seed_or_default())
-        .gpu_policy(gpu_policy)
-        .profiler(if args.nsight {
-            ProfilerMode::Nsight
-        } else {
-            ProfilerMode::Lightweight
-        });
-
-    if let Some(d) = &deployment {
+    let mut builder = if let Some(d) = &deployment {
         writeln!(out, "=== Deployment ===")?;
         writeln!(
             out,
@@ -201,8 +191,7 @@ fn run(args: Args, out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
             d.label()
         )?;
         for tenant in d.tenants() {
-            let engine =
-                platform.build_engine(tenant.model(), tenant.precision(), tenant.batch())?;
+            let engine = tenant.build_engine(&platform)?;
             writeln!(
                 out,
                 "  {} x{}: {} | {} kernels | engine {:.1} MiB + workspace {:.1} MiB",
@@ -214,7 +203,7 @@ fn run(args: Args, out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
                 engine.workspace_bytes() as f64 / (1024.0 * 1024.0),
             )?;
         }
-        builder = d.add_to_config(&platform, builder)?;
+        d.config_builder(&platform, ArrivalModel::Saturated)?
     } else {
         let model = if args.model.ends_with(".json") {
             jetsim::plan::load_model(&args.model)
@@ -260,10 +249,27 @@ fn run(args: Args, out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
             build_secs * 1e3,
             cache.len()
         )?;
-        for _ in 0..args.processes {
-            builder = builder.add_engine_streams(&engine, args.streams);
-        }
+        // A process's `--streams` contexts share its memory group, named
+        // by the pid of its first stream.
+        let streams = args.streams.max(1) as usize;
+        (0..args.processes as usize * streams).fold(
+            SimConfig::builder(platform.device().clone()),
+            |builder, pid| {
+                let (group, stream) = (pid - pid % streams, pid % streams);
+                let name = format!("p{group}s{stream}");
+                builder.add_process(ProcessConfig::new(name, Arc::clone(&engine), group))
+            },
+        )
     }
+    .warmup(warmup)
+    .measure(measure)
+    .seed(sc.seed_or_default())
+    .gpu_policy(gpu_policy)
+    .profiler(if args.nsight {
+        ProfilerMode::Nsight
+    } else {
+        ProfilerMode::Lightweight
+    });
     writeln!(out, "=== Device ===")?;
     writeln!(out, "{platform}")?;
     if gpu_policy != GpuPolicy::TimesliceRR {

@@ -20,7 +20,7 @@ use std::sync::Arc;
 use serde::Serialize;
 
 use jetsim_dnn::{zoo, ModelGraph, Precision};
-use jetsim_sim::{ArrivalModel, RunTrace, SimConfigBuilder};
+use jetsim_sim::{ArrivalModel, ProcessConfig, RunTrace, SimConfig, SimConfigBuilder};
 use jetsim_trt::{BuildError, Engine};
 
 use crate::platform::Platform;
@@ -123,12 +123,28 @@ impl Tenant {
         format!("{}:{}:b{}", self.model.name(), self.precision, self.batch)
     }
 
+    /// Builds the tenant's engine on `platform`, served from the
+    /// process-wide engine cache ([`Platform::build_engine`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DeploymentError::Build`] naming the tenant.
+    pub fn build_engine(&self, platform: &Platform) -> Result<Arc<Engine>, DeploymentError> {
+        platform
+            .build_engine(&self.model, self.precision, self.batch)
+            .map_err(|source| DeploymentError::Build {
+                label: self.label(),
+                source,
+            })
+    }
+
     /// Adds the tenant's processes to `builder`: one per instance, each
-    /// running `engine`, fed by `arrivals`, named `label/i` so traces
-    /// and reports carry tenant identity, and carrying the tenant's GPU
-    /// priority and SM share. Every way of running tenants — the
-    /// profiler, `jetsim-trtexec`, sweep cells and serving specs —
-    /// turns them into processes here.
+    /// running `engine` in a memory group of its own, fed by
+    /// `arrivals`, named `label/i` so traces and reports carry tenant
+    /// identity, and carrying the tenant's GPU priority and SM share.
+    /// Every way of running tenants — the profiler, `jetsim-trtexec`,
+    /// sweep cells, serving specs and the study binaries — turns them
+    /// into processes here.
     pub fn add_processes(
         &self,
         mut builder: SimConfigBuilder,
@@ -137,14 +153,13 @@ impl Tenant {
     ) -> SimConfigBuilder {
         let label = self.label();
         for instance in 0..self.count {
-            builder = builder
-                .add_engine_named_with_arrivals(
-                    format!("{label}/{instance}"),
-                    Arc::clone(engine),
-                    arrivals,
-                )
-                .process_priority(self.priority)
-                .process_sm_share(self.sm_share);
+            let pid = builder.process_count();
+            builder = builder.add_process(ProcessConfig {
+                arrivals,
+                priority: self.priority,
+                sm_share: self.sm_share,
+                ..ProcessConfig::new(format!("{label}/{instance}"), Arc::clone(engine), pid)
+            });
         }
         builder
     }
@@ -461,26 +476,23 @@ impl Deployment {
         map
     }
 
-    /// Builds every tenant's engine on `platform` (served from the
-    /// process-wide engine cache) and adds the deployment's closed-loop
-    /// processes to `builder` ([`Tenant::add_processes`]).
+    /// A config builder for `platform`'s device holding the
+    /// deployment's processes, in tenant order: each tenant's engine is
+    /// built on `platform` ([`Tenant::build_engine`]) and its instances
+    /// are fed by `arrivals` ([`Tenant::add_processes`]).
     ///
     /// # Errors
     ///
     /// Returns [`DeploymentError::Build`] naming the failing tenant.
-    pub fn add_to_config(
+    pub fn config_builder(
         &self,
         platform: &Platform,
-        mut builder: SimConfigBuilder,
+        arrivals: ArrivalModel,
     ) -> Result<SimConfigBuilder, DeploymentError> {
+        let mut builder = SimConfig::builder(platform.device().clone());
         for tenant in &self.tenants {
-            let engine = platform
-                .build_engine(tenant.model(), tenant.precision(), tenant.batch())
-                .map_err(|source| DeploymentError::Build {
-                    label: tenant.label(),
-                    source,
-                })?;
-            builder = tenant.add_processes(builder, &engine, ArrivalModel::Saturated);
+            let engine = tenant.build_engine(platform)?;
+            builder = tenant.add_processes(builder, &engine, arrivals);
         }
         Ok(builder)
     }
@@ -578,7 +590,7 @@ impl fmt::Display for TenantMetrics {
 mod tests {
     use super::*;
     use jetsim_des::SimDuration;
-    use jetsim_sim::{SimConfig, Simulation};
+    use jetsim_sim::Simulation;
 
     fn mixed() -> Deployment {
         Deployment::new()
@@ -732,13 +744,12 @@ mod tests {
     #[test]
     fn mixed_deployment_runs_with_tenant_identity() {
         let platform = Platform::orin_nano();
-        let builder = SimConfig::builder(platform.device().clone())
-            .warmup(SimDuration::from_millis(100))
-            .measure(SimDuration::from_millis(500));
         let d = mixed();
         let config = d
-            .add_to_config(&platform, builder)
+            .config_builder(&platform, ArrivalModel::Saturated)
             .unwrap()
+            .warmup(SimDuration::from_millis(100))
+            .measure(SimDuration::from_millis(500))
             .build()
             .unwrap();
         let names: Vec<&str> = config.processes.iter().map(|p| p.name.as_str()).collect();
@@ -764,13 +775,18 @@ mod tests {
     #[test]
     fn build_errors_name_the_tenant() {
         let platform = Platform::orin_nano();
-        let builder = SimConfig::builder(platform.device().clone());
         // Batch 0 is clamped to 1 by Tenant::new, so force an invalid
         // batch through a huge value the builder rejects.
         let d = Deployment::new().tenant(Tenant::new(zoo::resnet50(), Precision::Int8, 100_000));
-        let err = d.add_to_config(&platform, builder).unwrap_err();
+        let err = d
+            .config_builder(&platform, ArrivalModel::Saturated)
+            .unwrap_err();
         assert!(matches!(err, DeploymentError::Build { .. }), "{err}");
-        assert!(err.to_string().contains("resnet50"), "{err}");
+        assert_eq!(
+            err.to_string(),
+            "tenant resnet50:int8:b100000: engine build failed: \
+             batch size 100000 exceeds builder limit 256"
+        );
         assert!(std::error::Error::source(&err).is_some());
     }
 }

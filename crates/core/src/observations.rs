@@ -16,7 +16,7 @@ use jetsim_des::SimDuration;
 use jetsim_dnn::Precision::{Fp16, Fp32, Int8, Tf32};
 use jetsim_dnn::{zoo, ModelGraph, Precision};
 use jetsim_profile::{JetsonStatsReport, NsightReport};
-use jetsim_sim::{RunTrace, SimConfig};
+use jetsim_sim::{ArrivalModel, RunTrace};
 
 use crate::deployment::Deployment;
 use crate::platform::Platform;
@@ -415,8 +415,8 @@ const OBSERVATIONS: &[Observation] = &[
         claim: "1 YoloV8n int8 b8 process takes under 10% of GPU memory, 16 b16 ones over 35%",
         verdict: || {
             let pct = |batch, procs| {
-                let config = SimConfig::builder(orin().device().clone())
-                    .add_model_processes(&zoo::yolov8n(), Int8, batch, procs)
+                let config = Deployment::homogeneous(&zoo::yolov8n(), Int8, batch, procs)
+                    .config_builder(&orin(), ArrivalModel::Saturated)
                     .expect("paper engines build")
                     .build()
                     .expect("paper configs are valid");

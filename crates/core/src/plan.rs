@@ -130,7 +130,7 @@ mod tests {
     #[test]
     fn restored_engines_simulate_identically() {
         use jetsim_des::SimDuration;
-        use jetsim_sim::{SimConfig, Simulation};
+        use jetsim_sim::{ProcessConfig, SimConfig, Simulation};
         let platform = Platform::orin_nano();
         let engine = platform
             .build_engine(&zoo::resnet50(), Precision::Int8, 1)
@@ -140,7 +140,7 @@ mod tests {
         let restored = std::sync::Arc::new(load_engine(&path).unwrap());
         let run = |e| {
             let config = SimConfig::builder(platform.device().clone())
-                .add_engine(e)
+                .add_process(ProcessConfig::new("p0", e, 0))
                 .warmup(SimDuration::from_millis(100))
                 .measure(SimDuration::from_millis(400))
                 .build()

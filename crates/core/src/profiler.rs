@@ -4,8 +4,7 @@ use std::fmt;
 
 use jetsim_des::SimDuration;
 use jetsim_profile::{JetsonStatsReport, NsightReport};
-use jetsim_sim::{ProfilerMode, SimConfig, SimError, Simulation, DEFAULT_SEED};
-use jetsim_trt::BuildError;
+use jetsim_sim::{ArrivalModel, ProfilerMode, SimConfig, SimError, Simulation, DEFAULT_SEED};
 
 use crate::analysis::BottleneckReport;
 use crate::deployment::{Deployment, DeploymentError, TenantMetrics};
@@ -14,8 +13,6 @@ use crate::platform::Platform;
 /// Errors from the profiler facade.
 #[derive(Debug)]
 pub enum ProfileError {
-    /// Engine building failed.
-    Build(BuildError),
     /// A deployment could not be assembled (bad tenant spec or a
     /// tenant's engine failed to build).
     Deployment(DeploymentError),
@@ -28,7 +25,6 @@ pub enum ProfileError {
 impl fmt::Display for ProfileError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ProfileError::Build(e) => write!(f, "engine build failed: {e}"),
             ProfileError::Deployment(e) => write!(f, "deployment rejected: {e}"),
             ProfileError::Sim(e) => write!(f, "simulation rejected: {e}"),
             ProfileError::EmptyTrace => {
@@ -41,17 +37,10 @@ impl fmt::Display for ProfileError {
 impl std::error::Error for ProfileError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            ProfileError::Build(e) => Some(e),
             ProfileError::Deployment(e) => Some(e),
             ProfileError::Sim(e) => Some(e),
             ProfileError::EmptyTrace => None,
         }
-    }
-}
-
-impl From<BuildError> for ProfileError {
-    fn from(e: BuildError) -> Self {
-        ProfileError::Build(e)
     }
 }
 
@@ -148,12 +137,7 @@ impl DualPhaseProfiler {
     /// to build.
     pub fn deployment(mut self, deployment: &Deployment) -> Result<Self, ProfileError> {
         for tenant in deployment.tenants() {
-            self.platform
-                .build_engine(tenant.model(), tenant.precision(), tenant.batch())
-                .map_err(|source| DeploymentError::Build {
-                    label: tenant.label(),
-                    source,
-                })?;
+            tenant.build_engine(&self.platform)?;
             self.deployment = self.deployment.tenant(tenant.clone());
         }
         Ok(self)
@@ -178,12 +162,13 @@ impl DualPhaseProfiler {
     }
 
     fn config(&self, mode: ProfilerMode) -> Result<SimConfig, ProfileError> {
-        let builder = SimConfig::builder(self.platform.device().clone())
+        let builder = self
+            .deployment
+            .config_builder(&self.platform, ArrivalModel::Saturated)?
             .warmup(self.warmup)
             .measure(self.measure)
             .seed(self.seed)
             .profiler(mode);
-        let builder = self.deployment.add_to_config(&self.platform, builder)?;
         Ok(builder.build()?)
     }
 

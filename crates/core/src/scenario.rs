@@ -227,15 +227,30 @@ impl FromStr for ScenarioSpec {
     type Err = String;
 
     /// Parses a scenario document: JSON when the first non-space byte
-    /// is `{`, the TOML subset otherwise.
+    /// is `{`, the TOML subset otherwise. Every TOML error names a line.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let value = if s.trim_start().starts_with('{') {
-            serde_json::from_str::<Value>(s).map_err(|e| format!("scenario JSON: {e}"))?
-        } else {
-            parse_toml(s)?
-        };
-        ScenarioSpec::from_value(&value).map_err(|e| format!("scenario: {e}"))
+        if s.trim_start().starts_with('{') {
+            let value =
+                serde_json::from_str::<Value>(s).map_err(|e| format!("scenario JSON: {e}"))?;
+            return ScenarioSpec::from_value(&value).map_err(|e| format!("scenario: {e}"));
+        }
+        ScenarioSpec::from_value(&parse_toml(s)?).map_err(|e| toml_schema_error(s, e))
     }
+}
+
+/// The schema error of a TOML document that parses but does not
+/// deserialise, named at the first line whose prefix of the document
+/// fails: every scenario field is optional and unknown keys are
+/// ignored, so that is the line assigning an ill-typed value.
+fn toml_schema_error(doc: &str, error: impl fmt::Display) -> String {
+    let lines: Vec<&str> = doc.lines().collect();
+    for n in 1..lines.len() {
+        if let Ok(Err(e)) = parse_toml(&lines[..n].join("\n")).map(|v| ScenarioSpec::from_value(&v))
+        {
+            return format!("scenario TOML line {n}: {e}");
+        }
+    }
+    format!("scenario TOML line {}: {error}", lines.len())
 }
 
 // ---------------------------------------------------------------------
@@ -746,10 +761,20 @@ fn parse_toml(s: &str) -> Result<Value, String> {
     Ok(Value::Map(root))
 }
 
+/// Most tables a header may nest: each one is a stack frame in
+/// `table_mut`. Scenario headers nest two deep.
+const MAX_TABLE_DEPTH: usize = 128;
+
 fn split_header(header: &str) -> Result<Vec<String>, String> {
     let segments: Vec<String> = header.split('.').map(|s| s.trim().to_string()).collect();
     if segments.iter().any(String::is_empty) {
         return Err(format!("empty segment in header `{header}`"));
+    }
+    if segments.len() > MAX_TABLE_DEPTH {
+        return Err(format!(
+            "header nests {} tables, more than {MAX_TABLE_DEPTH}",
+            segments.len()
+        ));
     }
     Ok(segments)
 }

@@ -10,9 +10,7 @@ use serde::Serialize;
 use jetsim_des::{splitmix64, SimDuration};
 use jetsim_dnn::{ModelGraph, Precision};
 use jetsim_profile::JetsonStatsReport;
-use jetsim_sim::{
-    ArrivalModel, GpuPolicy, ProfilerMode, SimConfig, SimError, Simulation, DEFAULT_SEED,
-};
+use jetsim_sim::{ArrivalModel, GpuPolicy, ProfilerMode, SimError, Simulation, DEFAULT_SEED};
 
 use crate::deployment::{Deployment, Tenant, TenantMetrics};
 use crate::platform::Platform;
@@ -426,31 +424,22 @@ impl SweepSpec {
         gpu_policy: GpuPolicy,
         policy: &SupervisorPolicy,
     ) -> CellOutcome {
-        let engines = match deployment
-            .tenants()
-            .iter()
-            .map(|t| platform.build_engine(t.model(), t.precision(), t.batch()))
-            .collect::<Result<Vec<_>, _>>()
-        {
-            Ok(engines) => engines,
-            Err(e) => return CellOutcome::BuildFailed(e.to_string()),
-        };
-        let mut builder = SimConfig::builder(platform.device().clone())
-            .warmup(self.warmup)
-            .measure(self.measure)
-            .seed(self.deployment_seed(deployment))
-            .gpu_policy(gpu_policy)
-            .record_kernel_events(false)
-            .profiler(ProfilerMode::Lightweight);
-        if let Some(budget) = policy.event_budget {
-            builder = builder.event_budget(budget);
-        }
         let arrivals = match offered_load {
             Some(fps) => ArrivalModel::Poisson { fps },
             None => ArrivalModel::Saturated,
         };
-        for (tenant, engine) in deployment.tenants().iter().zip(&engines) {
-            builder = tenant.add_processes(builder, engine, arrivals);
+        let mut builder = match deployment.config_builder(platform, arrivals) {
+            Ok(builder) => builder,
+            Err(e) => return CellOutcome::BuildFailed(e.to_string()),
+        }
+        .warmup(self.warmup)
+        .measure(self.measure)
+        .seed(self.deployment_seed(deployment))
+        .gpu_policy(gpu_policy)
+        .record_kernel_events(false)
+        .profiler(ProfilerMode::Lightweight);
+        if let Some(budget) = policy.event_budget {
+            builder = builder.event_budget(budget);
         }
         match builder.build() {
             Ok(config) => {
@@ -636,7 +625,8 @@ pub enum CellOutcome {
         /// MiB available.
         usable_mib: u64,
     },
-    /// The engine could not be built for these parameters.
+    /// A tenant's engine could not be built: the
+    /// [`crate::DeploymentError::Build`] text, which names the tenant.
     BuildFailed(String),
     /// The engine built but the simulation itself was rejected for a
     /// reason other than memory (e.g. an invalid configuration).
@@ -1091,6 +1081,20 @@ mod tests {
         let cell = SweepSpec::new().run_deployment(&Platform::orin_nano(), &Deployment::new());
         assert!(
             matches!(&cell.outcome, CellOutcome::SimFailed(e) if e.contains("empty")),
+            "{:?}",
+            cell.outcome
+        );
+    }
+
+    #[test]
+    fn unbuildable_tenant_is_named_in_the_cell() {
+        let deployment = Deployment::new()
+            .tenant(Tenant::new(zoo::resnet50(), Precision::Int8, 1))
+            .tenant(Tenant::new(zoo::yolov8n(), Precision::Fp16, 300));
+        let cell = SweepSpec::new().run_deployment(&Platform::orin_nano(), &deployment);
+        assert!(
+            matches!(&cell.outcome, CellOutcome::BuildFailed(e)
+                if e.starts_with("tenant yolov8n:fp16:b300: engine build failed")),
             "{:?}",
             cell.outcome
         );

@@ -316,3 +316,48 @@ fn window_past_the_clock_is_an_error_not_a_panic() {
         );
     }
 }
+
+#[test]
+fn an_unbuildable_tenant_is_named() {
+    let out = trtexec(&["--tenant=resnet50:int8:1:2", "--tenant=yolov8n:fp16:300"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert_eq!(stderr.lines().count(), 1, "{stderr}");
+    assert!(
+        stderr.starts_with("error: tenant yolov8n:fp16:b300: engine build failed"),
+        "{stderr}"
+    );
+}
+
+#[test]
+fn a_centuries_long_window_is_refused_before_it_runs() {
+    // The window fits the clock after the 500 ms warmup, but its
+    // ~9e12 expected ECs of 57 kernel events each overflow what a run
+    // may keep, so the config is refused before the run starts. Were it
+    // not, the run would allocate until killed: the child gets a
+    // deadline.
+    let mut child = Command::new(env!("CARGO_BIN_EXE_jetsim-trtexec"))
+        .args(["--model=resnet50", "--int8", "--duration=18446744073"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+    while child.try_wait().expect("child state").is_none() {
+        if std::time::Instant::now() > deadline {
+            child.kill().ok();
+            child.wait().ok();
+            panic!("the centuries-long window started running");
+        }
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    }
+    let out = child.wait_with_output().expect("child output");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert_eq!(stderr.lines().count(), 1, "{stderr}");
+    assert!(
+        stderr.starts_with("error: invalid configuration: ")
+            && stderr.contains("closed-loop processes"),
+        "{stderr}"
+    );
+}

@@ -86,3 +86,19 @@ fn window_past_the_clock_is_an_error_not_a_panic() {
         );
     }
 }
+
+#[test]
+fn an_unbuildable_tenant_is_named() {
+    let out = fleet(&[
+        "--tenant",
+        "resnet50:int8:1:2",
+        "--tenant",
+        "yolov8n:fp16:300",
+    ]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("tenant yolov8n:fp16:b300: engine build failed"),
+        "{stderr}"
+    );
+}

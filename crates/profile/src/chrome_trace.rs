@@ -24,10 +24,13 @@ const SERVE_PID_BASE: usize = 10_000;
 /// use jetsim_device::presets;
 /// use jetsim_dnn::{zoo, Precision};
 /// use jetsim_profile::chrome_trace;
-/// use jetsim_sim::{SimConfig, Simulation};
+/// use jetsim_sim::{ProcessConfig, SimConfig, Simulation};
+/// use jetsim_trt::EngineBuilder;
 ///
-/// let config = SimConfig::builder(presets::orin_nano())
-///     .add_model(&zoo::resnet50(), Precision::Int8, 1)?
+/// let orin = presets::orin_nano();
+/// let engine = EngineBuilder::new(&orin).precision(Precision::Int8).build(&zoo::resnet50())?;
+/// let config = SimConfig::builder(orin)
+///     .add_process(ProcessConfig::new("p0", engine.into(), 0))
 ///     .warmup(SimDuration::from_millis(100))
 ///     .measure(SimDuration::from_millis(300))
 ///     .build()?;
@@ -239,15 +242,13 @@ fn escape(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_support::orin_processes;
     use jetsim_des::SimDuration;
-    use jetsim_device::presets;
     use jetsim_dnn::{zoo, Precision};
-    use jetsim_sim::{SimConfig, Simulation};
+    use jetsim_sim::Simulation;
 
     fn sample_trace() -> RunTrace {
-        let config = SimConfig::builder(presets::orin_nano())
-            .add_model_processes(&zoo::resnet50(), Precision::Int8, 1, 2)
-            .unwrap()
+        let config = orin_processes(&zoo::resnet50(), Precision::Int8, 2)
             .warmup(SimDuration::from_millis(100))
             .measure(SimDuration::from_millis(300))
             .build()
@@ -292,15 +293,12 @@ mod tests {
     fn serve_runs_export_queue_rows_and_batch_instants() {
         use jetsim_des::ArrivalProcess;
         use jetsim_sim::{ServeGroup, ServePlan};
-        let platform = presets::orin_nano();
         let plan = ServePlan::new().group(
             ServeGroup::new("resnet50:int8:b1", ArrivalProcess::poisson(120.0))
                 .members([0])
                 .max_delay(SimDuration::from_millis(4)),
         );
-        let config = SimConfig::builder(platform)
-            .add_model(&zoo::resnet50(), Precision::Int8, 1)
-            .unwrap()
+        let config = orin_processes(&zoo::resnet50(), Precision::Int8, 1)
             .serve(plan)
             .warmup(SimDuration::from_millis(100))
             .measure(SimDuration::from_millis(400))
@@ -324,9 +322,7 @@ mod tests {
             SimDuration::from_millis(100),
             0,
         );
-        let config = SimConfig::builder(presets::orin_nano())
-            .add_model(&zoo::resnet50(), Precision::Int8, 1)
-            .unwrap()
+        let config = orin_processes(&zoo::resnet50(), Precision::Int8, 1)
             .warmup(SimDuration::from_millis(100))
             .measure(SimDuration::from_millis(300))
             .faults(plan)

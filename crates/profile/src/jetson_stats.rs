@@ -17,10 +17,13 @@ use crate::stats::Summary;
 /// use jetsim_device::presets;
 /// use jetsim_dnn::{zoo, Precision};
 /// use jetsim_profile::JetsonStatsReport;
-/// use jetsim_sim::{SimConfig, Simulation};
+/// use jetsim_sim::{ProcessConfig, SimConfig, Simulation};
+/// use jetsim_trt::EngineBuilder;
 ///
-/// let config = SimConfig::builder(presets::orin_nano())
-///     .add_model(&zoo::resnet50(), Precision::Fp16, 1)?
+/// let orin = presets::orin_nano();
+/// let engine = EngineBuilder::new(&orin).precision(Precision::Fp16).build(&zoo::resnet50())?;
+/// let config = SimConfig::builder(orin)
+///     .add_process(ProcessConfig::new("p0", engine.into(), 0))
 ///     .warmup(SimDuration::from_millis(200))
 ///     .measure(SimDuration::from_millis(800))
 ///     .build()?;
@@ -94,15 +97,13 @@ impl fmt::Display for JetsonStatsReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_support::orin_processes;
     use jetsim_des::SimDuration;
-    use jetsim_device::presets;
     use jetsim_dnn::{zoo, Precision};
-    use jetsim_sim::{SimConfig, Simulation};
+    use jetsim_sim::Simulation;
 
     fn report(procs: u32) -> JetsonStatsReport {
-        let config = SimConfig::builder(presets::orin_nano())
-            .add_model_processes(&zoo::resnet50(), Precision::Int8, 1, procs)
-            .unwrap()
+        let config = orin_processes(&zoo::resnet50(), Precision::Int8, procs)
             .warmup(SimDuration::from_millis(200))
             .measure(SimDuration::from_millis(800))
             .build()

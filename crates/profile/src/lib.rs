@@ -26,3 +26,37 @@ pub use jetson_stats::JetsonStatsReport;
 pub use metrics::{MetricDef, MetricLevel};
 pub use nsight::{NsightReport, UtilizationCdfs};
 pub use stats::{Cdf, Summary};
+
+/// Config helpers shared by the crate's unit tests.
+#[cfg(test)]
+pub(crate) mod test_support {
+    use std::sync::Arc;
+
+    use jetsim_device::presets;
+    use jetsim_dnn::{ModelGraph, Precision};
+    use jetsim_sim::{ProcessConfig, SimConfig, SimConfigBuilder};
+    use jetsim_trt::EngineBuilder;
+
+    /// An Orin Nano builder with `count` saturated batch-1 processes
+    /// `p{pid}` of `model`, each in its own memory group.
+    pub(crate) fn orin_processes(
+        model: &ModelGraph,
+        precision: Precision,
+        count: u32,
+    ) -> SimConfigBuilder {
+        let device = presets::orin_nano();
+        let engine = Arc::new(
+            EngineBuilder::new(&device)
+                .precision(precision)
+                .build(model)
+                .unwrap(),
+        );
+        (0..count as usize).fold(SimConfig::builder(device), |builder, pid| {
+            builder.add_process(ProcessConfig::new(
+                format!("p{pid}"),
+                Arc::clone(&engine),
+                pid,
+            ))
+        })
+    }
+}

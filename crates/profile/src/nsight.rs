@@ -33,10 +33,13 @@ pub struct UtilizationCdfs {
 /// use jetsim_device::presets;
 /// use jetsim_dnn::{zoo, Precision};
 /// use jetsim_profile::NsightReport;
-/// use jetsim_sim::{ProfilerMode, SimConfig, Simulation};
+/// use jetsim_sim::{ProcessConfig, ProfilerMode, SimConfig, Simulation};
+/// use jetsim_trt::EngineBuilder;
 ///
-/// let config = SimConfig::builder(presets::orin_nano())
-///     .add_model(&zoo::fcn_resnet50(), Precision::Fp16, 1)?
+/// let orin = presets::orin_nano();
+/// let engine = EngineBuilder::new(&orin).precision(Precision::Fp16).build(&zoo::fcn_resnet50())?;
+/// let config = SimConfig::builder(orin)
+///     .add_process(ProcessConfig::new("p0", engine.into(), 0))
 ///     .profiler(ProfilerMode::Nsight)
 ///     .warmup(SimDuration::from_millis(200))
 ///     .measure(SimDuration::from_millis(1300))
@@ -95,10 +98,13 @@ impl NsightReport {
     /// use jetsim_device::presets;
     /// use jetsim_dnn::{zoo, Precision};
     /// use jetsim_profile::NsightReport;
-    /// use jetsim_sim::{SimConfig, Simulation};
+    /// use jetsim_sim::{ProcessConfig, SimConfig, Simulation};
+    /// use jetsim_trt::EngineBuilder;
     ///
-    /// let config = SimConfig::builder(presets::orin_nano())
-    ///     .add_model(&zoo::fcn_resnet50(), Precision::Fp16, 1)?
+    /// let orin = presets::orin_nano();
+    /// let engine = EngineBuilder::new(&orin).precision(Precision::Fp16).build(&zoo::fcn_resnet50())?;
+    /// let config = SimConfig::builder(orin)
+    ///     .add_process(ProcessConfig::new("p0", engine.into(), 0))
     ///     .warmup(SimDuration::from_millis(100))
     ///     .measure(SimDuration::from_millis(600))
     ///     .build()?;
@@ -220,15 +226,13 @@ impl fmt::Display for NsightReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_support::orin_processes;
     use jetsim_des::SimDuration;
-    use jetsim_device::presets;
     use jetsim_dnn::{zoo, Precision};
-    use jetsim_sim::{SimConfig, Simulation};
+    use jetsim_sim::Simulation;
 
     fn trace(model: &jetsim_dnn::ModelGraph, precision: Precision, procs: u32) -> RunTrace {
-        let config = SimConfig::builder(presets::orin_nano())
-            .add_model_processes(model, precision, 1, procs)
-            .unwrap()
+        let config = orin_processes(model, precision, procs)
             .warmup(SimDuration::from_millis(200))
             .measure(SimDuration::from_millis(1300))
             .build()

@@ -2,6 +2,7 @@
 //! onto the DES.
 
 use std::fmt;
+use std::sync::Arc;
 
 use jetsim::deployment::{DeploymentError, Tenant};
 use jetsim::platform::Platform;
@@ -13,7 +14,7 @@ use jetsim_sim::serving::{
 use jetsim_sim::{
     ArrivalModel, FaultPlan, GpuPolicy, SimConfig, SimError, Simulation, DEFAULT_SEED,
 };
-use jetsim_trt::{BuildError, Engine};
+use jetsim_trt::Engine;
 
 use crate::capacity::{self, CapacityEstimate};
 use crate::metrics::ServeReport;
@@ -222,13 +223,9 @@ impl ServeTenant {
 pub enum ServeError {
     /// The spec has no tenants.
     NoTenants,
-    /// Engine building failed for one tenant.
-    Build {
-        /// The tenant whose engine failed.
-        label: String,
-        /// The underlying build error.
-        source: BuildError,
-    },
+    /// A tenant's engine failed to build ([`DeploymentError::Build`]
+    /// names the tenant).
+    Deployment(DeploymentError),
     /// The assembled simulation config was rejected.
     Sim(SimError),
 }
@@ -237,9 +234,7 @@ impl fmt::Display for ServeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ServeError::NoTenants => f.write_str("serving spec needs at least one tenant"),
-            ServeError::Build { label, source } => {
-                write!(f, "tenant {label}: engine build failed: {source}")
-            }
+            ServeError::Deployment(e) => write!(f, "{e}"),
             ServeError::Sim(e) => write!(f, "{e}"),
         }
     }
@@ -249,9 +244,15 @@ impl std::error::Error for ServeError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             ServeError::NoTenants => None,
-            ServeError::Build { source, .. } => Some(source),
+            ServeError::Deployment(e) => e.source(),
             ServeError::Sim(e) => Some(e),
         }
+    }
+}
+
+impl From<DeploymentError> for ServeError {
+    fn from(e: DeploymentError) -> Self {
+        ServeError::Deployment(e)
     }
 }
 
@@ -435,7 +436,7 @@ impl ServeSpec {
     ///
     /// # Errors
     ///
-    /// [`ServeError::NoTenants`], [`ServeError::Build`] naming the
+    /// [`ServeError::NoTenants`], [`ServeError::Deployment`] naming the
     /// failing tenant, or [`ServeError::Sim`] from config validation.
     pub fn build_config(&self) -> Result<SimConfig, ServeError> {
         if self.tenants.is_empty() {
@@ -449,24 +450,15 @@ impl ServeSpec {
             .record_kernel_events(false)
             .faults(self.faults.clone());
         let mut plan = ServePlan::new();
-        let mut next_pid = 0usize;
         let res = &self.resilience;
         for st in &self.tenants {
             let t = &st.tenant;
-            let label = t.label();
             let scaling = st.autoscale.as_ref().or(self.autoscale.as_ref());
-            let engine = self
-                .platform
-                .build_engine(t.model(), t.precision(), t.batch())
-                .map_err(|source| ServeError::Build {
-                    label: label.clone(),
-                    source,
-                })?;
-            let members: Vec<usize> = (next_pid..next_pid + t.instances() as usize).collect();
+            let engine = t.build_engine(&self.platform)?;
+            let first = builder.process_count();
             builder = t.add_processes(builder, &engine, ArrivalModel::Saturated);
-            next_pid += t.instances() as usize;
-            let mut group = ServeGroup::new(label.clone(), st.arrivals.clone())
-                .members(members)
+            let mut group = ServeGroup::new(t.label(), st.arrivals.clone())
+                .members(first..builder.process_count())
                 .max_delay(st.max_delay)
                 .queue_cap(st.queue_cap)
                 .admission(st.admission);
@@ -477,14 +469,8 @@ impl ServeSpec {
                 || matches!(res.breaker, Some(b) if b.mode == BreakerMode::Brownout);
             if wants_fallback {
                 if let Some((precision, batch)) = degraded_variant(t.precision(), t.batch()) {
-                    let fallback = self
-                        .platform
-                        .build_engine(t.model(), precision, batch)
-                        .map_err(|source| ServeError::Build {
-                            label: label.clone(),
-                            source,
-                        })?;
-                    group = group.degraded_engine(fallback);
+                    let fallback = Tenant::new(Arc::clone(t.model()), precision, batch);
+                    group = group.degraded_engine(fallback.build_engine(&self.platform)?);
                 }
             }
             if let Some(deadline) = res.deadline {

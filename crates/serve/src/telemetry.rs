@@ -37,8 +37,8 @@ pub struct GroupCapacity {
 ///
 /// # Errors
 ///
-/// [`ServeError::NoTenants`] for an empty spec, or [`ServeError::Build`]
-/// naming the failing tenant.
+/// [`ServeError::NoTenants`] for an empty spec, or
+/// [`ServeError::Deployment`] naming the failing tenant.
 pub fn estimate_capacity(spec: &ServeSpec) -> Result<Vec<GroupCapacity>, ServeError> {
     if spec.tenants().is_empty() {
         return Err(ServeError::NoTenants);
@@ -50,13 +50,7 @@ pub fn estimate_capacity(spec: &ServeSpec) -> Result<Vec<GroupCapacity>, ServeEr
         .iter()
         .map(|st| {
             let t = &st.tenant;
-            let label = t.label();
-            let engine = platform
-                .build_engine(t.model(), t.precision(), t.batch())
-                .map_err(|source| ServeError::Build {
-                    label: label.clone(),
-                    source,
-                })?;
+            let engine = t.build_engine(platform)?;
             let est_batch_secs = engine.ideal_ec_time(gpu, top).as_secs_f64();
             let est_rate = if est_batch_secs > 0.0 {
                 f64::from(t.instances()) * f64::from(engine.batch()) / est_batch_secs
@@ -64,7 +58,7 @@ pub fn estimate_capacity(spec: &ServeSpec) -> Result<Vec<GroupCapacity>, ServeEr
                 0.0
             };
             Ok(GroupCapacity {
-                label,
+                label: t.label(),
                 replicas: t.instances(),
                 max_batch: engine.batch(),
                 est_batch_secs,

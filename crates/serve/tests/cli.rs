@@ -318,3 +318,19 @@ fn a_centuries_long_window_is_refused_before_it_runs() {
     );
     assert!(out.stdout.is_empty());
 }
+
+#[test]
+fn an_unbuildable_tenant_is_named() {
+    let out = serve(&[
+        "--tenant",
+        "resnet50:int8:1:2",
+        "--tenant",
+        "yolov8n:fp16:300",
+    ]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("tenant yolov8n:fp16:b300: engine build failed"),
+        "{stderr}"
+    );
+}

@@ -398,6 +398,46 @@ impl Ingress {
         }
     }
 
+    /// Replica lifecycle at the end of a run, checked in debug builds.
+    /// Per pid, health events follow `(Down Up)* (Down Ejected?)?`, as
+    /// [`Ingress::on_replica_killed`] and `on_restart_done` emit them,
+    /// and every `Warmed` follows its `Provisioned` with no `Down` between
+    /// (a kill mid start cancels the provision), except the initial
+    /// up-set [`Ingress::start`] warms at t = 0.
+    pub(crate) fn debug_check_replica_health(&self) {
+        use ReplicaHealth::{Ejected, Restarting, Up};
+        use ServeEventKind::*;
+        // Per pid: its health, and whether a start is pending.
+        let mut state = vec![(Up, false); self.health.len()];
+        for e in &self.serve_events {
+            let pid = match e.kind {
+                ReplicaDown { pid, .. } | ReplicaUp { pid } | ReplicaEjected { pid } => pid,
+                ReplicaProvisioned { pid, .. } | ReplicaWarmed { pid } => pid,
+                _ => continue,
+            };
+            let (health, starting) = state[pid];
+            let next = match (&e.kind, health) {
+                (ReplicaDown { .. }, Up) => Some((Restarting, false)),
+                (ReplicaUp { .. }, Restarting) => Some((Up, starting)),
+                (ReplicaEjected { .. }, Restarting) => Some((Ejected, starting)),
+                (ReplicaProvisioned { .. }, Up) if !starting => Some((Up, true)),
+                (ReplicaWarmed { .. }, _) if starting || e.time == SimTime::ZERO => {
+                    Some((health, false))
+                }
+                _ => None,
+            };
+            debug_assert!(
+                next.is_some(),
+                "replica health: pid {pid} (group {}) saw {:?} at {} ns while {health:?}{}",
+                e.group,
+                e.kind,
+                e.time.as_nanos(),
+                if starting { " and starting" } else { "" },
+            );
+            state[pid] = next.unwrap_or(state[pid]);
+        }
+    }
+
     /// `true` when `pid` is a server (its ECs are driven by ingress, not
     /// the closed loop).
     pub(crate) fn serves(&self, pid: usize) -> bool {

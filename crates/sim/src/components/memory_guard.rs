@@ -157,6 +157,15 @@ impl MemoryGuard {
                 self.enforce_memory(now, ctx, sched, gpu, ingress);
             }
             FaultAction::SpikeEnd { bytes } => {
+                // Each end releases its own start's bytes, which are live
+                // until then.
+                debug_assert!(
+                    bytes <= self.spike_bytes,
+                    "memory spike release at {} ns frees {bytes} bytes, but only {} spike \
+                     bytes are live",
+                    now.as_nanos(),
+                    self.spike_bytes
+                );
                 self.spike_bytes = self.spike_bytes.saturating_sub(bytes);
                 self.fault_events.push(FaultEvent {
                     time: now,

@@ -26,11 +26,13 @@
 //! use jetsim_des::SimDuration;
 //! use jetsim_device::presets;
 //! use jetsim_dnn::{zoo, Precision};
-//! use jetsim_sim::{SimConfig, Simulation};
+//! use jetsim_sim::{ProcessConfig, SimConfig, Simulation};
+//! use jetsim_trt::EngineBuilder;
 //!
 //! let device = presets::orin_nano();
+//! let engine = EngineBuilder::new(&device).precision(Precision::Int8).build(&zoo::resnet50())?;
 //! let config = SimConfig::builder(device)
-//!     .add_model(&zoo::resnet50(), Precision::Int8, 1)?
+//!     .add_process(ProcessConfig::new("p0", engine.into(), 0))
 //!     .warmup(SimDuration::from_millis(200))
 //!     .measure(SimDuration::from_millis(800))
 //!     .build()?;

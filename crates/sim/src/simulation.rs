@@ -26,10 +26,13 @@ use crate::trace::{EcStats, RunTrace};
 /// use jetsim_des::SimDuration;
 /// use jetsim_device::presets;
 /// use jetsim_dnn::{zoo, Precision};
-/// use jetsim_sim::{SimConfig, Simulation};
+/// use jetsim_sim::{ProcessConfig, SimConfig, Simulation};
+/// use jetsim_trt::EngineBuilder;
 ///
-/// let config = SimConfig::builder(presets::jetson_nano())
-///     .add_model(&zoo::yolov8n(), Precision::Fp16, 1)?
+/// let nano = presets::jetson_nano();
+/// let engine = EngineBuilder::new(&nano).precision(Precision::Fp16).build(&zoo::yolov8n())?;
+/// let config = SimConfig::builder(nano)
+///     .add_process(ProcessConfig::new("p0", engine.into(), 0))
 ///     .warmup(SimDuration::from_millis(100))
 ///     .measure(SimDuration::from_millis(900))
 ///     .build()?;
@@ -125,23 +128,15 @@ impl Runner {
             config.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0x7472_6163_655F_726E, // "trace_rn"
         );
         let top = config.device.gpu.freq.top();
-        // Expected per-process EC iterations at the top clock: used to
-        // pre-size the per-process EC statistics and the kernel-event
-        // trace so the hot loop never regrows them.
-        let total_secs = config.total_time().as_secs_f64();
-        let n = config.processes.len().max(1) as f64;
+        // Expected per-process EC iterations: used to pre-size the
+        // per-process EC statistics and the kernel-event trace so the hot
+        // loop never regrows them.
         let est_ecs: Vec<usize> = config
             .processes
             .iter()
             .map(|p| {
-                let ideal = p
-                    .engine
-                    .ideal_ec_time(&config.device.gpu, top)
-                    .as_secs_f64()
-                    .max(1e-6);
-                // The GPU time-multiplexes processes, so each gets ~1/n of
-                // its standalone rate; 25% slack absorbs jitter.
-                ((total_secs / (ideal * n)) * 1.25).ceil().min(2e6) as usize
+                let ideal = p.engine.ideal_ec_time(&config.device.gpu, top);
+                config.expected_ecs(ideal.as_secs_f64()).ceil().min(2e6) as usize
             })
             .collect();
         let est_events: usize = if config.record_kernel_events {
@@ -265,6 +260,7 @@ impl Runner {
         }
         if cfg!(debug_assertions) {
             self.ingress.debug_check_conservation();
+            self.ingress.debug_check_replica_health();
         }
         self.finalize()
     }

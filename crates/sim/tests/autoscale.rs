@@ -9,7 +9,7 @@ use jetsim_des::{ArrivalProcess, SimDuration, SimTime};
 use jetsim_dnn::{zoo, Precision};
 use jetsim_sim::serving::{AutoscalerPolicy, RecoveryPolicy, ServeEventKind};
 use jetsim_sim::{
-    ArrivalModel, FaultPlan, OomPolicy, RunTrace, ServeGroup, ServePlan, SimConfig, Simulation,
+    FaultPlan, OomPolicy, ProcessConfig, RunTrace, ServeGroup, ServePlan, SimConfig, Simulation,
 };
 use jetsim_trt::EngineBuilder;
 
@@ -35,11 +35,11 @@ fn trace(
     );
     let mut builder = SimConfig::builder(device);
     for i in 0..members {
-        builder = builder.add_engine_named_with_arrivals(
+        builder = builder.add_process(ProcessConfig::new(
             format!("resnet50/{i}"),
             Arc::clone(&eng),
-            ArrivalModel::Saturated,
-        );
+            i,
+        ));
     }
     let g = group(ServeGroup::new("resnet50", arrivals).members(0..members));
     if let Some(plan) = faults {

@@ -3,24 +3,34 @@
 //! an explicit `rr`, and preemption must conserve kernels — nothing
 //! lost, nothing completed twice.
 
+use std::sync::Arc;
+
 use jetsim_des::SimDuration;
 use jetsim_device::presets;
 use jetsim_dnn::{zoo, Precision};
-use jetsim_sim::{GpuPolicy, SimConfig, Simulation};
+use jetsim_sim::{GpuPolicy, ProcessConfig, SimConfig, Simulation};
+use jetsim_trt::EngineBuilder;
 
 /// Four ResNet50 int8 processes, two at priority 5 / share 2.0 and two
 /// at the defaults — enough contention that a preemptive policy fires.
 fn contended_config(policy: Option<GpuPolicy>) -> SimConfig {
-    let mut builder = SimConfig::builder(presets::orin_nano())
+    let device = presets::orin_nano();
+    let engine = Arc::new(
+        EngineBuilder::new(&device)
+            .precision(Precision::Int8)
+            .build(&zoo::resnet50())
+            .expect("engine builds"),
+    );
+    let mut builder = SimConfig::builder(device)
         .warmup(SimDuration::ZERO)
         .measure(SimDuration::from_millis(300));
-    for i in 0..4u8 {
-        builder = builder
-            .add_model(&zoo::resnet50(), Precision::Int8, 1)
-            .expect("engine builds");
-        if i % 2 == 0 {
-            builder = builder.process_priority(5).process_sm_share(2.0);
-        }
+    for pid in 0..4 {
+        let weighted = pid % 2 == 0;
+        builder = builder.add_process(ProcessConfig {
+            priority: if weighted { 5 } else { 0 },
+            sm_share: if weighted { 2.0 } else { 1.0 },
+            ..ProcessConfig::new(format!("p{pid}"), Arc::clone(&engine), pid)
+        });
     }
     if let Some(policy) = policy {
         builder = builder.gpu_policy(policy);

@@ -3,26 +3,34 @@
 //! These run short windows (cases are whole simulations), so the case
 //! count is kept small.
 
+mod support;
+
 use proptest::prelude::*;
 
 use jetsim_des::{SimDuration, SimTime};
 use jetsim_device::presets;
 use jetsim_dnn::{zoo, Precision};
-use jetsim_sim::{EcRecord, FaultPlan, OomPolicy, ProcessStats, RunTrace, SimConfig, Simulation};
+use jetsim_sim::{
+    EcRecord, FaultPlan, OomPolicy, ProcessConfig, ProcessStats, RunTrace, SimConfig, Simulation,
+};
 
 fn arb_precision() -> impl Strategy<Value = Precision> {
     prop::sample::select(Precision::ALL.to_vec())
 }
 
 fn run(precision: Precision, batch: u32, procs: u32, seed: u64) -> jetsim_sim::RunTrace {
-    let config = SimConfig::builder(presets::orin_nano())
-        .add_model_processes(&zoo::resnet50(), precision, batch, procs)
-        .expect("builds")
-        .warmup(SimDuration::from_millis(100))
-        .measure(SimDuration::from_millis(400))
-        .seed(seed)
-        .build()
-        .expect("fits");
+    let config = support::processes(
+        presets::orin_nano(),
+        &zoo::resnet50(),
+        precision,
+        batch,
+        procs,
+    )
+    .warmup(SimDuration::from_millis(100))
+    .measure(SimDuration::from_millis(400))
+    .seed(seed)
+    .build()
+    .expect("fits");
     Simulation::new(config).expect("valid").run()
 }
 
@@ -141,9 +149,7 @@ proptest! {
         let plan = FaultPlan::seeded(fault_seed, horizon, spikes as usize, locks as usize)
             .oom_policy(jetsim_sim::OomPolicy::KillLargest);
         let run_faulted = |plan: &FaultPlan| {
-            let config = SimConfig::builder(presets::orin_nano())
-                .add_model_processes(&zoo::resnet50(), Precision::Int8, 1, procs)
-                .expect("builds")
+            let config = support::processes(presets::orin_nano(), &zoo::resnet50(), Precision::Int8, 1, procs)
                 .warmup(SimDuration::from_millis(100))
                 .measure(SimDuration::from_millis(400))
                 .seed(sim_seed)
@@ -181,9 +187,7 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let base = run(precision, 1, procs, seed);
-        let config = SimConfig::builder(presets::orin_nano())
-            .add_model_processes(&zoo::resnet50(), precision, 1, procs)
-            .expect("builds")
+        let config = support::processes(presets::orin_nano(), &zoo::resnet50(), precision, 1, procs)
             .warmup(SimDuration::from_millis(100))
             .measure(SimDuration::from_millis(400))
             .seed(seed)
@@ -207,9 +211,7 @@ proptest! {
     ) {
         let plan = FaultPlan::seeded(fault_seed, SimDuration::from_millis(500), 2, 0)
             .oom_policy(jetsim_sim::OomPolicy::KillLargest);
-        let config = SimConfig::builder(presets::jetson_nano())
-            .add_model_processes(&zoo::fcn_resnet50(), Precision::Fp16, 1, 4)
-            .expect("builds")
+        let config = support::processes(presets::jetson_nano(), &zoo::fcn_resnet50(), Precision::Fp16, 1, 4)
             .warmup(SimDuration::from_millis(100))
             .measure(SimDuration::from_millis(400))
             .seed(seed)
@@ -297,7 +299,7 @@ proptest! {
 }
 
 use jetsim_sim::serving::{AutoscalerPolicy, ServeEventKind};
-use jetsim_sim::{ArrivalModel, ServeGroup, ServePlan};
+use jetsim_sim::{ServeGroup, ServePlan};
 
 /// The oracle for [`ProcessStats`]: every field recomputed from the
 /// trace's per-EC log with the formula the finaliser applied when it
@@ -358,9 +360,7 @@ fn stats_match_ec_log(trace: &RunTrace) -> Result<(), TestCaseError> {
 /// the OOM killer take one mid-run.
 fn oom_run(precision: Precision, seed: u64) -> RunTrace {
     let config = |faults: FaultPlan| {
-        SimConfig::builder(presets::orin_nano())
-            .add_model_processes(&zoo::resnet50(), precision, 1, 2)
-            .expect("builds")
+        support::processes(presets::orin_nano(), &zoo::resnet50(), precision, 1, 2)
             .faults(faults)
             .warmup(SimDuration::from_millis(100))
             .measure(SimDuration::from_millis(400))
@@ -392,11 +392,11 @@ fn autoscaled_run(min: u32, rate: f64, seed: u64) -> jetsim_sim::RunTrace {
     );
     let mut builder = SimConfig::builder(device);
     for i in 0..3 {
-        builder = builder.add_engine_named_with_arrivals(
+        builder = builder.add_process(ProcessConfig::new(
             format!("resnet50/{i}"),
             std::sync::Arc::clone(&eng),
-            ArrivalModel::Saturated,
-        );
+            i,
+        ));
     }
     let scaler = AutoscalerPolicy::new(min, 3)
         .target_queue_per_replica(2.0)

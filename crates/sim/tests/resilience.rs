@@ -11,7 +11,7 @@ use jetsim_sim::serving::{
     BreakerPolicy, DropKind, HedgePolicy, RecoveryPolicy, RetryPolicy, ServeEventKind,
 };
 use jetsim_sim::{
-    AdmissionPolicy, ArrivalModel, FaultKind, FaultPlan, OomPolicy, RunTrace, ServeGroup,
+    AdmissionPolicy, FaultKind, FaultPlan, OomPolicy, ProcessConfig, RunTrace, ServeGroup,
     ServePlan, SimConfig, Simulation,
 };
 use jetsim_trt::EngineBuilder;
@@ -37,11 +37,11 @@ fn orin_trace(rate: f64, servers: usize, group: impl FnOnce(ServeGroup) -> Serve
     let eng = engine(&device, Precision::Int8, 1);
     let mut builder = SimConfig::builder(device);
     for i in 0..servers {
-        builder = builder.add_engine_named_with_arrivals(
+        builder = builder.add_process(ProcessConfig::new(
             format!("resnet50/{i}"),
             Arc::clone(&eng),
-            ArrivalModel::Saturated,
-        );
+            i,
+        ));
     }
     let g = group(ServeGroup::new("resnet50", ArrivalProcess::poisson(rate)).members(0..servers));
     let config = builder
@@ -69,8 +69,8 @@ fn nano_oom_trace(group: impl FnOnce(ServeGroup) -> ServeGroup) -> RunTrace {
         )
         .oom_policy(OomPolicy::KillLargest);
     let config = SimConfig::builder(device)
-        .add_engine_named_with_arrivals("resnet50/0", Arc::clone(&eng), ArrivalModel::Saturated)
-        .add_engine_named_with_arrivals("resnet50/1", Arc::clone(&eng), ArrivalModel::Saturated)
+        .add_process(ProcessConfig::new("resnet50/0", Arc::clone(&eng), 0))
+        .add_process(ProcessConfig::new("resnet50/1", Arc::clone(&eng), 1))
         .serve(ServePlan::new().group(g))
         .warmup(SimDuration::from_millis(100))
         .measure(SimDuration::from_millis(700))
@@ -119,8 +119,8 @@ fn oom_killer_counts_fallback_engines() {
         .admission(AdmissionPolicy::Degrade)
         .degraded_engine(engine(&device, Precision::Int8, 1));
     let mut config = SimConfig::builder(device)
-        .add_engine_named_with_arrivals("resnet50/0", Arc::clone(&eng), ArrivalModel::Saturated)
-        .add_engine_named_with_arrivals("resnet50/1", Arc::clone(&eng), ArrivalModel::Saturated)
+        .add_process(ProcessConfig::new("resnet50/0", Arc::clone(&eng), 0))
+        .add_process(ProcessConfig::new("resnet50/1", Arc::clone(&eng), 1))
         .serve(ServePlan::new().group(g))
         .warmup(SimDuration::from_millis(100))
         .measure(SimDuration::from_millis(300))

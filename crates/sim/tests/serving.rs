@@ -1,6 +1,8 @@
 //! End-to-end behavior of the request-level serving path: determinism,
 //! admission policies, dynamic batching and closed-loop coexistence.
 
+mod support;
+
 use std::sync::Arc;
 
 use jetsim_des::{ArrivalProcess, SimDuration};
@@ -8,7 +10,7 @@ use jetsim_device::presets;
 use jetsim_dnn::{zoo, Precision};
 use jetsim_sim::serving::ServeEventKind;
 use jetsim_sim::{
-    AdmissionPolicy, ArrivalModel, HedgePolicy, RetryPolicy, RunTrace, ServeGroup, ServePlan,
+    AdmissionPolicy, HedgePolicy, ProcessConfig, RetryPolicy, RunTrace, ServeGroup, ServePlan,
     SimConfig, SimError, Simulation,
 };
 use jetsim_trt::EngineBuilder;
@@ -33,11 +35,11 @@ fn serving_trace(rate: f64, servers: usize, cap: usize, admission: AdmissionPoli
     let eng = engine(&device, Precision::Int8, 1);
     let mut builder = SimConfig::builder(device);
     for i in 0..servers {
-        builder = builder.add_engine_named_with_arrivals(
+        builder = builder.add_process(ProcessConfig::new(
             format!("resnet50/{i}"),
             Arc::clone(&eng),
-            ArrivalModel::Saturated,
-        );
+            i,
+        ));
     }
     let config = builder
         .serve(
@@ -92,13 +94,17 @@ fn serving_replays_bit_identically() {
 
 #[test]
 fn closed_loop_traces_have_no_serving_artifacts() {
-    let config = SimConfig::builder(presets::orin_nano())
-        .add_model(&zoo::resnet50(), Precision::Int8, 1)
-        .unwrap()
-        .warmup(SimDuration::from_millis(100))
-        .measure(SimDuration::from_millis(400))
-        .build()
-        .unwrap();
+    let config = support::processes(
+        presets::orin_nano(),
+        &zoo::resnet50(),
+        Precision::Int8,
+        1,
+        1,
+    )
+    .warmup(SimDuration::from_millis(100))
+    .measure(SimDuration::from_millis(400))
+    .build()
+    .unwrap();
     let trace = Simulation::new(config).unwrap().run();
     assert!(trace.requests.is_empty());
     assert!(trace.serve_events.is_empty());
@@ -151,7 +157,7 @@ fn degrade_policy_switches_engines_under_pressure() {
     let normal = engine(&device, Precision::Fp16, 1);
     let fallback = engine(&device, Precision::Int8, 1);
     let config = SimConfig::builder(device)
-        .add_engine_named_with_arrivals("resnet50/0", Arc::clone(&normal), ArrivalModel::Saturated)
+        .add_process(ProcessConfig::new("resnet50/0", Arc::clone(&normal), 0))
         .serve(
             ServePlan::new().group(
                 ServeGroup::new("resnet50", ArrivalProcess::poisson(3000.0))
@@ -186,7 +192,7 @@ fn batches_coalesce_up_to_the_engine_batch() {
     let device = presets::orin_nano();
     let eng = engine(&device, Precision::Int8, 8);
     let config = SimConfig::builder(device)
-        .add_engine_named_with_arrivals("resnet50/0", Arc::clone(&eng), ArrivalModel::Saturated)
+        .add_process(ProcessConfig::new("resnet50/0", Arc::clone(&eng), 0))
         .serve(
             ServePlan::new().group(
                 ServeGroup::new("resnet50", ArrivalProcess::poisson(2000.0))
@@ -222,8 +228,8 @@ fn mixed_serving_and_closed_loop_tenants_coexist() {
     let device = presets::orin_nano();
     let eng = engine(&device, Precision::Int8, 1);
     let config = SimConfig::builder(device)
-        .add_engine_named_with_arrivals("served/0", Arc::clone(&eng), ArrivalModel::Saturated)
-        .add_engine_named_with_arrivals("background/0", Arc::clone(&eng), ArrivalModel::Saturated)
+        .add_process(ProcessConfig::new("served/0", Arc::clone(&eng), 0))
+        .add_process(ProcessConfig::new("background/0", Arc::clone(&eng), 1))
         .serve(
             ServePlan::new()
                 .group(ServeGroup::new("served", ArrivalProcess::poisson(50.0)).members([0])),
@@ -248,7 +254,7 @@ fn serve_plan_validation_rejects_bad_membership() {
     let device = presets::orin_nano();
     let eng = engine(&device, Precision::Int8, 1);
     let bad_index = SimConfig::builder(device.clone())
-        .add_engine_named_with_arrivals("a", Arc::clone(&eng), ArrivalModel::Saturated)
+        .add_process(ProcessConfig::new("a", Arc::clone(&eng), 0))
         .serve(
             ServePlan::new()
                 .group(ServeGroup::new("g", ArrivalProcess::poisson(10.0)).members([5])),
@@ -260,7 +266,7 @@ fn serve_plan_validation_rejects_bad_membership() {
     );
 
     let double_claim = SimConfig::builder(device.clone())
-        .add_engine_named_with_arrivals("a", Arc::clone(&eng), ArrivalModel::Saturated)
+        .add_process(ProcessConfig::new("a", Arc::clone(&eng), 0))
         .serve(
             ServePlan::new()
                 .group(ServeGroup::new("g1", ArrivalProcess::poisson(10.0)).members([0]))
@@ -273,7 +279,7 @@ fn serve_plan_validation_rejects_bad_membership() {
     );
 
     let empty_group = SimConfig::builder(device)
-        .add_engine_named_with_arrivals("a", eng, ArrivalModel::Saturated)
+        .add_process(ProcessConfig::new("a", eng, 0))
         .serve(ServePlan::new().group(ServeGroup::new("g", ArrivalProcess::poisson(10.0))))
         .build();
     assert!(
@@ -288,7 +294,7 @@ fn serve_plan_validation_bounds_the_request_index() {
     let eng = engine(&device, Precision::Int8, 1);
     let build = |group: ServeGroup, warmup: SimDuration, measure: SimDuration| {
         SimConfig::builder(device.clone())
-            .add_engine_named_with_arrivals("a", Arc::clone(&eng), ArrivalModel::Saturated)
+            .add_process(ProcessConfig::new("a", Arc::clone(&eng), 0))
             .serve(ServePlan::new().group(group.members([0])))
             .warmup(warmup)
             .measure(measure)
@@ -338,7 +344,11 @@ fn simulation_new_rejects_hand_assembled_bad_serve_plans() {
     // builder's checks; `Simulation::new` must still refuse it.
     let device = presets::orin_nano();
     let valid = SimConfig::builder(device.clone())
-        .add_engine(engine(&device, Precision::Int8, 1))
+        .add_process(ProcessConfig::new(
+            "p0",
+            engine(&device, Precision::Int8, 1),
+            0,
+        ))
         .build()
         .unwrap();
     for members in [vec![5], vec![]] {
@@ -360,8 +370,8 @@ fn run_queue_cpu_model_serves_without_leaking_cores() {
     let device = presets::orin_nano();
     let eng = engine(&device, Precision::Int8, 1);
     let config = SimConfig::builder(device)
-        .add_engine_named_with_arrivals("resnet50/0", Arc::clone(&eng), ArrivalModel::Saturated)
-        .add_engine_named_with_arrivals("resnet50/1", Arc::clone(&eng), ArrivalModel::Saturated)
+        .add_process(ProcessConfig::new("resnet50/0", Arc::clone(&eng), 0))
+        .add_process(ProcessConfig::new("resnet50/1", Arc::clone(&eng), 1))
         .serve(
             ServePlan::new()
                 .group(ServeGroup::new("resnet50", ArrivalProcess::poisson(100.0)).members([0, 1])),

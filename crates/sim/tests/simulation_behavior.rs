@@ -3,11 +3,13 @@
 //! pre-component-split `simulation.rs`; they moved here unchanged when
 //! the runner was decomposed into `components/`.
 
+mod support;
+
 use jetsim_des::{SimDuration, SimTime};
 use jetsim_device::{presets, DeviceSpec};
 use jetsim_dnn::{zoo, Precision};
 use jetsim_sim::config::ProfilerMode;
-use jetsim_sim::{SimConfig, Simulation};
+use jetsim_sim::{ProcessConfig, SimConfig, Simulation};
 
 fn quick_config(
     device: DeviceSpec,
@@ -16,9 +18,7 @@ fn quick_config(
     batch: u32,
     procs: u32,
 ) -> SimConfig {
-    SimConfig::builder(device)
-        .add_model_processes(model, precision, batch, procs)
-        .expect("engine builds")
+    support::processes(device, model, precision, batch, procs)
         .warmup(SimDuration::from_millis(200))
         .measure(SimDuration::from_millis(1000))
         .build()
@@ -434,7 +434,10 @@ fn periodic_arrivals_throttle_throughput() {
     );
     let config_for = |arrivals| {
         SimConfig::builder(presets::orin_nano())
-            .add_engine_with_arrivals(std::sync::Arc::clone(&engine), arrivals)
+            .add_process(ProcessConfig {
+                arrivals,
+                ..ProcessConfig::new("p0", std::sync::Arc::clone(&engine), 0)
+            })
             .warmup(SimDuration::from_millis(200))
             .measure(SimDuration::from_millis(1000))
             .build()
@@ -470,10 +473,10 @@ fn overloaded_open_loop_builds_queue_delay() {
             .unwrap(),
     );
     let config = SimConfig::builder(presets::orin_nano())
-        .add_engine_with_arrivals(
-            std::sync::Arc::clone(&engine),
-            jetsim_sim::config::ArrivalModel::Periodic { fps: 60.0 },
-        )
+        .add_process(ProcessConfig {
+            arrivals: jetsim_sim::config::ArrivalModel::Periodic { fps: 60.0 },
+            ..ProcessConfig::new("p0", std::sync::Arc::clone(&engine), 0)
+        })
         .warmup(SimDuration::from_millis(200))
         .measure(SimDuration::from_millis(1500))
         .build()
@@ -495,10 +498,10 @@ fn poisson_arrivals_average_the_offered_rate() {
             .unwrap(),
     );
     let config = SimConfig::builder(presets::orin_nano())
-        .add_engine_with_arrivals(
-            std::sync::Arc::clone(&engine),
-            jetsim_sim::config::ArrivalModel::Poisson { fps: 100.0 },
-        )
+        .add_process(ProcessConfig {
+            arrivals: jetsim_sim::config::ArrivalModel::Poisson { fps: 100.0 },
+            ..ProcessConfig::new("p0", std::sync::Arc::clone(&engine), 0)
+        })
         .warmup(SimDuration::from_millis(200))
         .measure(SimDuration::from_secs(2))
         .build()
@@ -534,9 +537,7 @@ fn tiny_thermal_mass_forces_throttling() {
     device.thermal.capacitance_j_per_c = 0.05;
     device.thermal.throttle_c = 45.0;
     device.power.budget_w = 50.0; // power limit out of the picture
-    let config = SimConfig::builder(device)
-        .add_model(&zoo::resnet50(), Precision::Fp16, 4)
-        .unwrap()
+    let config = support::processes(device, &zoo::resnet50(), Precision::Fp16, 4, 1)
         .warmup(SimDuration::from_millis(200))
         .measure(SimDuration::from_millis(1000))
         .build()
@@ -557,16 +558,20 @@ fn oom_killer_resolves_fcn_overdeployment_on_nano() {
     // outcome: the OOM killer culls the deployment at admission and
     // the survivors report real throughput.
     use jetsim_sim::faults::{FaultKind, FaultPlan};
-    let config = SimConfig::builder(presets::jetson_nano())
-        .add_model_processes(&zoo::fcn_resnet50(), Precision::Fp16, 1, 4)
-        .unwrap()
-        // FCN on the Nano takes ~0.7 s per EC solo and ~2 s when the
-        // survivors share the GPU, so give the window room to breathe.
-        .warmup(SimDuration::from_millis(500))
-        .measure(SimDuration::from_millis(8000))
-        .faults(FaultPlan::kill_largest_on_oom())
-        .build()
-        .expect("kill policy admits the overcommit");
+    let config = support::processes(
+        presets::jetson_nano(),
+        &zoo::fcn_resnet50(),
+        Precision::Fp16,
+        1,
+        4,
+    )
+    // FCN on the Nano takes ~0.7 s per EC solo and ~2 s when the
+    // survivors share the GPU, so give the window room to breathe.
+    .warmup(SimDuration::from_millis(500))
+    .measure(SimDuration::from_millis(8000))
+    .faults(FaultPlan::kill_largest_on_oom())
+    .build()
+    .expect("kill policy admits the overcommit");
     let trace = Simulation::new(config).unwrap().run();
     assert!(trace.killed_processes() >= 1, "someone must die");
     assert!(trace.killed_processes() < 4, "someone must survive");
@@ -590,18 +595,22 @@ fn midrun_memory_spike_triggers_oom_kill() {
     // 4 ResNet50 processes fit on the Nano; a 3 GiB background
     // allocation 500 ms in does not.
     let spike_at = SimTime::from_nanos(500_000_000);
-    let config = SimConfig::builder(presets::jetson_nano())
-        .add_model_processes(&zoo::resnet50(), Precision::Fp16, 1, 4)
-        .unwrap()
-        .warmup(SimDuration::from_millis(200))
-        .measure(SimDuration::from_millis(1000))
-        .faults(FaultPlan::kill_largest_on_oom().memory_spike(
-            spike_at,
-            SimDuration::from_millis(300),
-            3 << 30,
-        ))
-        .build()
-        .unwrap();
+    let config = support::processes(
+        presets::jetson_nano(),
+        &zoo::resnet50(),
+        Precision::Fp16,
+        1,
+        4,
+    )
+    .warmup(SimDuration::from_millis(200))
+    .measure(SimDuration::from_millis(1000))
+    .faults(FaultPlan::kill_largest_on_oom().memory_spike(
+        spike_at,
+        SimDuration::from_millis(300),
+        3 << 30,
+    ))
+    .build()
+    .unwrap();
     let trace = Simulation::new(config).unwrap().run();
     assert!(trace.killed_processes() >= 1, "spike must force a kill");
     for p in &trace.processes {

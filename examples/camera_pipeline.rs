@@ -21,16 +21,22 @@ use jetsim_lab::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let platform = Platform::orin_nano();
-    let detector = platform.build_engine(&zoo::yolov8n(), Precision::Int8, 1)?;
-    let segmenter = platform.build_engine(&zoo::fcn_resnet50(), Precision::Fp16, 1)?;
+    let detector = Tenant::new(zoo::yolov8n(), Precision::Int8, 1);
+    let segmenter = Tenant::new(zoo::fcn_resnet50(), Precision::Fp16, 1);
+    let (detector_engine, segmenter_engine) = (
+        detector.build_engine(&platform)?,
+        segmenter.build_engine(&platform)?,
+    );
 
     println!("camera → YoloV8n int8 b1, sharing the GPU with one FCN fp16 tenant\n");
     println!("| camera fps | served img/s | EC p50 | EC p99 | queue delay (mean) | GPU busy |");
     println!("|---|---|---|---|---|---|");
     for fps in [15.0, 30.0, 60.0, 90.0, 120.0] {
-        let config = SimConfig::builder(platform.device().clone())
-            .add_engine_with_arrivals(detector.clone(), ArrivalModel::Periodic { fps })
-            .add_engine(segmenter.clone())
+        let camera = ArrivalModel::Periodic { fps };
+        let builder = SimConfig::builder(platform.device().clone());
+        let builder = detector.add_processes(builder, &detector_engine, camera);
+        let config = segmenter
+            .add_processes(builder, &segmenter_engine, ArrivalModel::Saturated)
             .warmup(SimDuration::from_millis(400))
             .measure(SimDuration::from_secs(3))
             .build()?;

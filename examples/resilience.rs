@@ -23,7 +23,7 @@
 
 use jetsim::{CellOutcome, SupervisorPolicy, SweepSpec};
 use jetsim_lab::prelude::*;
-use jetsim_sim::{FaultKind, FaultPlan, SimError};
+use jetsim_sim::{ArrivalModel, FaultKind, FaultPlan, SimError};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let platform = Platform::jetson_nano();
@@ -35,12 +35,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // --- 1. Strict admission: the paper-faithful refusal. -------------
-    let engine = platform.build_engine(&model, Precision::Fp16, 1)?;
-    let strict = SimConfig::builder(platform.device().clone())
+    let deployment = Deployment::homogeneous(&model, Precision::Fp16, 1, 4)
+        .config_builder(&platform, ArrivalModel::Saturated)?
         .warmup(SimDuration::from_millis(500))
-        .measure(SimDuration::from_secs(4))
-        .add_engines(&engine, 4)
-        .build();
+        .measure(SimDuration::from_secs(4));
+    let strict = deployment.clone().build();
     match strict {
         Err(e @ SimError::OutOfMemory { .. }) => {
             println!("[strict]  rejected: {e}");
@@ -51,11 +50,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // --- 2. OOM-killer semantics: the failure mode, simulated. --------
-    let config = SimConfig::builder(platform.device().clone())
-        .warmup(SimDuration::from_millis(500))
-        .measure(SimDuration::from_secs(4))
+    let config = deployment
         .faults(FaultPlan::kill_largest_on_oom())
-        .add_engines(&engine, 4)
         .build()?;
     let trace = Simulation::new(config)?.run();
     for event in &trace.fault_events {

@@ -1,12 +1,10 @@
 //! Cross-crate pipeline tests: model zoo → engine builder → simulator →
 //! profilers → analysis, including failure injection.
 
-use std::sync::Arc;
-
 use jetsim::prelude::*;
 use jetsim_profile::chrome_trace;
-use jetsim_sim::{GpuPolicy, SimError};
-use jetsim_trt::{BuildError, EngineBuilder};
+use jetsim_sim::{ArrivalModel, GpuPolicy, ProcessConfig, SimError};
+use jetsim_trt::BuildError;
 
 #[test]
 fn full_pipeline_produces_consistent_views() {
@@ -103,8 +101,8 @@ fn failure_injection_bad_batch() {
 
 #[test]
 fn failure_injection_oom_reports_sizes() {
-    let err = SimConfig::builder(Platform::jetson_nano().device().clone())
-        .add_model_processes(&zoo::fcn_resnet50(), Precision::Fp32, 8, 6)
+    let err = Deployment::homogeneous(&zoo::fcn_resnet50(), Precision::Fp32, 8, 6)
+        .config_builder(&Platform::jetson_nano(), ArrivalModel::Saturated)
         .unwrap()
         .build()
         .unwrap_err();
@@ -131,12 +129,11 @@ fn failure_injection_empty_config() {
 fn heterogeneous_multi_tenant_mix_runs() {
     // The paper's multi-tenancy context: different models sharing one GPU.
     let platform = Platform::orin_nano();
-    let config = SimConfig::builder(platform.device().clone())
-        .add_model(&zoo::resnet50(), Precision::Int8, 1)
-        .unwrap()
-        .add_model(&zoo::yolov8n(), Precision::Int8, 1)
-        .unwrap()
-        .add_model(&zoo::mobilenet_v2(), Precision::Int8, 1)
+    let config = Deployment::new()
+        .tenant(Tenant::new(zoo::resnet50(), Precision::Int8, 1))
+        .tenant(Tenant::new(zoo::yolov8n(), Precision::Int8, 1))
+        .tenant(Tenant::new(zoo::mobilenet_v2(), Precision::Int8, 1))
+        .config_builder(&platform, ArrivalModel::Saturated)
         .unwrap()
         .warmup(SimDuration::from_millis(200))
         .measure(SimDuration::from_millis(900))
@@ -162,15 +159,11 @@ fn heterogeneous_multi_tenant_mix_runs() {
 #[test]
 fn mps_ablation_beats_time_multiplexing_when_gpu_bound() {
     let platform = Platform::orin_nano();
-    let engine = Arc::new(
-        EngineBuilder::new(platform.device())
-            .precision(Precision::Fp16)
-            .build(&zoo::fcn_resnet50())
-            .unwrap(),
-    );
+    let deployment = Deployment::homogeneous(&zoo::fcn_resnet50(), Precision::Fp16, 1, 2);
     let run = |policy| {
-        let config = SimConfig::builder(platform.device().clone())
-            .add_engines(&engine, 2)
+        let config = deployment
+            .config_builder(&platform, ArrivalModel::Saturated)
+            .unwrap()
             .gpu_policy(policy)
             .warmup(SimDuration::from_millis(200))
             .measure(SimDuration::from_millis(1200))
@@ -194,7 +187,7 @@ fn extended_zoo_builds_and_runs_everywhere() {
                 .unwrap_or_else(|e| panic!("{} on {}: {e}", model.name(), platform.name()));
             assert!(engine.kernel_count() > 0);
             let config = SimConfig::builder(platform.device().clone())
-                .add_engine(engine)
+                .add_process(ProcessConfig::new("p0", engine, 0))
                 .warmup(SimDuration::from_millis(100))
                 .measure(SimDuration::from_millis(400))
                 .build();

@@ -24,14 +24,14 @@ use std::fmt::Debug;
 use std::sync::Arc;
 
 use jetsim_des::{ArrivalProcess, Fnv1a, SimDuration, SimTime};
-use jetsim_device::presets;
-use jetsim_dnn::{zoo, Precision};
+use jetsim_device::{presets, DeviceSpec};
+use jetsim_dnn::{zoo, ModelGraph, Precision};
 use jetsim_sim::{
     AdmissionPolicy, ArrivalModel, AutoscalerPolicy, BreakerPolicy, CpuModel, DropKind, DropRecord,
     EcRecord, FaultEvent, FaultKind, FaultPlan, GpuPolicy, HedgePolicy, KernelEvent,
-    KernelPreempted, OomPolicy, PowerSample, ProcessStats, ProfilerMode, RecoveryPolicy,
-    RequestRecord, RetryPolicy, RunTrace, ServeEvent, ServeEventKind, ServeGroup, ServePlan,
-    SimConfig, SimConfigBuilder, Simulation,
+    KernelPreempted, OomPolicy, PowerSample, ProcessConfig, ProcessStats, ProfilerMode,
+    RecoveryPolicy, RequestRecord, RetryPolicy, RunTrace, ServeEvent, ServeEventKind, ServeGroup,
+    ServePlan, SimConfig, SimConfigBuilder, Simulation,
 };
 use jetsim_trt::{Engine, EngineBuilder};
 
@@ -427,9 +427,7 @@ struct Cell {
 }
 
 fn base_cell(dev: Dev, precision: Precision, procs: u32, seed: u64) -> Cell {
-    let config = SimConfig::builder(dev.spec())
-        .add_model_processes(&dev.model(), precision, 2, procs)
-        .expect("engine builds")
+    let config = processes(dev.spec(), &dev.model(), precision, 2, procs)
         .warmup(SimDuration::from_millis(150))
         .measure(SimDuration::from_millis(600))
         .seed(seed)
@@ -455,23 +453,25 @@ fn all_cells() -> Vec<Cell> {
         }
     }
     // Run-queue CPU scheduler (quantum time-sharing + spin-wait path).
-    let config = SimConfig::builder(presets::orin_nano())
-        .add_model_processes(&zoo::resnet50(), Precision::Fp16, 2, 6)
-        .expect("engine builds")
-        .cpu_model(CpuModel::RunQueue)
-        .warmup(SimDuration::from_millis(150))
-        .measure(SimDuration::from_millis(600))
-        .seed(7)
-        .build()
-        .expect("fits");
+    let config = processes(
+        presets::orin_nano(),
+        &zoo::resnet50(),
+        Precision::Fp16,
+        2,
+        6,
+    )
+    .cpu_model(CpuModel::RunQueue)
+    .warmup(SimDuration::from_millis(150))
+    .measure(SimDuration::from_millis(600))
+    .seed(7)
+    .build()
+    .expect("fits");
     cells.push(Cell {
         id: "runqueue_orin_6p_s7".into(),
         trace: Simulation::new(config).expect("valid").run(),
     });
     // MPS spatial packing.
-    let config = SimConfig::builder(presets::orin_nano())
-        .add_model_processes(&zoo::yolov8n(), Precision::Fp16, 1, 3)
-        .expect("engine builds")
+    let config = processes(presets::orin_nano(), &zoo::yolov8n(), Precision::Fp16, 1, 3)
         .gpu_policy(GpuPolicy::SpatialMps {
             overlap_efficiency: 0.3,
         })
@@ -485,17 +485,16 @@ fn all_cells() -> Vec<Cell> {
         trace: Simulation::new(config).expect("valid").run(),
     });
     // Open-loop Poisson arrivals (queue-delay accounting + arrival RNG).
-    let engine = {
-        let config = SimConfig::builder(presets::orin_nano())
-            .add_model(&zoo::resnet50(), Precision::Fp16, 1)
-            .expect("engine builds")
-            .build()
-            .expect("fits");
-        config.processes[0].engine.clone()
-    };
+    let engine = resnet50_engine(&presets::orin_nano(), Precision::Fp16, 1);
     let config = SimConfig::builder(presets::orin_nano())
-        .add_engine_with_arrivals(engine.clone(), ArrivalModel::Poisson { fps: 60.0 })
-        .add_engine_with_arrivals(engine, ArrivalModel::Periodic { fps: 30.0 })
+        .add_process(ProcessConfig {
+            arrivals: ArrivalModel::Poisson { fps: 60.0 },
+            ..ProcessConfig::new("p0", engine.clone(), 0)
+        })
+        .add_process(ProcessConfig {
+            arrivals: ArrivalModel::Periodic { fps: 30.0 },
+            ..ProcessConfig::new("p1", engine, 1)
+        })
         .warmup(SimDuration::from_millis(150))
         .measure(SimDuration::from_millis(600))
         .seed(23)
@@ -506,39 +505,72 @@ fn all_cells() -> Vec<Cell> {
         trace: Simulation::new(config).expect("valid").run(),
     });
     // Nsight profiler mode (overhead factors + kernel-event trace RNG).
-    let config = SimConfig::builder(presets::jetson_nano())
-        .add_model_processes(&zoo::resnet50(), Precision::Fp16, 1, 2)
-        .expect("engine builds")
-        .profiler(ProfilerMode::Nsight)
-        .warmup(SimDuration::from_millis(150))
-        .measure(SimDuration::from_millis(600))
-        .seed(31)
-        .build()
-        .expect("fits");
+    let config = processes(
+        presets::jetson_nano(),
+        &zoo::resnet50(),
+        Precision::Fp16,
+        1,
+        2,
+    )
+    .profiler(ProfilerMode::Nsight)
+    .warmup(SimDuration::from_millis(150))
+    .measure(SimDuration::from_millis(600))
+    .seed(31)
+    .build()
+    .expect("fits");
     cells.push(Cell {
         id: "nsight_nano_2p_s31".into(),
         trace: Simulation::new(config).expect("valid").run(),
     });
     // Fault plan: seeded spikes + throttle locks + OOM killer over an
     // over-committed deployment (memory guard + governor lock paths).
-    let config = SimConfig::builder(presets::jetson_nano())
-        .add_model_processes(&zoo::fcn_resnet50(), Precision::Fp32, 1, 4)
-        .expect("engine builds")
-        .faults(
-            FaultPlan::seeded(99, SimDuration::from_millis(750), 2, 1)
-                .oom_policy(jetsim_sim::OomPolicy::KillLargest),
-        )
-        .warmup(SimDuration::from_millis(150))
-        .measure(SimDuration::from_millis(600))
-        .seed(99)
-        .build()
-        .expect("fits under KillLargest");
+    let config = processes(
+        presets::jetson_nano(),
+        &zoo::fcn_resnet50(),
+        Precision::Fp32,
+        1,
+        4,
+    )
+    .faults(
+        FaultPlan::seeded(99, SimDuration::from_millis(750), 2, 1)
+            .oom_policy(jetsim_sim::OomPolicy::KillLargest),
+    )
+    .warmup(SimDuration::from_millis(150))
+    .measure(SimDuration::from_millis(600))
+    .seed(99)
+    .build()
+    .expect("fits under KillLargest");
     cells.push(Cell {
         id: "faults_nano_4p_s99".into(),
         trace: Simulation::new(config).expect("valid").run(),
     });
     cells.extend(serving_and_policy_cells());
     cells
+}
+
+/// A builder for `device` with `count` saturated processes `p{pid}` of
+/// one `model` engine, each in its own memory group.
+fn processes(
+    device: DeviceSpec,
+    model: &ModelGraph,
+    precision: Precision,
+    batch: u32,
+    count: u32,
+) -> SimConfigBuilder {
+    let engine = Arc::new(
+        EngineBuilder::new(&device)
+            .precision(precision)
+            .batch(batch)
+            .build(model)
+            .expect("engine builds"),
+    );
+    (0..count as usize).fold(SimConfig::builder(device), |builder, pid| {
+        builder.add_process(ProcessConfig::new(
+            format!("p{pid}"),
+            Arc::clone(&engine),
+            pid,
+        ))
+    })
 }
 
 fn resnet50_engine(
@@ -566,11 +598,11 @@ fn serve_cell(
     seed: u64,
 ) -> Cell {
     for i in 0..members {
-        builder = builder.add_engine_named_with_arrivals(
+        builder = builder.add_process(ProcessConfig::new(
             format!("{}/{i}", group.label),
             Arc::clone(engine),
-            ArrivalModel::Saturated,
-        );
+            i,
+        ));
     }
     let config = builder
         .serve(ServePlan::new().group(group.members(0..members)))
@@ -588,18 +620,20 @@ fn serve_cell(
 /// Four ResNet50 int8 processes on the Orin Nano, two at priority 5 /
 /// SM share 2.0, under `policy`.
 fn contended_cell(id: &str, policy: GpuPolicy, seed: u64) -> Cell {
-    let mut builder = SimConfig::builder(presets::orin_nano())
+    let orin = presets::orin_nano();
+    let engine = resnet50_engine(&orin, Precision::Int8, 1);
+    let mut builder = SimConfig::builder(orin)
         .gpu_policy(policy)
         .warmup(SimDuration::from_millis(100))
         .measure(SimDuration::from_millis(500))
         .seed(seed);
-    for i in 0..4 {
-        builder = builder
-            .add_model(&zoo::resnet50(), Precision::Int8, 1)
-            .expect("engine builds");
-        if i % 2 == 0 {
-            builder = builder.process_priority(5).process_sm_share(2.0);
-        }
+    for pid in 0..4 {
+        let weighted = pid % 2 == 0;
+        builder = builder.add_process(ProcessConfig {
+            priority: if weighted { 5 } else { 0 },
+            sm_share: if weighted { 2.0 } else { 1.0 },
+            ..ProcessConfig::new(format!("p{pid}"), Arc::clone(&engine), pid)
+        });
     }
     let config = builder.build().expect("fits");
     Cell {
@@ -627,13 +661,11 @@ fn priority_serve_cell(id: &str, hi_rate: f64, lo_rate: f64, seed: u64) -> Cell 
     });
     for (label, engine, priority) in [("resnet50", &hi, 1), ("mobilenet_v2", &lo, 0)] {
         for i in 0..2 {
-            builder = builder
-                .add_engine_named_with_arrivals(
-                    format!("{label}/{i}"),
-                    Arc::clone(engine),
-                    ArrivalModel::Saturated,
-                )
-                .process_priority(priority);
+            let pid = builder.process_count();
+            builder = builder.add_process(ProcessConfig {
+                priority,
+                ..ProcessConfig::new(format!("{label}/{i}"), Arc::clone(engine), pid)
+            });
         }
     }
     let hedged = ServeGroup::new("resnet50", ArrivalProcess::poisson(hi_rate))
